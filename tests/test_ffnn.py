@@ -329,3 +329,99 @@ class TestTraining:
     def test_predict_before_fit(self):
         with pytest.raises(ContractError):
             FfnnModel(FfnnConfig()).predict(np.ones((1, 3)))
+
+
+def _reference_train(cfg, S, T):
+    """Train with the original elementwise expressions, kept as a bit-level
+    reference: np.where relu/dropout chains forward and backward, and the
+    Adam step in its original expression order. Uses the same BLAS as the
+    code under test, so equality does not depend on the machine."""
+    S = np.ascontiguousarray(S, dtype=np.float64)
+    T = np.ascontiguousarray(T, dtype=np.float64)
+    rng = np.random.default_rng(cfg.seed)
+    sizes = [S.shape[1], *cfg.hidden_sizes, T.shape[1]]
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(np.ascontiguousarray(rng.uniform(-limit, limit, size=(fan_out, fan_in))))
+        biases.append(np.zeros(fan_out))
+    params = [a.reshape(-1) for a in (*weights, *biases)]
+    moment1 = [np.zeros(p.size) for p in params]
+    moment2 = [np.zeros(p.size) for p in params]
+    keep = 1.0 - cfg.dropout_hidden
+    inv = 1.0 / keep
+    lr, b1, b2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
+    trace = []
+    for it in range(1, cfg.iterations + 1):
+        layers = []
+        a = S
+        for W, b in zip(weights[:-1], biases[:-1]):
+            z = a @ W.T + b
+            h = np.where(z > 0.0, z, 0.0)
+            if cfg.dropout_hidden > 0.0:
+                u = rng.random(size=z.shape)
+                h = np.where(u < keep, h * inv, 0.0)
+            else:
+                u = None
+            layers.append((a, z, u))
+            a = h
+        out = a @ weights[-1].T + biases[-1]
+        d = out - T
+        trace.append(float(np.mean(d * d)))
+        delta = d * (2.0 / out.size)
+        grads_w = [None] * len(weights)
+        grads_b = [None] * len(weights)
+        grads_w[-1] = delta.T @ a
+        grads_b[-1] = delta.sum(axis=0)
+        back = delta @ weights[-1]
+        for l in range(len(weights) - 2, -1, -1):
+            a_prev, z, u = layers[l]
+            if u is None:
+                dz = np.where(z > 0.0, back, 0.0)
+            else:
+                dz = np.where(z > 0.0, np.where(u < keep, back * inv, 0.0), 0.0)
+            grads_w[l] = dz.T @ a_prev
+            grads_b[l] = dz.sum(axis=0)
+            if l > 0:
+                back = dz @ weights[l]
+        grads = [g.reshape(-1) for g in (*grads_w, *grads_b)]
+        bc1 = 1.0 - b1**it
+        bc2 = 1.0 - b2**it
+        for p, g, m, v in zip(params, grads, moment1, moment2):
+            m[:] = b1 * m + (1.0 - b1) * g
+            v[:] = b2 * v + (1.0 - b2) * (g * g)
+            p -= (lr * (m / bc1)) / (np.sqrt(v / bc2) + eps)
+    return weights, biases, trace
+
+
+class TestReferenceBits:
+    """Training matches the reference expressions bit for bit."""
+
+    @pytest.mark.parametrize("hidden", [(128, 128), (8,)], ids=["128x128", "8"])
+    @pytest.mark.parametrize("dropout", [0.2, 0.0])
+    def test_matches_reference_trainer(self, hidden, dropout):
+        S, T = make_affine_arrays(n=60, seed=11)
+        cfg = FfnnConfig(hidden_sizes=hidden, dropout_hidden=dropout, iterations=25, seed=4)
+        self._assert_same_bits(cfg, S, T)
+
+    def test_zero_preactivation_takes_the_strict_gate(self):
+        # all-zero input rows meet zero initial biases: the first step
+        # sees pre-activations that are exactly 0.0 in every hidden layer
+        S, T = make_affine_arrays(n=40, seed=12)
+        S[::4] = 0.0
+        cfg = FfnnConfig(hidden_sizes=(16, 16), iterations=25, seed=5)
+        model = init_ffnn(cfg, VAD, BE5)
+        rng = np.random.default_rng(cfg.seed)
+        _, cache = ffnn_forward(model, S, mode="train", rng=rng)
+        assert all(np.any(z == 0.0) for _, z, _ in cache.layers)
+        self._assert_same_bits(cfg, S, T)
+
+    @staticmethod
+    def _assert_same_bits(cfg, S, T):
+        got = train_ffnn_arrays(cfg, S, T)
+        weights, biases, trace = _reference_train(cfg, S, T)
+        for a, b in zip(got.weights, weights):
+            assert np.array_equal(a, b)
+        for a, b in zip(got.biases, biases):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got.loss_trace, trace)
