@@ -8,8 +8,6 @@ and comparison), and lexicon generation. See the README for the CLI.
 
 __version__ = "0.1.0"
 
-from . import _kernels
-from ._kernels import active_backend, set_backend, use_backend
 from .errors import (
     AffectMapError,
     ConfigurationError,

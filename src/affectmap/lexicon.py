@@ -10,6 +10,7 @@ as read-only float64 matrices.
 
 from __future__ import annotations
 
+import math
 import unicodedata
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -128,10 +129,10 @@ class Lexicon:
         words = tuple(words)
         if len(set(words)) != len(words):
             raise ValidationError("duplicate words in lexicon")
-        if values.size and not (
-            np.all(values >= fmt.scale_low) and np.all(values <= fmt.scale_high)
-        ):
-            bad = int(np.argmax((values < fmt.scale_low) | (values > fmt.scale_high)))
+        inside = (values >= fmt.scale_low) & (values <= fmt.scale_high)
+        if not inside.all():
+            # NaN compares false both ways, so it lands here too
+            bad = int(np.argmax(~inside))
             row, col = divmod(bad, fmt.size)
             raise ValidationError(
                 f"rating {values[row, col]!r} for word {words[row]!r} "
@@ -347,7 +348,12 @@ def parse_lexicon(
                 ) from None
             if scale is not None:
                 v = fmt.scale_low + (v - src_low) * span
-            if v < fmt.scale_low or v > fmt.scale_high:
+            if not fmt.scale_low <= v <= fmt.scale_high:
+                if not math.isfinite(v):
+                    raise ParseError(
+                        f"non-finite value {cell!r} in column {column_map[var]!r}",
+                        line=lineno,
+                    )
                 if clamp:
                     clamped = min(max(v, fmt.scale_low), fmt.scale_high)
                     sink.append(

@@ -196,6 +196,8 @@ def read_feature_vectors(
             vec = np.array([float(c) for c in cells[1:]])
         except ValueError:
             raise ParseError(f"non-numeric feature value in {cells[1:]!r}", line=lineno) from None
+        if not np.isfinite(vec).all():
+            raise ParseError(f"non-finite feature value in {cells[1:]!r}", line=lineno)
         if width is None:
             width = vec.size
         elif vec.size != width:

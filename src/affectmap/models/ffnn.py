@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import _kernels
 from ..errors import ContractError, DivergenceError, ValidationError
 from ..lexicon import AlignedLexicon
 
@@ -144,7 +143,7 @@ def init_ffnn(cfg: FfnnConfig, source_format, target_format) -> FfnnModel:
 class _ForwardCache:
     model: FfnnModel
     mode: str
-    # per hidden layer: (layer input, pre-activation z, dropout uniforms or None)
+    # per hidden layer: (layer input, pre-activation z, scaled dropout mask or None)
     layers: list = field(default_factory=list)
     last_input: np.ndarray | None = None
     output: np.ndarray | None = None
@@ -175,19 +174,15 @@ def ffnn_forward(m: FfnnModel, X, mode: str = "eval", rng=None):
     cache = _ForwardCache(model=m, mode=mode)
     a = X
     for W, b in zip(m.weights[:-1], m.biases[:-1]):
-        zlin = a @ W.T
+        z = a @ W.T
+        z += b
+        h = np.maximum(z, 0.0)
+        mask = None
         if dropping:
-            u = rng.random(size=zlin.shape)
-            z = np.empty_like(zlin)
-            hd = np.empty_like(zlin)
-            _kernels.hidden_forward(zlin, b, u, keep, inv, z, hd)
-            cache.layers.append((a, z, u))
-            a = hd
-        else:
-            z = zlin + b
-            h = np.where(z > 0.0, z, 0.0)
-            cache.layers.append((a, z, None))
-            a = h
+            mask = (rng.random(size=z.shape) < keep) * inv
+            h *= mask
+        cache.layers.append((a, z, mask))
+        a = h
     out = a @ m.weights[-1].T + m.biases[-1]
     cache.last_input = a
     cache.output = out
@@ -219,9 +214,6 @@ def ffnn_backward(m: FfnnModel, cache: _ForwardCache, gold):
             f"gold shape {gold.shape} does not match cached output "
             f"{cache.output.shape}"
         )
-    p = m.config.dropout_hidden if m.config is not None else 0.0
-    keep = 1.0 - p
-    inv = 1.0 / keep
     n_layers = len(m.weights)
     grads_w = [None] * n_layers
     grads_b = [None] * n_layers
@@ -232,12 +224,11 @@ def ffnn_backward(m: FfnnModel, cache: _ForwardCache, gold):
         return grads_w, grads_b
     back = delta @ m.weights[-1]
     for l in range(n_layers - 2, -1, -1):
-        a_prev, z, u = cache.layers[l]
-        dz = np.empty_like(z)
-        if u is None:
-            _kernels.relu_backward(back, z, dz)
-        else:
-            _kernels.hidden_backward(back, z, u, keep, inv, dz)
+        a_prev, z, mask = cache.layers[l]
+        gate = z > 0.0
+        if mask is not None:
+            gate = gate * mask
+        dz = back * gate
         grads_w[l] = np.ascontiguousarray(dz.T @ a_prev)
         grads_b[l] = dz.sum(axis=0)
         if l > 0:
@@ -271,8 +262,10 @@ def _train_in_place(model: FfnnModel, S, T) -> None:
         grads = [g.reshape(-1) for g in (*grads_w, *grads_b)]
         bc1 = 1.0 - b1**it
         bc2 = 1.0 - b2**it
-        for p_flat, g_flat, m1, m2 in zip(params, grads, moment1, moment2):
-            _kernels.adam_update(p_flat, g_flat, m1, m2, lr, b1, b2, eps, bc1, bc2)
+        for p, g, m1, m2 in zip(params, grads, moment1, moment2):
+            m1[:] = b1 * m1 + (1.0 - b1) * g
+            m2[:] = b2 * m2 + (1.0 - b2) * (g * g)
+            p -= (lr * (m1 / bc1)) / (np.sqrt(m2 / bc2) + eps)
     model.loss_trace = trace
 
 

@@ -10,6 +10,7 @@ parameters themselves round-trip bit-identically.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -127,8 +128,20 @@ def _read_all(source) -> bytes:
     return Path(source).read_bytes()
 
 
-def load_model(source):
-    raw = _read_all(source)
+_HEADER_KEYS = ("kind", "source_format", "target_format", "meta", "arrays")
+_META_KEYS = {
+    "linear": (),
+    "knn": ("k",),
+    "ffnn": ("config",),
+    "boosted": (
+        "max_stages", "seed", "base_config", "variables", "n_features",
+        "stage_counts", "stage_seeds",
+    ),
+}
+
+
+def _read_header(raw) -> tuple[dict, int]:
+    """The checked JSON header and the offset where the payload starts."""
     if len(raw) < 12 or raw[:8] != MAGIC:
         raise ParseError("not a model file (bad magic)")
     (header_len,) = struct.unpack("<I", raw[8:12])
@@ -138,24 +151,62 @@ def load_model(source):
         header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ParseError(f"corrupt model header: {e}") from None
-    offset = 12 + header_len
+    if not isinstance(header, dict) or any(k not in header for k in _HEADER_KEYS):
+        raise ParseError("model header must be an object with keys: " + ", ".join(_HEADER_KEYS))
+    kind = header["kind"]
+    if not isinstance(kind, str) or kind not in _META_KEYS:
+        raise ParseError(f"unknown model kind {kind!r}")
+    meta = header["meta"]
+    if not isinstance(meta, dict) or any(k not in meta for k in _META_KEYS[kind]):
+        raise ParseError(f"{kind} model meta must be an object with keys {list(_META_KEYS[kind])}")
+    if not isinstance(header["arrays"], list):
+        raise ParseError("model header 'arrays' must be a list")
+    return header, 12 + header_len
+
+
+def _read_arrays(raw, entries, offset) -> dict:
+    """Slice the payload by the header's manifest; its length must match exactly."""
     arrays = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if offset + nbytes > len(raw):
-            raise ParseError(f"truncated payload for array {entry['name']!r}")
-        arrays[entry["name"]] = (
+    for entry in entries:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        if not (
+            isinstance(name, str)
+            and isinstance(shape, list)
+            and all(type(d) is int and d >= 0 for d in shape)
+        ):
+            raise ParseError(f"malformed array entry {entry!r}")
+        count = math.prod(shape)
+        if offset + 8 * count > len(raw):
+            raise ParseError(f"truncated payload for array {name!r}")
+        arrays[name] = (
             np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
             .reshape(shape)
             .astype(np.float64)
         )
-        offset += nbytes
-    source_format = _format_from(header["source_format"])
-    target_format = _format_from(header["target_format"])
+        offset += 8 * count
+    if offset != len(raw):
+        raise ParseError(f"{len(raw) - offset} trailing bytes after the model payload")
+    return arrays
+
+
+def load_model(source):
+    raw = _read_all(source)
+    header, offset = _read_header(raw)
+    arrays = _read_arrays(raw, header["arrays"], offset)
+    # past the structural checks, a missing array or a mistyped meta value
+    # surfaces as one of these while the model is built
+    try:
+        return _build(header, arrays)
+    except (LookupError, TypeError, ValueError) as e:
+        raise ParseError(f"malformed {header['kind']} model header: {e!r}") from None
+
+
+def _build(header, arrays):
     kind = header["kind"]
     meta = header["meta"]
+    source_format = _format_from(header["source_format"])
+    target_format = _format_from(header["target_format"])
     if kind == "linear":
         model = LinearModel()
         model.W = arrays["W"]
@@ -208,4 +259,3 @@ def load_model(source):
                 )
             model.stages.append(nets)
         return model
-    raise ParseError(f"unknown model kind {kind!r}")

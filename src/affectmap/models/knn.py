@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 
-from .. import _kernels
 from ..errors import ContractError
 from ..lexicon import AlignedLexicon
 
@@ -74,7 +73,13 @@ class KnnModel:
         chunk = max(1, _CHUNK_CELLS // n_train)
         for start in range(0, X.shape[0], chunk):
             q = X[start : start + chunk]
-            d2 = _kernels.pairwise_sq_dists(q, self.source)
+            # accumulate one feature at a time so memory stays at one
+            # (chunk, train) block; a broadcast (queries, train, d)
+            # temporary would raise peak RSS d-fold on these chunks
+            d2 = np.zeros((q.shape[0], n_train))
+            for f in range(q.shape[1]):
+                diff = q[:, f : f + 1] - self.source[:, f]
+                d2 += diff * diff
             # stable sort on squared distance = ascending-index tie-break
             order = np.argsort(d2, axis=1, kind="stable")[:, :k]
             # neighbor-by-neighbor accumulation keeps the averaging order

@@ -270,11 +270,11 @@ def read_reliability_records(source: str | Path | IO[bytes]) -> list[Reliability
         try:
             reported = float(cells[2])
             n = int(cells[3])
+            normalized = None
+            if has_normalized and len(cells) > 5 and cells[5].strip():
+                normalized = float(cells[5])
         except ValueError as e:
             raise ParseError(str(e), line=lineno) from None
-        normalized = None
-        if has_normalized and len(cells) > 5 and cells[5].strip():
-            normalized = float(cells[5])
         try:
             records.append(
                 ReliabilityRecord(

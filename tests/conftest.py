@@ -1,4 +1,7 @@
+import io
+import json
 import os
+import struct
 
 # pin BLAS threading before numpy loads anywhere; reduction order inside
 # matrix products must not depend on the machine's core count
@@ -7,16 +10,9 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import numpy as np
-import pytest
 
-from affectmap import _kernels
 from affectmap.lexicon import BE5, VAD, AlignedLexicon
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile jitted kernels once so timed tests never pay for it."""
-    _kernels.warmup()
+from affectmap.models import KnnModel, save_model
 
 
 def make_affine_arrays(n=200, s=3, t=5, seed=0, noise=0.0, mscale=0.15, offset=3.0):
@@ -54,3 +50,27 @@ def make_aligned(n=80, seed=0, noise=0.1, language="en", prefix="w"):
         be5 = be5 + rng.normal(0.0, noise, size=be5.shape)
     be5 = np.clip(be5, 1.0, 5.0)
     return AlignedLexicon(words, VAD, BE5, vad, be5, language=language)
+
+
+def malformed_model_files():
+    """Name -> bytes of a model file whose header or payload is broken."""
+    buf = io.BytesIO()
+    save_model(KnnModel(k=3).fit_arrays(np.ones((4, 3)), np.ones((4, 5))), buf)
+    raw = buf.getvalue()
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + header_len])
+    payload = raw[12 + header_len :]
+
+    def frame(h):
+        blob = json.dumps(h).encode("utf-8")
+        return raw[:8] + struct.pack("<I", len(blob)) + blob + payload
+
+    negative = json.loads(json.dumps(header))
+    negative["arrays"][0]["shape"] = [-1, 2]
+    return {
+        "no-arrays": frame({k: v for k, v in header.items() if k != "arrays"}),
+        "list-header": frame([header]),
+        "negative-shape": frame(negative),
+        "knn-empty-meta": frame({**header, "meta": {}}),
+        "trailing-bytes": raw + bytes(8),
+    }

@@ -206,6 +206,12 @@ class TestReadFeatureVectors:
         with pytest.raises(ParseError, match="line 2"):
             read_feature_vectors(io.BytesIO(data))
 
+    @pytest.mark.parametrize("cell", [b"nan", b"inf"])
+    def test_non_finite_value(self, cell):
+        data = b"cat\t0.5\t1.5\nw1\t1.0\t" + cell + b"\n"
+        with pytest.raises(ParseError, match="line 2.*non-finite"):
+            read_feature_vectors(io.BytesIO(data))
+
     def test_word_only_row(self):
         with pytest.raises(ParseError):
             read_feature_vectors(io.BytesIO(b"cat\n"))

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import malformed_model_files
 from affectmap import __version__
 from affectmap.cli import main
 from affectmap.models import load_model
@@ -411,6 +412,40 @@ class TestRunOtherTasks:
         assert code == 2
 
 
+def _nan_lexicon(root):
+    path = root / "w_vad.tsv"
+    lines = path.read_text().split("\n")
+    lines[3] = "\t".join([*lines[3].split("\t")[:2], "nan", "5.0"])
+    path.write_text("\n".join(lines))
+    return write_manifest(root), "monolingual"
+
+
+def _nan_features(root):
+    (root / "emb.tsv").write_bytes(b"w000\t0.5\nw001\tnan\n")
+    models = [{"name": "boost", "kind": "boosted", "features_path": "emb.tsv"}]
+    return write_manifest(root, models=models), "monolingual"
+
+
+def _bad_normalized_r(root):
+    (root / "rel.tsv").write_bytes(
+        _render_tsv(
+            ["dataset", "variable", "reported_r", "n_participants", "sba_applied", "normalized_r"],
+            [["syn", "joy", "0.8", "40", "true", "high"]],
+        )
+    )
+    return write_manifest(root, reliability="rel.tsv"), "shr-normalize"
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("setup", [_nan_lexicon, _nan_features, _bad_normalized_r])
+    def test_exit_2_naming_the_line(self, setup, workspace, capsys):
+        root, _ = workspace
+        manifest, task = setup(root)
+        assert main(["run", task, "--manifest", str(manifest), "--out", str(root / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("affectmap: error: line ")
+
+
 class TestGradientCheckCommand:
     def test_passes(self, capsys):
         assert main(["gradient-check"]) == 0
@@ -477,3 +512,13 @@ class TestModelCommands:
         path = tmp_path / "junk.afm"
         path.write_bytes(b"definitely not a model")
         assert main(["model", "load", str(path)]) == 2
+
+    @pytest.mark.parametrize("name", sorted(malformed_model_files()))
+    def test_load_rejects_malformed_model(self, name, tmp_path, capsys):
+        path = tmp_path / f"{name}.afm"
+        path.write_bytes(malformed_model_files()[name])
+        assert main(["model", "load", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("affectmap: error: ")
+        assert "Traceback" not in err
+

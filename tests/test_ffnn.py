@@ -215,15 +215,15 @@ class TestBackward:
             ffnn_backward(m, cache, np.ones((3, 5)))
 
     def test_masked_paths_carry_no_gradient(self):
-        # dropout keeps u < keep; a unit with u >= keep is dead for the
-        # step, so the weights feeding it get exactly zero gradient
+        # a unit whose dropout mask is zero is dead for the step, so the
+        # weights feeding it get exactly zero gradient
         cfg = FfnnConfig(hidden_sizes=(8,), dropout_hidden=0.5, seed=0)
         m = init_ffnn(cfg, VAD, BE5)
         X = np.random.default_rng(6).uniform(1, 9, size=(1, 3))
         rng = np.random.default_rng(7)
         out, cache = ffnn_forward(m, X, mode="train", rng=rng)
-        _, z, u = cache.layers[0]
-        dead = (u[0] >= 0.5) | (z[0] <= 0.0)
+        _, z, mask = cache.layers[0]
+        dead = (mask[0] == 0.0) | (z[0] <= 0.0)
         assert dead.any() and (~dead).any()
         grads_w, _ = ffnn_backward(m, cache, out + 1.0)
         assert np.all(grads_w[0][dead] == 0.0)

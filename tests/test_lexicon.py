@@ -95,6 +95,13 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2"):
             parse_lexicon(data, VAD, VAD_COLUMNS)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell(self, cell):
+        # clamp would let NaN through: it is neither below nor above the bounds
+        data = BASIC + f"y\t5\t{cell}\t5\n".encode()
+        with pytest.raises(ParseError, match="line 4.*non-finite"):
+            parse_lexicon(data, VAD, VAD_COLUMNS, clamp=True)
+
     def test_short_row(self):
         data = BASIC + b"onlyonefield\n"
         with pytest.raises(ParseError, match="line 4"):
@@ -181,6 +188,11 @@ class TestLexicon:
     def test_bounds_enforced(self):
         with pytest.raises(ValidationError):
             Lexicon(BE5, ["a"], np.array([[0.5, 2, 2, 2, 2]]))
+
+    def test_nan_rating_names_its_word(self):
+        values = np.array([[2.0, 2.0], [2.0, np.nan]])
+        with pytest.raises(ValidationError, match="'b'"):
+            Lexicon(VA, ["a", "b"], values)
 
     def test_duplicate_words_rejected(self):
         with pytest.raises(ValidationError):

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import make_aligned
+from conftest import make_aligned, malformed_model_files
 from affectmap.errors import ContractError, ParseError
 from affectmap.lexicon import BE5, Lexicon
 from affectmap.models import (
@@ -125,6 +125,11 @@ class TestFileFormat:
         raw[12] = ord("X")
         with pytest.raises(ParseError, match="header"):
             load_model(io.BytesIO(bytes(raw)))
+
+    @pytest.mark.parametrize("name", sorted(malformed_model_files()))
+    def test_malformed_header_or_payload(self, name):
+        with pytest.raises(ParseError):
+            load_model(io.BytesIO(malformed_model_files()[name]))
 
     def test_unfitted_model_rejected(self):
         with pytest.raises(ContractError):

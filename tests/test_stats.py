@@ -380,6 +380,13 @@ class TestReliabilityIo:
         )
         with pytest.raises(ParseError):
             read_reliability_records(io.BytesIO(data))
+        data = (
+            b"dataset\tvariable\treported_r\tn_participants\tsba_applied\tnormalized_r\n"
+            b"d1\tvalence\t0.9\t40\ttrue\t0.8\n"
+            b"d1\tarousal\t0.9\t40\ttrue\tx\n"
+        )
+        with pytest.raises(ParseError, match="line 3"):
+            read_reliability_records(io.BytesIO(data))
 
     def test_out_of_range_value(self):
         data = (
