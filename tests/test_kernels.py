@@ -1,198 +1,136 @@
+"""Elementwise semantics of the FFNN training kernels.
+
+The relu/dropout forward and backward and the adaptive-moment step live
+inline in ``models/ffnn.py``; these tests check them through the public
+forward, backward and training entry points against straightforward
+reference math.
+"""
+
+from dataclasses import replace
+
 import numpy as np
-import pytest
+from conftest import make_affine_arrays
 
-from affectmap import _kernels
-from affectmap._kernels import (
-    HAS_NUMBA,
-    active_backend,
-    adam_update,
-    hidden_backward,
-    hidden_forward,
-    pairwise_sq_dists,
-    relu_backward,
-    set_backend,
-    use_backend,
+from affectmap.lexicon import BE5, VAD
+from affectmap.models.ffnn import (
+    FfnnConfig,
+    FfnnModel,
+    ffnn_backward,
+    ffnn_forward,
+    init_ffnn,
+    train_ffnn_arrays,
 )
-from affectmap.errors import ConfigurationError
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
 
 
-def random_forward_inputs(rng, n=37, width=19):
-    zlin = rng.normal(size=(n, width))
-    b = rng.normal(size=width)
-    u = rng.random(size=(n, width))
-    return zlin, b, u
+def one_hidden_net(rng, dropout, n_in=5, width=19, n_out=3):
+    cfg = FfnnConfig(hidden_sizes=(width,), dropout_hidden=dropout)
+    weights = [rng.normal(size=(width, n_in)), rng.normal(size=(n_out, width))]
+    biases = [rng.normal(size=width), rng.normal(size=n_out)]
+    return FfnnModel(cfg, weights=weights, biases=biases)
 
 
-def run_hidden_forward(backend, zlin, b, u, keep, inv):
-    z = np.empty_like(zlin)
-    hd = np.empty_like(zlin)
-    with use_backend(backend):
-        hidden_forward(zlin, b, u, keep, inv, z, hd)
-    return z, hd
+def params_of(model):
+    return [a.copy() for a in (*model.weights, *model.biases)]
 
 
-class TestBackendSelection:
-    def test_active_is_known(self):
-        assert active_backend() in ("numpy", "numba")
-
-    def test_set_backend_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            set_backend("cuda")
-
-    def test_use_backend_restores(self):
-        before = active_backend()
-        with use_backend("numpy"):
-            assert active_backend() == "numpy"
-        assert active_backend() == before
-
-    def test_use_backend_restores_on_error(self):
-        before = active_backend()
-        with pytest.raises(RuntimeError):
-            with use_backend("numpy"):
-                raise RuntimeError("boom")
-        assert active_backend() == before
+def grads_at(model, S, T):
+    _, cache = ffnn_forward(model, S, mode="eval")
+    grads_w, grads_b = ffnn_backward(model, cache, T)
+    return [*grads_w, *grads_b]
 
 
 class TestNumpySemantics:
-    """Behavior checks against straightforward reference math (numpy path)."""
+    """Behavior checks against straightforward reference math."""
 
     def test_hidden_forward_no_dropout(self):
         rng = np.random.default_rng(0)
-        zlin, b, u = random_forward_inputs(rng)
-        z, hd = run_hidden_forward("numpy", zlin, b, u, 1.0, 1.0)
-        assert np.array_equal(z, zlin + b)
-        assert np.array_equal(hd, np.maximum(z, 0.0))
+        model = one_hidden_net(rng, 0.0)
+        X = rng.normal(size=(37, 5))
+        _, cache = ffnn_forward(model, X, mode="eval")
+        _, z, mask = cache.layers[0]
+        zlin = X @ model.weights[0].T
+        assert mask is None
+        assert np.array_equal(z, zlin + model.biases[0])
+        assert np.array_equal(cache.last_input, np.maximum(z, 0.0))
 
     def test_hidden_forward_dropout_masks_and_scales(self):
         rng = np.random.default_rng(1)
-        zlin, b, u = random_forward_inputs(rng)
         keep = 0.8
-        z, hd = run_hidden_forward("numpy", zlin, b, u, keep, 1.0 / keep)
-        relu = np.maximum(zlin + b, 0.0)
+        model = one_hidden_net(rng, 1.0 - keep)
+        X = rng.normal(size=(37, 5))
+        _, cache = ffnn_forward(model, X, mode="train", rng=np.random.default_rng(7))
+        _, z, _ = cache.layers[0]
+        u = np.random.default_rng(7).random(size=z.shape)
+        relu = np.maximum(X @ model.weights[0].T + model.biases[0], 0.0)
         expect = np.where(u < keep, relu / keep, 0.0)
+        hd = cache.last_input
         assert np.allclose(hd, expect)
         assert np.all(hd[u >= keep] == 0.0)
 
     def test_hidden_backward_combines_masks(self):
         rng = np.random.default_rng(2)
-        delta = rng.normal(size=(10, 6))
-        z = rng.normal(size=(10, 6))
-        u = rng.random(size=(10, 6))
         keep = 0.7
-        out = np.empty_like(delta)
-        with use_backend("numpy"):
-            hidden_backward(delta, z, u, keep, 1.0 / keep, out)
+        model = one_hidden_net(rng, 1.0 - keep, width=6)
+        X = rng.normal(size=(10, 5))
+        gold = rng.normal(size=(10, 3))
+        out, cache = ffnn_forward(model, X, mode="train", rng=np.random.default_rng(8))
+        grads_w, grads_b = ffnn_backward(model, cache, gold)
+        _, z, _ = cache.layers[0]
+        u = np.random.default_rng(8).random(size=z.shape)
+        delta = ((out - gold) * (2.0 / out.size)) @ model.weights[-1]
         expect = np.where(z > 0.0, np.where(u < keep, delta / keep, 0.0), 0.0)
-        assert np.allclose(out, expect)
+        assert np.allclose(grads_b[0], expect.sum(axis=0))
+        assert np.allclose(grads_w[0], expect.T @ X)
 
     def test_relu_backward(self):
-        delta = np.array([[1.0, 2.0, -3.0]])
-        z = np.array([[0.5, -0.5, 2.0]])
-        out = np.empty_like(delta)
-        relu_backward(delta, z, out)
-        assert out.tolist() == [[1.0, 0.0, -3.0]]
+        # one input of 1 and zero hidden weights: the pre-activations are
+        # the hidden biases; the output weights set the incoming delta
+        model = FfnnModel(
+            None,
+            weights=[np.zeros((3, 1)), np.array([[1.0, 2.0, -3.0]])],
+            biases=[np.array([0.5, -0.5, 2.0]), np.zeros(1)],
+        )
+        X = np.ones((1, 1))
+        out, cache = ffnn_forward(model, X, mode="eval")
+        _, grads_b = ffnn_backward(model, cache, out - 0.5)
+        assert grads_b[0].tolist() == [1.0, 0.0, -3.0]
 
     def test_relu_gate_is_strict_at_zero(self):
-        delta = np.ones((1, 1))
-        z = np.zeros((1, 1))
-        out = np.empty_like(delta)
-        relu_backward(delta, z, out)
-        assert out[0, 0] == 0.0
+        model = FfnnModel(
+            None,
+            weights=[np.zeros((1, 1)), np.ones((1, 1))],
+            biases=[np.zeros(1), np.zeros(1)],
+        )
+        X = np.ones((1, 1))
+        out, cache = ffnn_forward(model, X, mode="eval")
+        assert cache.layers[0][1][0, 0] == 0.0
+        _, grads_b = ffnn_backward(model, cache, out - 0.5)
+        assert grads_b[0][0] == 0.0
 
     def test_adam_first_step_moves_by_lr(self):
         # with bias correction the very first step is lr * sign(g) for eps ~ 0
-        p = np.zeros(4)
-        g = np.array([1.0, -2.0, 3.0, -4.0])
-        m = np.zeros(4)
-        v = np.zeros(4)
-        with use_backend("numpy"):
-            adam_update(p, g, m, v, 1e-3, 0.9, 0.999, 0.0, 1.0 - 0.9, 1.0 - 0.999)
-        assert np.allclose(p, -1e-3 * np.sign(g))
+        S, T = make_affine_arrays(n=30, seed=3)
+        cfg = FfnnConfig(
+            hidden_sizes=(6,), dropout_hidden=0.0, iterations=1, epsilon=1e-12, seed=3
+        )
+        start = init_ffnn(cfg, VAD, BE5)
+        grads = grads_at(start, S, T)
+        stepped = train_ffnn_arrays(cfg, S, T)
+        for p0, p1, g in zip(params_of(start), params_of(stepped), grads):
+            assert np.allclose(p1 - p0, -cfg.learning_rate * np.sign(g))
 
     def test_adam_moment_recursions(self):
-        rng = np.random.default_rng(3)
-        p = rng.normal(size=8)
-        g = rng.normal(size=8)
-        m = rng.random(8)
-        v = rng.random(8)
-        m0, v0 = m.copy(), v.copy()
-        with use_backend("numpy"):
-            adam_update(p, g, m, v, 1e-3, 0.9, 0.999, 1e-8, 0.5, 0.25)
-        assert np.allclose(m, 0.9 * m0 + 0.1 * g)
-        assert np.allclose(v, 0.999 * v0 + 0.001 * g * g)
-
-    def test_pairwise_sq_dists_small(self):
-        q = np.array([[0.0, 0.0], [1.0, 1.0]])
-        s = np.array([[0.0, 0.0], [3.0, 4.0]])
-        d = pairwise_sq_dists(q, s)
-        assert d.tolist() == [[0.0, 25.0], [2.0, 13.0]]
-
-    def test_pairwise_matches_broadcast_reference(self):
-        rng = np.random.default_rng(4)
-        q = rng.normal(size=(23, 5))
-        s = rng.normal(size=(31, 5))
-        d = pairwise_sq_dists(q, s)
-        ref = ((q[:, None, :] - s[None, :, :]) ** 2).sum(axis=2)
-        assert np.allclose(d, ref, atol=1e-12)
-        assert np.all(d >= 0.0)
-
-
-@needs_numba
-class TestBackendParity:
-    """The two backends must agree bit for bit, not just approximately."""
-
-    def test_hidden_forward_bitwise(self):
-        rng = np.random.default_rng(10)
-        for keep in (1.0, 0.8, 0.5):
-            zlin, b, u = random_forward_inputs(rng, n=64, width=33)
-            z_np, hd_np = run_hidden_forward("numpy", zlin, b, u, keep, 1.0 / keep)
-            z_nb, hd_nb = run_hidden_forward("numba", zlin, b, u, keep, 1.0 / keep)
-            assert np.array_equal(z_np, z_nb)
-            assert np.array_equal(hd_np, hd_nb)
-
-    def test_hidden_backward_bitwise(self):
-        rng = np.random.default_rng(11)
-        delta = rng.normal(size=(48, 17))
-        z = rng.normal(size=(48, 17))
-        u = rng.random(size=(48, 17))
-        outs = {}
-        for backend in ("numpy", "numba"):
-            out = np.empty_like(delta)
-            with use_backend(backend):
-                hidden_backward(delta, z, u, 0.8, 1.25, out)
-            outs[backend] = out
-        assert np.array_equal(outs["numpy"], outs["numba"])
-
-    def test_adam_update_bitwise(self):
-        rng = np.random.default_rng(12)
-        p0 = rng.normal(size=257)
-        g = rng.normal(size=257)
-        m0 = rng.random(257) * 0.1
-        v0 = rng.random(257) * 0.01
-        states = {}
-        for backend in ("numpy", "numba"):
-            p, m, v = p0.copy(), m0.copy(), v0.copy()
-            with use_backend(backend):
-                for t in range(1, 6):
-                    bc1 = 1.0 - 0.9**t
-                    bc2 = 1.0 - 0.999**t
-                    adam_update(p, g, m, v, 1e-3, 0.9, 0.999, 1e-8, bc1, bc2)
-            states[backend] = (p, m, v)
-        for a, b in zip(states["numpy"], states["numba"]):
-            assert np.array_equal(a, b)
-
-    def test_pairwise_sq_dists_bitwise(self):
-        rng = np.random.default_rng(13)
-        q = rng.normal(size=(41, 7)) * 3.0
-        s = rng.normal(size=(29, 7)) * 3.0
-        with use_backend("numpy"):
-            d_np = pairwise_sq_dists(q, s)
-        with use_backend("numba"):
-            d_nb = pairwise_sq_dists(q, s)
-        assert np.array_equal(d_np, d_nb)
-
-    def test_warmup_runs_on_numba(self):
-        with use_backend("numba"):
-            _kernels.warmup()
+        # the second step is fixed by the moments carried over from the first
+        S, T = make_affine_arrays(n=30, seed=4)
+        cfg = FfnnConfig(hidden_sizes=(6,), dropout_hidden=0.0, iterations=1, seed=4)
+        lr, b1, b2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
+        g1 = grads_at(init_ffnn(cfg, VAD, BE5), S, T)
+        one = train_ffnn_arrays(cfg, S, T)
+        g2 = grads_at(one, S, T)
+        two = train_ffnn_arrays(replace(cfg, iterations=2), S, T)
+        bc1, bc2 = 1.0 - b1**2, 1.0 - b2**2
+        for p1, p2, a, b in zip(params_of(one), params_of(two), g1, g2):
+            m = b1 * ((1.0 - b1) * a) + (1.0 - b1) * b
+            v = b2 * ((1.0 - b2) * a * a) + (1.0 - b2) * b * b
+            expect = -lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            assert np.allclose(p2 - p1, expect, rtol=1e-6, atol=1e-12)
