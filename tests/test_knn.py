@@ -141,3 +141,81 @@ class TestPredict:
     def test_predict_knn_wrapper(self):
         m = KnnModel(k=1).fit_arrays([[0.0]], [[2.0]])
         assert predict_knn(m, [[5.0]])[0, 0] == 2.0
+
+
+def argsort_reference(model, X):
+    """Full stable argsort over the same per-feature distances; unlike the
+    scalar oracle it orders NaN rows the way numpy does (NaN last)."""
+    S = model.source
+    T = model.target
+    k = min(model.k, S.shape[0])
+    X = np.asarray(X, dtype=np.float64)
+    d2 = np.zeros((len(X), S.shape[0]))
+    for f in range(S.shape[1]):
+        diff = X[:, f : f + 1] - S[:, f]
+        d2 += diff * diff
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    acc = np.zeros((len(X), T.shape[1]))
+    for j in range(k):
+        acc += T[order[:, j]]
+    return acc / k
+
+
+def tied_and_untied(seed):
+    """Training set with every row duplicated, plus queries of which half
+    sit on a training row (distance ties at every k) and half off the grid."""
+    rng = np.random.default_rng(seed)
+    S = np.repeat(rng.uniform(1, 9, size=(20, 3)), 2, axis=0)
+    T = rng.uniform(1, 5, size=(40, 5))
+    X = np.empty((24, 3))
+    X[0::2] = S[rng.choice(40, size=12, replace=False)]
+    X[1::2] = rng.uniform(1, 9, size=(12, 3))
+    return S, T, X
+
+
+class TestSelection:
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_tied_and_untied_rows_in_one_block(self, k):
+        S, T, X = tied_and_untied(seed=10 + k)
+        m = KnnModel(k=k).fit_arrays(S, T)
+        assert np.array_equal(m.predict(X), knn_oracle(m, X))
+
+    def test_k_equals_training_size(self):
+        S, T, X = tied_and_untied(seed=11)
+        m = KnnModel(k=len(S)).fit_arrays(S, T)
+        assert np.array_equal(m.predict(X), knn_oracle(m, X))
+
+    def test_queries_on_training_rows(self):
+        rng = np.random.default_rng(12)
+        S = rng.uniform(1, 9, size=(30, 2))
+        T = rng.uniform(1, 5, size=(30, 3))
+        for k in (1, 4):
+            m = KnnModel(k=k).fit_arrays(S, T)
+            assert np.array_equal(m.predict(S), knn_oracle(m, S))
+
+    def test_nan_and_inf_query_rows(self):
+        rng = np.random.default_rng(13)
+        S = rng.uniform(1, 9, size=(30, 3))
+        T = rng.uniform(1, 5, size=(30, 2))
+        X = rng.uniform(1, 9, size=(8, 3))
+        X[1, 0] = np.nan
+        X[3] = np.inf
+        X[4, 2] = -np.inf
+        X[6] = np.nan
+        for k in (1, 5, 30):
+            m = KnnModel(k=k).fit_arrays(S, T)
+            got = m.predict(X)
+            assert np.array_equal(got, argsort_reference(m, X), equal_nan=True)
+            if k == 1:
+                # a non-finite row ties every training row, so row 0 wins
+                assert np.array_equal(got[[1, 3, 4, 6]], T[[0, 0, 0, 0]])
+
+    def test_tied_rows_across_block_boundaries(self, monkeypatch):
+        S, T, X = tied_and_untied(seed=14)
+        m = KnnModel(k=5).fit_arrays(S, T)
+        whole = m.predict(X)
+        # 3 query rows per block: tied and untied rows share blocks and
+        # straddle every boundary
+        monkeypatch.setattr(knn_module, "_CHUNK_CELLS", 3 * len(S))
+        assert np.array_equal(m.predict(X), whole)
+        assert np.array_equal(whole, knn_oracle(m, X))
