@@ -32,7 +32,7 @@ from .experiments import (
     write_report_json,
     write_report_table,
 )
-from .lexgen import build_lexicon, write_build_manifest, write_lexicon
+from .lexgen import build_lexicon, write_build_manifest, write_lexicon_bytes
 from .manifest import load_manifest
 from .models import gradient_check, load_model, save_model
 from .stats import write_reliability_records
@@ -195,8 +195,8 @@ def cmd_run(args) -> int:
             raise ConfigurationError("manifest declares no lexicon_jobs")
         for entry in entries:
             job = manifest.build_job(entry)
-            lex, build_manifest = build_lexicon(job, manifest.seed)
-            write_lexicon(lex, out / entry["output"])
+            _, build_manifest, rendered = build_lexicon(job, manifest.seed)
+            write_lexicon_bytes(rendered, out / entry["output"])
             write_build_manifest(build_manifest, out / (entry["output"] + ".manifest.json"))
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigurationError(f"unknown task {task!r}")

@@ -26,6 +26,7 @@ __all__ = [
     "build_lexicon",
     "render_lexicon",
     "write_lexicon",
+    "write_lexicon_bytes",
     "write_build_manifest",
     "format_rating",
 ]
@@ -85,9 +86,14 @@ def render_lexicon(lex: Lexicon) -> bytes:
 
 
 def write_lexicon(lex: Lexicon, path) -> None:
+    write_lexicon_bytes(render_lexicon(lex), path)
+
+
+def write_lexicon_bytes(data: bytes, path) -> None:
+    """Write a lexicon already rendered by render_lexicon."""
     path = Path(path)
     try:
-        path.write_bytes(render_lexicon(lex))
+        path.write_bytes(data)
     except OSError as e:
         raise OSError(f"cannot write lexicon to {path}: {e}") from e
 
@@ -111,12 +117,13 @@ def _digest_aligned(al: AlignedLexicon) -> str:
     return h.hexdigest()
 
 
-def build_lexicon(job: LexiconBuildJob, seed: int) -> tuple[Lexicon, dict]:
+def build_lexicon(job: LexiconBuildJob, seed: int) -> tuple[Lexicon, dict, bytes]:
     """Train, predict uncovered words, clamp, and describe the build.
 
-    Returns the new lexicon plus a JSON-ready manifest with the training
+    Returns the new lexicon, a JSON-ready manifest with the training
     size, per-exclusion-set hit counts, model config, seeds, and content
-    digests of all inputs and of the rendered output.
+    digests of all inputs and of the rendered output, and the rendered
+    TSV bytes themselves, so the lexicon is rendered once per build.
     """
     model_seed = derive_seed(seed, "lexgen", job.mode, job.model_spec.name, job.output_name)
     model = job.model_spec.build(model_seed)
@@ -148,6 +155,7 @@ def build_lexicon(job: LexiconBuildJob, seed: int) -> tuple[Lexicon, dict]:
         language=job.source_lexicon.language,
         source_id=job.output_name,
     )
+    rendered = render_lexicon(out)
     manifest = {
         "mode": job.mode,
         "output_name": job.output_name,
@@ -175,9 +183,9 @@ def build_lexicon(job: LexiconBuildJob, seed: int) -> tuple[Lexicon, dict]:
             "training": _digest_aligned(job.training),
             "exclusion_sets": [_digest_lexicon(ex) for ex in job.exclusion_sets],
         },
-        "output_digest": hashlib.sha256(render_lexicon(out)).hexdigest(),
+        "output_digest": hashlib.sha256(rendered).hexdigest(),
     }
-    return out, manifest
+    return out, manifest, rendered
 
 
 def write_build_manifest(manifest: dict, path) -> None:

@@ -202,12 +202,46 @@ def load_model(source):
         raise ParseError(f"malformed {header['kind']} model header: {e!r}") from None
 
 
+def _matrix(arrays, name) -> tuple[int, int]:
+    shape = arrays[name].shape
+    if len(shape) != 2:
+        raise ParseError(f"array {name!r} must be 2-D, got shape {list(shape)}")
+    return shape
+
+
+def _expect(arrays, name, shape) -> None:
+    if arrays[name].shape != shape:
+        raise ParseError(
+            f"array {name!r} has shape {list(arrays[name].shape)}, expected {list(shape)}"
+        )
+
+
+def _check_net(arrays, prefix, hidden_sizes, d, t) -> None:
+    """Each layer's W/b must chain d -> hidden_sizes -> t."""
+    sizes = (d, *hidden_sizes, t)
+    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        _expect(arrays, f"{prefix}W{i}", (fan_out, fan_in))
+        _expect(arrays, f"{prefix}b{i}", (fan_out,))
+
+
+def _check_formats(d, t, source_format, target_format) -> None:
+    for side, fmt, size in (("source", source_format, d), ("target", target_format, t)):
+        if fmt is not None and len(fmt.variables) != size:
+            raise ParseError(
+                f"{side} format {fmt.name!r} has {len(fmt.variables)} variables "
+                f"but the model arrays have {size}"
+            )
+
+
 def _build(header, arrays):
     kind = header["kind"]
     meta = header["meta"]
     source_format = _format_from(header["source_format"])
     target_format = _format_from(header["target_format"])
     if kind == "linear":
+        t, d = _matrix(arrays, "W")
+        _expect(arrays, "b", (t,))
+        _check_formats(d, t, source_format, target_format)
         model = LinearModel()
         model.W = arrays["W"]
         model.b = arrays["b"]
@@ -215,6 +249,12 @@ def _build(header, arrays):
         model.target_format = target_format
         return model
     if kind == "knn":
+        n, d = _matrix(arrays, "source")
+        t = _matrix(arrays, "target")[1]
+        _expect(arrays, "target", (n, t))
+        if n < 1:
+            raise ParseError("knn model has no training rows")
+        _check_formats(d, t, source_format, target_format)
         model = KnnModel(k=meta["k"])
         model.source = np.ascontiguousarray(arrays["source"])
         model.target = np.ascontiguousarray(arrays["target"])
@@ -224,6 +264,10 @@ def _build(header, arrays):
     if kind == "ffnn":
         cfg = _config_from(meta["config"])
         n_layers = len(cfg.hidden_sizes) + 1
+        d = _matrix(arrays, "W0")[1]
+        t = _matrix(arrays, f"W{n_layers - 1}")[0]
+        _check_net(arrays, "", cfg.hidden_sizes, d, t)
+        _check_formats(d, t, source_format, target_format)
         weights = [arrays[f"W{i}"] for i in range(n_layers)]
         biases = [arrays[f"b{i}"] for i in range(n_layers)]
         return FfnnModel(
@@ -236,20 +280,34 @@ def _build(header, arrays):
         )
     if kind == "boosted":
         base = _config_from(meta["base_config"])
+        n_features = meta["n_features"]
+        counts = meta["stage_counts"]
+        variables = meta["variables"]
+        if type(n_features) is not int:
+            raise ParseError(f"boosted n_features must be an integer, got {n_features!r}")
+        if not isinstance(counts, list) or any(type(c) is not int or c < 1 for c in counts):
+            raise ParseError(f"boosted stage_counts must be positive integers, got {counts!r}")
+        if variables and len(variables) != len(counts):
+            raise ParseError(
+                f"boosted model has {len(variables)} variables but {len(counts)} stage counts"
+            )
+        _check_formats(n_features, len(counts), source_format, target_format)
         model = BoostedEnsemble(
             stages=meta["max_stages"], base_config=base, seed=meta["seed"]
         )
         model.target_format = target_format
-        model.variables = tuple(meta["variables"]) if meta["variables"] else None
-        model.n_features = meta["n_features"]
+        model.variables = tuple(variables) if variables else None
+        model.n_features = n_features
         n_net_layers = len(base.hidden_sizes) + 1
         model.stages = []
         model.stage_weights = []
-        for vi, count in enumerate(meta["stage_counts"]):
+        for vi, count in enumerate(counts):
+            _expect(arrays, f"v{vi}_weights", (count,))
             model.stage_weights.append(arrays[f"v{vi}_weights"])
             nets = []
             for si in range(count):
                 prefix = f"v{vi}s{si}_"
+                _check_net(arrays, prefix, base.hidden_sizes, n_features, 1)
                 nets.append(
                     FfnnModel(
                         replace(base, seed=meta["stage_seeds"][vi][si]),

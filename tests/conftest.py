@@ -2,6 +2,7 @@ import io
 import json
 import os
 import struct
+import warnings
 
 # pin BLAS threading before numpy loads anywhere; reduction order inside
 # matrix products must not depend on the machine's core count
@@ -12,7 +13,14 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 import numpy as np
 
 from affectmap.lexicon import BE5, VAD, AlignedLexicon
-from affectmap.models import KnnModel, save_model
+from affectmap.models import (
+    BoostedEnsemble,
+    FfnnConfig,
+    KnnModel,
+    LinearModel,
+    save_model,
+    train_ffnn,
+)
 
 
 def make_affine_arrays(n=200, s=3, t=5, seed=0, noise=0.0, mscale=0.15, offset=3.0):
@@ -50,6 +58,54 @@ def make_aligned(n=80, seed=0, noise=0.1, language="en", prefix="w"):
         be5 = be5 + rng.normal(0.0, noise, size=be5.shape)
     be5 = np.clip(be5, 1.0, 5.0)
     return AlignedLexicon(words, VAD, BE5, vad, be5, language=language)
+
+
+def _split_model(model):
+    """(raw bytes, JSON header, payload) of a saved model."""
+    buf = io.BytesIO()
+    save_model(model, buf)
+    raw = buf.getvalue()
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    return raw, json.loads(raw[12 : 12 + header_len]), raw[12 + header_len :]
+
+
+def _frame(raw, header, payload):
+    blob = json.dumps(header).encode("utf-8")
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + payload
+
+
+def _reshaped(model, array, shape):
+    """Model file bytes with one array's declared shape rewritten; the
+    element count, and so the payload length, stays the same."""
+    raw, header, payload = _split_model(model)
+    (entry,) = [e for e in header["arrays"] if e["name"] == array]
+    assert int(np.prod(entry["shape"])) == int(np.prod(shape))
+    entry["shape"] = shape
+    return _frame(raw, header, payload)
+
+
+def misshaped_model_files():
+    """Name -> bytes of a model file whose array shapes do not chain into
+    one model, or disagree with its formats. Every payload is intact."""
+    al = make_aligned(n=6, seed=1)
+    ffnn = train_ffnn(FfnnConfig(hidden_sizes=(4,), iterations=1), al)
+    rng = np.random.default_rng(2)
+    with warnings.catch_warnings():
+        # one training step: the first stage's loss is high, which is fine here
+        warnings.simplefilter("ignore", UserWarning)
+        boosted = BoostedEnsemble(
+            stages=1, base_config=FfnnConfig(hidden_sizes=(4,), iterations=1)
+        ).fit_arrays(rng.normal(size=(8, 3)), rng.uniform(1.0, 5.0, size=(8, 2)))
+    raw, header, payload = _split_model(KnnModel(k=3).fit(al))
+    header["target_format"]["variables"] = header["target_format"]["variables"][:4]
+    return {
+        "linear-W-transposed": _reshaped(LinearModel().fit(al), "W", [3, 5]),
+        "knn-target-transposed": _reshaped(KnnModel(k=3).fit(al), "target", [5, 6]),
+        "knn-format-size": _frame(raw, header, payload),
+        "ffnn-W1-transposed": _reshaped(ffnn, "W1", [4, 5]),
+        "boosted-W0-transposed": _reshaped(boosted, "v0s0_W0", [3, 4]),
+        "boosted-weights-2d": _reshaped(boosted, "v1_weights", [1, 1]),
+    }
 
 
 def malformed_model_files():

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import malformed_model_files
-from affectmap import __version__
+from conftest import malformed_model_files, misshaped_model_files
+from affectmap import __version__, lexgen
 from affectmap.cli import main
 from affectmap.models import load_model
 
@@ -363,7 +363,7 @@ class TestRunOtherTasks:
             assert "dominance" not in rep["variables"]
             assert rep["n_train"] == 40
 
-    def test_build_lexicon(self, tmp_path):
+    def test_build_lexicon(self, tmp_path, monkeypatch):
         write_dataset(tmp_path)
         rng = np.random.default_rng(5)
         query_words = [f"q{i}" for i in range(12)]
@@ -380,31 +380,38 @@ class TestRunOtherTasks:
                  ["q5", "2.0", "2.0", "2.0", "2.0", "2.0"]],
             )
         )
+        job = {
+            "mode": "monolingual",
+            "output": "new.tsv",
+            "model": "lr",
+            "training_id": "syn",
+            "training_direction": "dim2cat",
+            "source": {"path": "query.tsv", "format": "VAD"},
+            "exclusions": [{"path": "known.tsv", "format": "BE5"}],
+        }
         manifest = write_manifest(
             tmp_path,
-            lexicon_jobs=[
-                {
-                    "mode": "monolingual",
-                    "output": "new.tsv",
-                    "model": "lr",
-                    "training_id": "syn",
-                    "training_direction": "dim2cat",
-                    "source": {"path": "query.tsv", "format": "VAD"},
-                    "exclusions": [{"path": "known.tsv", "format": "BE5"}],
-                }
-            ],
+            lexicon_jobs=[job, {**job, "output": "knn.tsv", "model": "knn", "exclusions": []}],
         )
+        renders = []
+        render = lexgen.render_lexicon
+        monkeypatch.setattr(lexgen, "render_lexicon", lambda lex: renders.append(1) or render(lex))
         out = tmp_path / "o"
         code = main(["run", "build-lexicon", "--manifest", str(manifest), "--out", str(out)])
         assert code == 0
+        # one render per lexicon: the manifest digests the very bytes written
+        assert len(renders) == 2
+        for name in ("new.tsv", "knn.tsv"):
+            build = json.loads((out / (name + ".manifest.json")).read_bytes())
+            assert build["output_digest"] == hashlib.sha256((out / name).read_bytes()).hexdigest()
         produced = (out / "new.tsv").read_bytes()
         build = json.loads((out / "new.tsv.manifest.json").read_bytes())
-        assert build["output_digest"] == hashlib.sha256(produced).hexdigest()
         assert build["new_words"] == 10
         assert build["total_excluded"] == 2
         words = [l.split("\t")[0] for l in produced.decode().strip().split("\n")[1:]]
         assert "q0" not in words and "q5" not in words
         assert len(words) == 10
+        assert json.loads((out / "knn.tsv.manifest.json").read_bytes())["new_words"] == 12
 
     def test_build_lexicon_without_jobs(self, workspace, tmp_path):
         _, manifest = workspace
@@ -522,3 +529,17 @@ class TestModelCommands:
         assert err.startswith("affectmap: error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name", ["ffnn-W1-transposed", "knn-target-transposed"])
+    def test_predict_rejects_misshaped_model(self, name, tmp_path, capsys):
+        path = tmp_path / f"{name}.afm"
+        path.write_bytes(misshaped_model_files()[name])
+        query_path = tmp_path / "q.tsv"
+        query_path.write_bytes(
+            _render_tsv(["word", "valence", "arousal", "dominance"], [["q0", "5.0", "5.0", "5.0"]])
+        )
+        out_path = tmp_path / "pred.tsv"
+        assert main(["model", "predict", str(path), str(query_path), str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("affectmap: error: ")
+        assert "Traceback" not in err
+        assert not out_path.exists()

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import make_aligned, malformed_model_files
+from conftest import make_aligned, malformed_model_files, misshaped_model_files
 from affectmap.errors import ContractError, ParseError
 from affectmap.lexicon import BE5, Lexicon
 from affectmap.models import (
@@ -130,6 +130,26 @@ class TestFileFormat:
     def test_malformed_header_or_payload(self, name):
         with pytest.raises(ParseError):
             load_model(io.BytesIO(malformed_model_files()[name]))
+
+    @pytest.mark.parametrize("name", sorted(misshaped_model_files()))
+    def test_shape_chain_checked_on_load(self, name):
+        with pytest.raises(ParseError, match="shape|variables"):
+            load_model(io.BytesIO(misshaped_model_files()[name]))
+
+    def test_boosted_stage_counts_match_variables(self, tmp_path):
+        rng = np.random.default_rng(4)
+        words = [f"w{i}" for i in range(20)]
+        feats = {w: rng.normal(size=3) for w in words}
+        lex = Lexicon(BE5, words, rng.uniform(1.0, 5.0, size=(20, 5)))
+        base = FfnnConfig(hidden_sizes=(4,), iterations=1)
+        with pytest.warns(UserWarning):
+            m = fit_boosted(feats, lex, stages=1, seed=0, base_config=base)
+        m.variables = m.variables[:4]
+        m.target_format = None
+        buf = io.BytesIO()
+        save_model(m, buf)
+        with pytest.raises(ParseError, match="4 variables but 5 stage counts"):
+            load_model(io.BytesIO(buf.getvalue()))
 
     def test_unfitted_model_rejected(self):
         with pytest.raises(ContractError):
