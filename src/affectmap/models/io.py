@@ -250,10 +250,12 @@ def _build(header, arrays):
         return model
     if kind == "knn":
         n, d = _matrix(arrays, "source")
-        t = _matrix(arrays, "target")[1]
-        _expect(arrays, "target", (n, t))
-        if n < 1:
-            raise ParseError("knn model has no training rows")
+        n_target, t = _matrix(arrays, "target")
+        if n < 1 or n_target != n:
+            raise ParseError(
+                f"knn arrays 'source' and 'target' need the same positive "
+                f"number of rows, got {n} and {n_target}"
+            )
         _check_formats(d, t, source_format, target_format)
         model = KnnModel(k=meta["k"])
         model.source = np.ascontiguousarray(arrays["source"])

@@ -133,7 +133,7 @@ class TestFileFormat:
 
     @pytest.mark.parametrize("name", sorted(misshaped_model_files()))
     def test_shape_chain_checked_on_load(self, name):
-        with pytest.raises(ParseError, match="shape|variables"):
+        with pytest.raises(ParseError, match="shape|variables|rows"):
             load_model(io.BytesIO(misshaped_model_files()[name]))
 
     def test_boosted_stage_counts_match_variables(self, tmp_path):
