@@ -110,16 +110,12 @@ def misshaped_model_files():
 
 def malformed_model_files():
     """Name -> bytes of a model file whose header or payload is broken."""
-    buf = io.BytesIO()
-    save_model(KnnModel(k=3).fit_arrays(np.ones((4, 3)), np.ones((4, 5))), buf)
-    raw = buf.getvalue()
-    (header_len,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + header_len])
-    payload = raw[12 + header_len :]
+    raw, header, payload = _split_model(
+        KnnModel(k=3).fit_arrays(np.ones((4, 3)), np.ones((4, 5)))
+    )
 
     def frame(h):
-        blob = json.dumps(h).encode("utf-8")
-        return raw[:8] + struct.pack("<I", len(blob)) + blob + payload
+        return _frame(raw, h, payload)
 
     negative = json.loads(json.dumps(header))
     negative["arrays"][0]["shape"] = [-1, 2]

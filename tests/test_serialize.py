@@ -136,7 +136,7 @@ class TestFileFormat:
         with pytest.raises(ParseError, match="shape|variables|rows"):
             load_model(io.BytesIO(misshaped_model_files()[name]))
 
-    def test_boosted_stage_counts_match_variables(self, tmp_path):
+    def test_boosted_stage_counts_match_variables(self):
         rng = np.random.default_rng(4)
         words = [f"w{i}" for i in range(20)]
         feats = {w: rng.normal(size=3) for w in words}
