@@ -20,7 +20,6 @@ from . import __version__
 from .errors import (
     AffectMapError,
     ConfigurationError,
-    ContractError,
     DivergenceError,
 )
 from .experiments import (
@@ -32,7 +31,7 @@ from .experiments import (
     write_report_json,
     write_report_table,
 )
-from .lexgen import build_lexicon, write_build_manifest, write_lexicon_bytes
+from .lexgen import build_lexicons, write_build_manifest, write_lexicon_bytes
 from .manifest import load_manifest
 from .models import gradient_check, load_model, save_model
 from .stats import write_reliability_records
@@ -80,7 +79,7 @@ def _load(args):
     if not getattr(args, "manifest", None):
         raise ConfigurationError("--manifest is required for this command")
     m = load_manifest(args.manifest, _manifest_overrides(args))
-    m.jobs = max(1, getattr(args, "jobs", 1) or 1)
+    m.jobs = getattr(args, "jobs", 1)
     return m
 
 
@@ -100,21 +99,15 @@ def _write_run_meta(manifest, task: str) -> None:
 def cmd_validate(args) -> int:
     manifest = _load(args)
     lines = []
+    note = lines.append
     errors = 0
-
-    def note(line):
-        lines.append(line)
 
     def attempt(label, fn):
         nonlocal errors
         diags = []
         try:
             result = fn(diags)
-        except AffectMapError as e:
-            errors += 1
-            note(f"error\t{label}\t{e}")
-            result = None
-        except OSError as e:
+        except (AffectMapError, OSError) as e:
             errors += 1
             note(f"error\t{label}\t{e}")
             result = None
@@ -169,7 +162,7 @@ def cmd_run(args) -> int:
         datasets = manifest.load_datasets()
         specs = manifest.load_models()
         spec = manifest.crosslingual_spec(specs)
-        reports = run_crosslingual(datasets, spec, manifest.seed)
+        reports = run_crosslingual(datasets, spec, manifest.seed, jobs=manifest.jobs)
         meta = {"task": task, "seed": manifest.seed, "model": spec.name}
         write_report_json(reports, out / "crosslingual_report.json", meta=meta)
         write_report_table(reports, out / "crosslingual_table.tsv")
@@ -177,7 +170,7 @@ def cmd_run(args) -> int:
         datasets = manifest.load_datasets()
         direction = manifest.ablation_direction()
         report = run_ablation(
-            datasets, direction, manifest.seed, k_folds=manifest.k_folds
+            datasets, direction, manifest.seed, k_folds=manifest.k_folds, jobs=manifest.jobs
         )
         doc = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
         (out / "ablation_report.json").write_bytes(doc.encode("utf-8") + b"\n")
@@ -193,11 +186,15 @@ def cmd_run(args) -> int:
         entries = manifest.lexicon_job_entries()
         if not entries:
             raise ConfigurationError("manifest declares no lexicon_jobs")
-        for entry in entries:
-            job = manifest.build_job(entry)
-            _, build_manifest, rendered = build_lexicon(job, manifest.seed)
-            write_lexicon_bytes(rendered, out / entry["output"])
-            write_build_manifest(build_manifest, out / (entry["output"] + ".manifest.json"))
+        # a job holds its whole source lexicon: load only as many as run at once
+        for start in range(0, len(entries), manifest.jobs):
+            batch = entries[start : start + manifest.jobs]
+            built = build_lexicons(
+                [manifest.build_job(e) for e in batch], manifest.seed, jobs=manifest.jobs
+            )
+            for entry, (_, build_manifest, rendered) in zip(batch, built):
+                write_lexicon_bytes(rendered, out / entry["output"])
+                write_build_manifest(build_manifest, out / (entry["output"] + ".manifest.json"))
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigurationError(f"unknown task {task!r}")
     _write_run_meta(manifest, task)
@@ -298,7 +295,7 @@ def build_parser() -> _Parser:
     def common(p, manifest_required=True):
         p.add_argument("--manifest", help="path to the experiment manifest JSON")
         p.add_argument("--seed", type=int, help="override the manifest seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel worker bound")
+        p.add_argument("--jobs", type=int, default=1, help="worker threads (one fold per unit)")
         p.add_argument("--out", help="override the manifest output directory")
         p.add_argument(
             "--set",
@@ -344,6 +341,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         return args.fn(args)
     except DivergenceError as e:

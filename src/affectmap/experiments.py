@@ -13,8 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import (
     ContractError,
     DegenerateInputError,
 )
-from .lexicon import AlignedLexicon, concat, project
+from .lexicon import AlignedLexicon, _emit, concat, project
 from .models import (
     BoostedEnsemble,
     FfnnConfig,
@@ -39,6 +38,8 @@ __all__ = [
     "FoldSplit",
     "make_folds",
     "ModelSpec",
+    "WorkUnit",
+    "run_units",
     "CvResult",
     "cross_validate",
     "EvalReport",
@@ -135,20 +136,14 @@ class ModelSpec:
             return LinearModel()
         if self.kind == "knn":
             return KnnModel(**params)
+        # FfnnConfig turns a JSON hidden_sizes list into a tuple itself
         if self.kind == "ffnn":
-            if "hidden_sizes" in params:
-                params["hidden_sizes"] = tuple(params["hidden_sizes"])
             return FfnnModel(FfnnConfig(**params, seed=seed))
         stages = params.pop("stages", 10)
         base = params.pop("base", None)
         if params:
             raise ConfigurationError(f"unknown boosted parameters: {params}")
-        base_config = None
-        if base is not None:
-            base = dict(base)
-            if "hidden_sizes" in base:
-                base["hidden_sizes"] = tuple(base["hidden_sizes"])
-            base_config = FfnnConfig(**base)
+        base_config = None if base is None else FfnnConfig(**base)
         return BoostedEnsemble(stages=stages, base_config=base_config, seed=seed)
 
 
@@ -162,10 +157,75 @@ def _feature_matrix(features: Mapping, words) -> np.ndarray:
     return np.array([features[w] for w in words], dtype=np.float64)
 
 
-def _inputs(spec: ModelSpec, data: AlignedLexicon) -> np.ndarray:
-    if spec.features is not None:
-        return _feature_matrix(spec.features, data.words)
-    return data.source_matrix
+def _inputs(spec: ModelSpec, data: AlignedLexicon, memo: dict) -> np.ndarray:
+    """Model inputs for data's rows. A feature-input matrix depends only on
+    the words, so memo keeps one per (spec, word list) and both directions
+    of a dataset share it."""
+    if spec.features is None:
+        return data.source_matrix
+    key = (spec.name, data.words)
+    if key not in memo:
+        memo[key] = _feature_matrix(spec.features, data.words)
+    return memo[key]
+
+
+@dataclass(frozen=True)
+class WorkUnit:
+    """One fit -> predict -> score step, the grain every protocol is
+    scheduled at: a (dataset, direction, spec, fold) CV fold, a
+    cross-lingual evaluation or a lexicon build. Row selections apply when
+    the unit runs (None: every row), so queued units share matrices
+    instead of holding copies; without test_T the unit predicts only."""
+
+    spec: ModelSpec
+    seed: int
+    train_X: np.ndarray
+    train_T: np.ndarray
+    test_X: np.ndarray
+    test_T: np.ndarray | None = None
+    train_rows: np.ndarray | None = None
+    test_rows: np.ndarray | None = None
+
+
+def _correlate(pred: np.ndarray, gold: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Per-variable r, NaN where undefined, and the undefined variables."""
+    r = np.full(gold.shape[1], np.nan)
+    degenerate = []
+    for v in range(gold.shape[1]):
+        try:
+            r[v] = pearson(pred[:, v], gold[:, v])
+        except (DegenerateInputError, ContractError):
+            degenerate.append(v)
+    return r, degenerate
+
+
+def _run_unit(unit: WorkUnit) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
+    def rows(a, idx):
+        return a if idx is None else a[idx]
+
+    model = unit.spec.build(unit.seed)
+    model.fit_arrays(rows(unit.train_X, unit.train_rows), rows(unit.train_T, unit.train_rows))
+    pred = model.predict(rows(unit.test_X, unit.test_rows))
+    if unit.test_T is None:
+        return pred, None, []
+    return (pred, *_correlate(pred, rows(unit.test_T, unit.test_rows)))
+
+
+def run_units(units: Sequence[WorkUnit], jobs: int = 1) -> list[tuple]:
+    """(predictions, per-variable r or None, degenerate variables) per unit,
+    in submission order. Units run serially at jobs == 1, otherwise on
+    min(jobs, len(units)) threads; seeds travel with the units, so results
+    cannot depend on the schedule. The first failure in submission order
+    is raised and queued units are cancelled."""
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1 or len(units) < 2:
+        return [_run_unit(u) for u in units]
+    pool = ThreadPoolExecutor(max_workers=min(jobs, len(units)))
+    try:
+        return list(pool.map(_run_unit, units))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass
@@ -186,6 +246,28 @@ class CvResult:
         return out
 
 
+def _cross_validate_cells(cells, jobs: int) -> list[CvResult]:
+    """Cross-validate (spec, X, T, folds, base_seed, dataset_id, direction)
+    cells, scheduling the folds of all of them as one batch of units."""
+    units = [
+        WorkUnit(spec, derive_seed(base_seed, ds_id, direction, spec.name, fold),
+                 X, T, X, T, folds.train_indices(fold), folds.test_indices(fold))
+        for spec, X, T, folds, base_seed, ds_id, direction in cells
+        for fold in range(folds.k_folds)
+    ]
+    results = iter(run_units(units, jobs))
+    out = []
+    for _, _, T, folds, *_ in cells:
+        per_fold = [next(results) for _ in range(folds.k_folds)]
+        pooled_pred = np.empty_like(T)
+        for fold, (pred, _, _) in enumerate(per_fold):
+            pooled_pred[folds.test_indices(fold)] = pred
+        degenerate = [(fold, v) for fold, (_, _, bad) in enumerate(per_fold) for v in bad]
+        fold_r = np.array([r for _, r, _ in per_fold])
+        out.append(CvResult(fold_r, degenerate, _correlate(pooled_pred, T)[0]))
+    return out
+
+
 def cross_validate(
     spec: ModelSpec,
     data: AlignedLexicon,
@@ -194,6 +276,7 @@ def cross_validate(
     base_seed: int = 0,
     dataset_id: str = "",
     direction: str = "",
+    jobs: int = 1,
 ) -> CvResult:
     """k-fold evaluation of one spec on one aligned dataset.
 
@@ -206,32 +289,8 @@ def cross_validate(
         raise ContractError(
             f"fold split covers {folds.n_items} items but dataset has {len(data)}"
         )
-    S = _inputs(spec, data)
-    T = data.target_matrix
-    k, n_vars = folds.k_folds, T.shape[1]
-    fold_r = np.full((k, n_vars), np.nan)
-    degenerate: list[tuple[int, int]] = []
-    pooled_pred = np.empty_like(T)
-    for fold in range(k):
-        test_idx = folds.test_indices(fold)
-        train_idx = folds.train_indices(fold)
-        seed = derive_seed(base_seed, dataset_id, direction, spec.name, fold)
-        model = spec.build(seed)
-        model.fit_arrays(S[train_idx], T[train_idx])
-        pred = model.predict(S[test_idx])
-        pooled_pred[test_idx] = pred
-        for v in range(n_vars):
-            try:
-                fold_r[fold, v] = pearson(pred[:, v], T[test_idx, v])
-            except (DegenerateInputError, ContractError):
-                degenerate.append((fold, v))
-    pooled = np.full(n_vars, np.nan)
-    for v in range(n_vars):
-        try:
-            pooled[v] = pearson(pooled_pred[:, v], T[:, v])
-        except DegenerateInputError:
-            pass
-    return CvResult(fold_r=fold_r, degenerate_cells=degenerate, pooled_r=pooled)
+    cell = (spec, _inputs(spec, data, {}), data.target_matrix, folds, base_seed, dataset_id, direction)
+    return _cross_validate_cells([cell], jobs)[0]
 
 
 def _nan_to_none(x):
@@ -289,9 +348,7 @@ class EvalReport:
         }
 
 
-def _report_from_cv(
-    spec, dataset_id, direction, data, cv: CvResult, seed, k_folds
-) -> EvalReport:
+def _report_from_cv(spec, dataset_id, direction, data, cv: CvResult, seed, k_folds) -> EvalReport:
     per_var = cv.per_variable_mean()
     fmt_avg = float(per_var.mean()) if per_var.size else float("nan")
     pooled_avg = float(cv.pooled_r.mean()) if cv.pooled_r.size else float("nan")
@@ -345,11 +402,6 @@ def _content_key(data: AlignedLexicon) -> str:
     return h.hexdigest()
 
 
-def _fold_average_series(report: EvalReport) -> np.ndarray:
-    """Per-fold format-average r, the series the significance test runs on."""
-    return report.fold_r.mean(axis=1)
-
-
 def _attach_significance(reports: list[EvalReport]) -> None:
     """Mark the best spec per (dataset, direction) and test it against the
     runner-up on their per-fold format-average series."""
@@ -364,8 +416,8 @@ def _attach_significance(reports: list[EvalReport]) -> None:
     if len(ranked) < 2:
         return
     second = ranked[1]
-    a = _fold_average_series(best)
-    b = _fold_average_series(second)
+    # per-fold format-average r: the series the significance test runs on
+    a, b = best.fold_r.mean(axis=1), second.fold_r.mean(axis=1)
     ok = ~(np.isnan(a) | np.isnan(b))
     try:
         if ok.sum() < 2:
@@ -405,25 +457,18 @@ def run_monolingual(
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate spec names: {names}")
-    cells = []
+    cells, labels, memo = [], [], {}
     for ds_id, data in data_map.items():
         folds = make_folds(len(data), k_folds, derive_seed(seed, _content_key(data), "folds"))
         for direction, oriented in directions_for(data):
             for spec in specs:
-                cells.append((ds_id, direction, oriented, spec, folds))
-
-    def _run(cell):
-        ds_id, direction, oriented, spec, folds = cell
-        cv = cross_validate(
-            spec, oriented, folds, base_seed=seed, dataset_id=ds_id, direction=direction
-        )
-        return _report_from_cv(spec, ds_id, direction, oriented, cv, seed, k_folds)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run, cells))
-    else:
-        reports = [_run(c) for c in cells]
+                X = _inputs(spec, oriented, memo)
+                cells.append((spec, X, oriented.target_matrix, folds, seed, ds_id, direction))
+                labels.append((spec, ds_id, direction, oriented))
+    reports = [
+        _report_from_cv(*label, cv, seed, k_folds)
+        for label, cv in zip(labels, _cross_validate_cells(cells, jobs))
+    ]
 
     by_cell: dict[tuple[str, str], list[EvalReport]] = {}
     for report in reports:
@@ -448,18 +493,12 @@ class AblationReport:
     k_folds: int
 
     def to_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "source_variables": list(self.source_variables),
-            "drops": self.drops,
-            "per_dataset_drops": self.per_dataset_drops,
-            "full_average_r": self.full_average_r,
-            "seed": self.seed,
-            "k_folds": self.k_folds,
-        }
+        return {**asdict(self), "source_variables": list(self.source_variables)}
 
 
-def run_ablation(datasets, direction: str, seed: int, *, k_folds: int = 10) -> AblationReport:
+def run_ablation(
+    datasets, direction: str, seed: int, *, k_folds: int = 10, jobs: int = 1
+) -> AblationReport:
     """Leave-one-source-variable-out comparison with the linear model.
 
     The linear model is used because it has no hyperparameters to
@@ -480,38 +519,30 @@ def run_ablation(datasets, direction: str, seed: int, *, k_folds: int = 10) -> A
                 f"available: {sorted(options)}"
             )
         oriented_map[ds_id] = options[direction]
-    source_vars = None
+    source_vars = next(iter(oriented_map.values())).source_format.variables
+    cells = []
     for ds_id, oriented in oriented_map.items():
-        if source_vars is None:
-            source_vars = oriented.source_format.variables
-        elif oriented.source_format.variables != source_vars:
+        if oriented.source_format.variables != source_vars:
             raise ConfigurationError(
                 "datasets disagree on source variables: "
                 f"{oriented.source_format.variables} vs {source_vars}"
             )
+        folds = make_folds(len(oriented), k_folds, derive_seed(seed, _content_key(oriented), "folds"))
+        variants = [(direction, oriented)] + [
+            (f"{direction}/without-{var}",
+             project(oriented, [v for v in source_vars if v != var], side="source"))
+            for var in source_vars
+        ]
+        for label, data in variants:
+            cells.append((spec, data.source_matrix, data.target_matrix, folds, seed, ds_id, label))
+    averages = iter(
+        float(cv.per_variable_mean().mean()) for cv in _cross_validate_cells(cells, jobs)
+    )
     per_dataset: dict[str, dict[str, float]] = {}
     full_scores: dict[str, float] = {}
-    for ds_id, oriented in oriented_map.items():
-        folds = make_folds(len(oriented), k_folds, derive_seed(seed, _content_key(oriented), "folds"))
-        cv_full = cross_validate(
-            spec, oriented, folds, base_seed=seed, dataset_id=ds_id, direction=direction
-        )
-        full_avg = float(cv_full.per_variable_mean().mean())
-        full_scores[ds_id] = full_avg
-        drops = {}
-        for var in source_vars:
-            keep = [v for v in source_vars if v != var]
-            ablated = project(oriented, keep, side="source")
-            cv_abl = cross_validate(
-                spec,
-                ablated,
-                folds,
-                base_seed=seed,
-                dataset_id=ds_id,
-                direction=f"{direction}/without-{var}",
-            )
-            drops[var] = full_avg - float(cv_abl.per_variable_mean().mean())
-        per_dataset[ds_id] = drops
+    for ds_id in oriented_map:
+        full_scores[ds_id] = full_avg = next(averages)
+        per_dataset[ds_id] = {var: full_avg - next(averages) for var in source_vars}
     averaged = {
         var: float(np.mean([per_dataset[ds][var] for ds in per_dataset]))
         for var in source_vars
@@ -536,7 +567,7 @@ def _without_dominance(data: AlignedLexicon) -> AlignedLexicon:
     return data
 
 
-def run_crosslingual(datasets, spec: ModelSpec, seed: int) -> list[EvalReport]:
+def run_crosslingual(datasets, spec: ModelSpec, seed: int, *, jobs: int = 1) -> list[EvalReport]:
     """Train on all other-language data, evaluate on each dataset whole.
 
     Dominance is excluded throughout (several source languages lack it),
@@ -550,7 +581,7 @@ def run_crosslingual(datasets, spec: ModelSpec, seed: int) -> list[EvalReport]:
         raise ConfigurationError(
             f"cross-lingual transfer needs at least 2 languages, got {sorted(languages)}"
         )
-    reports = []
+    units, labels, memo = [], [], {}
     for ds_id, data in data_map.items():
         others = {
             other_id: other
@@ -577,22 +608,16 @@ def run_crosslingual(datasets, spec: ModelSpec, seed: int) -> list[EvalReport]:
                     "training rows leaked from the evaluation language "
                     f"{data.language!r}"
                 )
-            cell_seed = derive_seed(seed, ds_id, direction, spec.name, 0)
-            model = spec.build(cell_seed)
-            model.fit_arrays(_inputs(spec, train), train.target_matrix)
-            pred = model.predict(_inputs(spec, eval_data))
-            n_vars = eval_data.target_format.size
-            fold_r = np.full((1, n_vars), np.nan)
-            degenerate = []
-            for v in range(n_vars):
-                try:
-                    fold_r[0, v] = pearson(pred[:, v], eval_data.target_matrix[:, v])
-                except DegenerateInputError:
-                    degenerate.append((0, v))
-            cv = CvResult(fold_r=fold_r, degenerate_cells=degenerate, pooled_r=fold_r[0].copy())
-            report = _report_from_cv(spec, ds_id, direction, eval_data, cv, seed, 0)
-            report.n_train = len(train)
-            reports.append(report)
+            units.append(WorkUnit(spec, derive_seed(seed, ds_id, direction, spec.name, 0),
+                                  _inputs(spec, train, memo), train.target_matrix,
+                                  _inputs(spec, eval_data, memo), eval_data.target_matrix))
+            labels.append((ds_id, direction, eval_data, len(train)))
+    reports = []
+    for (ds_id, direction, eval_data, n_train), (_, r, bad) in zip(labels, run_units(units, jobs)):
+        cv = CvResult(fold_r=r[None, :], degenerate_cells=[(0, v) for v in bad], pooled_r=r.copy())
+        report = _report_from_cv(spec, ds_id, direction, eval_data, cv, seed, 0)
+        report.n_train = n_train
+        reports.append(report)
     return reports
 
 
@@ -630,11 +655,7 @@ def write_report_json(reports: Sequence[EvalReport], dest, *, meta: dict | None 
         "meta": meta or {},
         "reports": [r.to_dict() for r in reports],
     }
-    payload = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False).encode("utf-8")
-    if hasattr(dest, "write"):
-        dest.write(payload)
-    else:
-        Path(dest).write_bytes(payload)
+    _emit(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False).encode("utf-8"), dest)
 
 
 def _table_cell(report: EvalReport) -> str:
@@ -654,30 +675,13 @@ def _table_cell(report: EvalReport) -> str:
 def write_report_table(reports: Sequence[EvalReport], dest) -> None:
     """Human-readable TSV: one row per dataset x direction, one column
     per model, best cell bracketed, stars appended."""
-    models = []
-    for r in reports:
-        if r.model not in models:
-            models.append(r.model)
+    models = list(dict.fromkeys(r.model for r in reports))
     rows: dict[tuple[str, str], dict[str, EvalReport]] = {}
-    order: list[tuple[str, str]] = []
-    n_items: dict[tuple[str, str], int] = {}
     for r in reports:
-        key = (r.dataset_id, r.direction)
-        if key not in rows:
-            rows[key] = {}
-            order.append(key)
-            n_items[key] = r.n_items
-        rows[key][r.model] = r
+        rows.setdefault((r.dataset_id, r.direction), {})[r.model] = r
     lines = ["\t".join(["dataset", "direction", "items", *models])]
-    for key in order:
-        ds, direction = key
-        cells = [
-            _table_cell(rows[key][m]) if m in rows[key] else ""
-            for m in models
-        ]
-        lines.append("\t".join([ds, direction, str(n_items[key]), *cells]))
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    if hasattr(dest, "write"):
-        dest.write(payload)
-    else:
-        Path(dest).write_bytes(payload)
+    for (ds, direction), row in rows.items():
+        n_items = next(iter(row.values())).n_items
+        cells = [_table_cell(row[m]) if m in row else "" for m in models]
+        lines.append("\t".join([ds, direction, str(n_items), *cells]))
+    _emit(("\n".join(lines) + "\n").encode("utf-8"), dest)

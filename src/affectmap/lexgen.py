@@ -18,12 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, EmptyOutputError
-from .experiments import ModelSpec, derive_seed
+from .experiments import ModelSpec, WorkUnit, derive_seed, run_units
 from .lexicon import AlignedLexicon, Lexicon
 
 __all__ = [
     "LexiconBuildJob",
     "build_lexicon",
+    "build_lexicons",
     "render_lexicon",
     "write_lexicon",
     "write_lexicon_bytes",
@@ -56,9 +57,7 @@ class LexiconBuildJob:
             )
         src = self.source_lexicon.format
         trn = self.training.source_format
-        if src.variables != trn.variables or not (
-            src.scale_low == trn.scale_low and src.scale_high == trn.scale_high
-        ):
+        if not src.same_layout(trn):
             raise ConfigurationError(
                 f"source lexicon format {src.name!r} {src.variables} does not "
                 f"match training source format {trn.name!r} {trn.variables}; "
@@ -98,55 +97,52 @@ def write_lexicon_bytes(data: bytes, path) -> None:
         raise OSError(f"cannot write lexicon to {path}: {e}") from e
 
 
-def _digest_lexicon(lex: Lexicon) -> str:
+def _digest(words, *matrices) -> str:
     h = hashlib.sha256()
-    for word in lex.words:
+    for word in words:
         h.update(word.encode("utf-8"))
         h.update(b"\x00")
-    h.update(np.ascontiguousarray(lex.values, dtype="<f8").tobytes())
-    return h.hexdigest()
-
-
-def _digest_aligned(al: AlignedLexicon) -> str:
-    h = hashlib.sha256()
-    for word in al.words:
-        h.update(word.encode("utf-8"))
-        h.update(b"\x00")
-    h.update(np.ascontiguousarray(al.source_matrix, dtype="<f8").tobytes())
-    h.update(np.ascontiguousarray(al.target_matrix, dtype="<f8").tobytes())
+    for m in matrices:
+        h.update(np.ascontiguousarray(m, dtype="<f8").tobytes())
     return h.hexdigest()
 
 
 def build_lexicon(job: LexiconBuildJob, seed: int) -> tuple[Lexicon, dict, bytes]:
-    """Train, predict uncovered words, clamp, and describe the build.
+    """build_lexicons for a single job."""
+    return build_lexicons([job], seed)[0]
 
-    Returns the new lexicon, a JSON-ready manifest with the training
-    size, per-exclusion-set hit counts, model config, seeds, and content
-    digests of all inputs and of the rendered output, and the rendered
-    TSV bytes themselves, so the lexicon is rendered once per build.
+
+def build_lexicons(build_jobs, seed: int, *, jobs: int = 1) -> list[tuple[Lexicon, dict, bytes]]:
+    """Train, predict uncovered words, clamp, and describe each build.
+
+    Each job's fit and prediction is one work unit; the units run on up
+    to `jobs` threads. Per job this returns the new lexicon, a JSON-ready
+    manifest with the training size, per-exclusion-set hit counts, model
+    config, seeds, and content digests of all inputs and of the rendered
+    output, and the rendered TSV bytes themselves, so the lexicon is
+    rendered once per build.
     """
-    model_seed = derive_seed(seed, "lexgen", job.mode, job.model_spec.name, job.output_name)
-    model = job.model_spec.build(model_seed)
-    model.fit_arrays(job.training.source_matrix, job.training.target_matrix)
+    units = []
+    for job in build_jobs:
+        excluded = set().union(*(ex.words for ex in job.exclusion_sets))
+        keep_idx = [i for i, w in enumerate(job.source_lexicon.words) if w not in excluded]
+        if not keep_idx:
+            raise EmptyOutputError(
+                "every source word is covered by an exclusion set; nothing to build"
+            )
+        model_seed = derive_seed(seed, "lexgen", job.mode, job.model_spec.name, job.output_name)
+        units.append(WorkUnit(job.model_spec, model_seed, job.training.source_matrix,
+                              job.training.target_matrix, job.source_lexicon.values,
+                              test_rows=keep_idx))
+    return [
+        _describe_build(job, seed, unit, pred)
+        for job, unit, (pred, _, _) in zip(build_jobs, units, run_units(units, jobs))
+    ]
 
-    excluded_union: set[str] = set()
-    excluded_counts = []
-    source_words = set(job.source_lexicon.words)
-    for i, ex in enumerate(job.exclusion_sets):
-        hits = len(source_words & set(ex.words))
-        excluded_counts.append(
-            {"source_id": ex.source_id or f"exclusion_{i}", "words_excluded": hits}
-        )
-        excluded_union.update(ex.words)
 
-    new_words = [w for w in job.source_lexicon.words if w not in excluded_union]
-    if not new_words:
-        raise EmptyOutputError(
-            "every source word is covered by an exclusion set; nothing to build"
-        )
-    keep_idx = [i for i, w in enumerate(job.source_lexicon.words) if w not in excluded_union]
-    pred = model.predict(job.source_lexicon.values[keep_idx])
-    fmt = job.training.target_format
+def _describe_build(job: LexiconBuildJob, seed: int, unit: WorkUnit, pred: np.ndarray):
+    new_words = [job.source_lexicon.words[i] for i in unit.test_rows]
+    fmt, t = job.training.target_format, job.training
     np.clip(pred, fmt.scale_low, fmt.scale_high, out=pred)
     out = Lexicon(
         fmt,
@@ -155,6 +151,12 @@ def build_lexicon(job: LexiconBuildJob, seed: int) -> tuple[Lexicon, dict, bytes
         language=job.source_lexicon.language,
         source_id=job.output_name,
     )
+    source_words = set(job.source_lexicon.words)
+    excluded_counts = [
+        {"source_id": ex.source_id or f"exclusion_{i}",
+         "words_excluded": len(source_words & set(ex.words))}
+        for i, ex in enumerate(job.exclusion_sets)
+    ]
     rendered = render_lexicon(out)
     manifest = {
         "mode": job.mode,
@@ -165,7 +167,7 @@ def build_lexicon(job: LexiconBuildJob, seed: int) -> tuple[Lexicon, dict, bytes
             "params": job.model_spec.params,
         },
         "seed": seed,
-        "model_seed": model_seed,
+        "model_seed": unit.seed,
         "training_size": len(job.training),
         "training_language": job.training.language,
         "source_words": len(job.source_lexicon),
@@ -179,9 +181,9 @@ def build_lexicon(job: LexiconBuildJob, seed: int) -> tuple[Lexicon, dict, bytes
             "scale_high": fmt.scale_high,
         },
         "input_digests": {
-            "source_lexicon": _digest_lexicon(job.source_lexicon),
-            "training": _digest_aligned(job.training),
-            "exclusion_sets": [_digest_lexicon(ex) for ex in job.exclusion_sets],
+            "source_lexicon": _digest(job.source_lexicon.words, job.source_lexicon.values),
+            "training": _digest(t.words, t.source_matrix, t.target_matrix),
+            "exclusion_sets": [_digest(ex.words, ex.values) for ex in job.exclusion_sets],
         },
         "output_digest": hashlib.sha256(rendered).hexdigest(),
     }

@@ -271,6 +271,14 @@ def _decode(data) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _emit(payload: bytes, dest) -> None:
+    """Write bytes to a binary stream or a path."""
+    if hasattr(dest, "write"):
+        dest.write(payload)
+    else:
+        Path(dest).write_bytes(payload)
+
+
 def parse_lexicon(
     data: str | Path | bytes | IO[bytes],
     fmt: EmotionFormat,
@@ -434,16 +442,11 @@ def align(
 
 def _project_format(fmt: EmotionFormat, keep: Sequence[str]) -> EmotionFormat:
     keep = tuple(keep)
+    projected = replace(fmt, name=f"{fmt.name}[{','.join(keep)}]", variables=keep)
     for builtin in BUILTIN_FORMATS.values():
-        if (
-            builtin.variables == keep
-            and builtin.scale_low == fmt.scale_low
-            and builtin.scale_high == fmt.scale_high
-        ):
+        if builtin.same_layout(projected):
             return builtin
-    if keep == fmt.variables:
-        return fmt
-    return replace(fmt, name=f"{fmt.name}[{','.join(keep)}]", variables=keep)
+    return fmt if keep == fmt.variables else projected
 
 
 def _keep_indices(fmt: EmotionFormat, keep: Sequence[str]) -> list[int]:
@@ -489,6 +492,8 @@ def project(x, keep: Sequence[str], side: str = "auto"):
                 raise ConfigurationError(
                     f"variables {list(keep)} not found on either side"
                 )
+        if side == "target":
+            return project(x.swapped(), keep, "source").swapped()
         if side == "source":
             idx = _keep_indices(x.source_format, keep)
             return AlignedLexicon(
@@ -497,17 +502,6 @@ def project(x, keep: Sequence[str], side: str = "auto"):
                 x.target_format,
                 x.source_matrix[:, idx],
                 x.target_matrix,
-                language=x.language,
-                row_languages=x.row_languages,
-            )
-        if side == "target":
-            idx = _keep_indices(x.target_format, keep)
-            return AlignedLexicon(
-                x.words,
-                x.source_format,
-                _project_format(x.target_format, keep),
-                x.source_matrix,
-                x.target_matrix[:, idx],
                 language=x.language,
                 row_languages=x.row_languages,
             )

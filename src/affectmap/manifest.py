@@ -278,7 +278,7 @@ def load_manifest(path, overrides: dict | None = None) -> Manifest:
         raise OSError(f"cannot read manifest {path}: {e}") from e
     try:
         raw = json.loads(raw_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # undecodable, not JSON, too deep or too long
         raise ParseError(f"manifest {path} is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigurationError("manifest root must be a JSON object")

@@ -18,7 +18,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from ..errors import ContractError, ParseError
-from ..lexicon import AlignedLexicon, Lexicon, canonical_word
+from ..lexicon import AlignedLexicon, Lexicon, _decode, canonical_word
 from .ffnn import FfnnConfig, FfnnModel
 
 __all__ = [
@@ -175,12 +175,7 @@ def read_feature_vectors(
     No header row. Vector lengths must agree. Words canonicalize the
     same way lexicon words do; duplicates are averaged with a warning.
     """
-    if hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    text = _decode(source)
     rows: dict[str, list[np.ndarray]] = {}
     width = None
     for lineno, line in enumerate(text.split("\n"), start=1):

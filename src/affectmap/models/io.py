@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ContractError, ParseError
-from ..lexicon import EmotionFormat
+from ..lexicon import EmotionFormat, _emit
 from .boosting import BoostedEnsemble
 from .ffnn import FfnnConfig, FfnnModel
 from .knn import KnnModel
@@ -116,10 +116,7 @@ def save_model(model, dest) -> None:
     out += blob
     for _, a in arrays:
         out += np.ascontiguousarray(a, dtype="<f8").tobytes()
-    if hasattr(dest, "write"):
-        dest.write(bytes(out))
-    else:
-        Path(dest).write_bytes(bytes(out))
+    _emit(bytes(out), dest)
 
 
 def _read_all(source) -> bytes:
@@ -149,7 +146,7 @@ def _read_header(raw) -> tuple[dict, int]:
         raise ParseError("truncated model header")
     try:
         header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # undecodable, not JSON, too deep or too long
         raise ParseError(f"corrupt model header: {e}") from None
     if not isinstance(header, dict) or any(k not in header for k in _HEADER_KEYS):
         raise ParseError("model header must be an object with keys: " + ", ".join(_HEADER_KEYS))

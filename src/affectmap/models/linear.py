@@ -35,9 +35,7 @@ class LinearModel:
         S = np.asarray(S, dtype=np.float64)
         T = np.asarray(T, dtype=np.float64)
         if S.ndim != 2 or T.ndim != 2 or S.shape[0] != T.shape[0]:
-            raise ContractError(
-                f"incompatible training shapes {S.shape} and {T.shape}"
-            )
+            raise ContractError(f"incompatible training shapes {S.shape} and {T.shape}")
         if S.shape[0] == 0:
             raise ContractError("cannot fit on an empty training set")
         ones = np.ones((S.shape[0], 1))

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import ContractError, DegenerateInputError, ParseError, ValidationError
+from .lexicon import _decode, _emit
 
 __all__ = [
     "pearson",
@@ -244,13 +245,7 @@ def read_reliability_records(source: str | Path | IO[bytes]) -> list[Reliability
     sba_applied (true|false). A trailing normalized_r column, when
     present, is loaded back as well.
     """
-    if hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = [ln for ln in text.split("\n") if ln]
+    lines = [ln for ln in _decode(source).split("\n") if ln]
     if not lines:
         raise ParseError("empty reliability file", line=1)
     header = tuple(lines[0].split("\t"))
@@ -308,8 +303,4 @@ def write_reliability_records(dest: str | Path | IO[bytes], records: Sequence[Re
                 )
             )
         )
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    if hasattr(dest, "write"):
-        dest.write(payload)
-    else:
-        Path(dest).write_bytes(payload)
+    _emit(("\n".join(lines) + "\n").encode("utf-8"), dest)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import malformed_model_files, misshaped_model_files
-from affectmap import __version__, lexgen
+from affectmap import __version__, experiments, lexgen
 from affectmap.cli import main
 from affectmap.models import load_model
 
@@ -66,6 +66,44 @@ def write_manifest(dirpath, name="manifest.json", **overrides):
     path = dirpath / name
     path.write_bytes(json.dumps(doc, indent=2).encode("utf-8"))
     return path
+
+
+def write_every_task_manifest(root):
+    """Two languages, rating and boosted feature-input models, ablation
+    and three lexicon jobs: one manifest that every run task accepts."""
+    words_en, *_ = write_dataset(root, n=40, seed=0, prefix="w")
+    words_de, *_ = write_dataset(root, n=36, seed=1, prefix="x")
+    rng = np.random.default_rng(3)
+    emb = [w + "\t" + "\t".join(repr(float(v)) for v in rng.normal(size=4))
+           for w in words_en + words_de]
+    (root / "emb.tsv").write_text("\n".join(emb) + "\n", encoding="utf-8")
+    (root / "query.tsv").write_bytes(_render_tsv(
+        ["word", "valence", "arousal", "dominance"],
+        [[f"q{i}", *(repr(float(v)) for v in rng.uniform(1, 9, 3))] for i in range(15)],
+    ))
+    job = {"mode": "monolingual", "training_id": "en", "training_direction": "dim2cat",
+           "source": {"path": "query.tsv", "format": "VAD"}}
+    side = lambda p, fmt: {"path": f"{p}_{fmt.lower()}.tsv", "format": fmt}  # noqa: E731
+    return write_manifest(
+        root,
+        datasets=[
+            {"id": "en", "language": "en", "sides": [side("w", "VAD"), side("w", "BE5")]},
+            {"id": "de", "language": "de", "sides": [side("x", "VAD"), side("x", "BE5")]},
+        ],
+        models=[
+            {"name": "lr", "kind": "lr"},
+            {"name": "knn", "kind": "knn", "params": {"k": 5}},
+            {"name": "wei", "kind": "boosted", "features_path": "emb.tsv",
+             "params": {"stages": 2, "base": {"hidden_sizes": [4], "iterations": 3}}},
+        ],
+        crosslingual_model="wei",
+        lexicon_jobs=[
+            {**job, "output": "lr.tsv", "model": "lr"},
+            {**job, "output": "wei.tsv", "model": "wei"},
+            {**job, "output": "knn.tsv", "model": "knn", "mode": "crosslingual",
+             "training_ids": ["en", "de"], "source": {**job["source"], "format": "VA"}},
+        ],
+    )
 
 
 @pytest.fixture
@@ -246,21 +284,56 @@ class TestRunMonolingual:
         meta = json.loads((out / "run_meta.json").read_bytes())
         assert meta["k_folds"] == 3
 
-    def test_jobs_flag_same_output(self, workspace, tmp_path):
+    @pytest.mark.filterwarnings("ignore:first boosting stage")
+    def test_jobs_flag_same_output(self, tmp_path):
+        """Every task's outputs and run_meta.json are byte-identical at
+        --jobs 1, 2 and 3, boosted feature-input cells included."""
+        manifest = write_every_task_manifest(tmp_path)
+        outputs = {
+            "monolingual": ("monolingual_report.json", "monolingual_table.tsv"),
+            "crosslingual": ("crosslingual_report.json", "crosslingual_table.tsv"),
+            "ablation": ("ablation_report.json", "ablation_table.tsv"),
+            "build-lexicon": ("lr.tsv", "lr.tsv.manifest.json", "wei.tsv", "wei.tsv.manifest.json",
+                              "knn.tsv", "knn.tsv.manifest.json"),
+        }
+        for task, names in outputs.items():
+            runs = []
+            for jobs in ("1", "2", "3"):
+                out = tmp_path / f"{task}-{jobs}"
+                argv = ["run", task, "--manifest", str(manifest), "--out", str(out), "--jobs", jobs]
+                assert main(argv) == 0, (task, jobs)
+                runs.append({n: (out / n).read_bytes() for n in (*names, "run_meta.json")})
+            assert runs[0] == runs[1] == runs[2], task
+
+    def test_jobs_below_one_is_usage_error(self, workspace, capsys):
         _, manifest = workspace
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["run", "monolingual", "--manifest", str(manifest), "--out", str(out_a)])
-        main(
-            [
-                "run", "monolingual",
-                "--manifest", str(manifest),
-                "--out", str(out_b),
-                "--jobs", "4",
-            ]
-        )
-        assert (out_a / "monolingual_report.json").read_bytes() == (
-            out_b / "monolingual_report.json"
-        ).read_bytes()
+        for jobs in ("0", "-2"):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "monolingual", "--manifest", str(manifest), "--jobs", jobs])
+            assert exc.value.code == 64
+            assert "--jobs must be at least 1" in capsys.readouterr().err
+
+    def test_pool_never_wider_than_the_units(self, workspace, tmp_path, monkeypatch):
+        """--jobs is an upper bound: the pool gets one worker per unit at
+        most (2 directions x 2 models x 4 folds here)."""
+        widths = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialPool)
+        _, manifest = workspace
+        argv = ["run", "monolingual", "--manifest", str(manifest), "--out", str(tmp_path / "o")]
+        assert main([*argv, "--jobs", "1000"]) == 0
+        assert main([*argv, "--jobs", "3"]) == 0
+        assert widths == [16, 3]
 
     def test_golden_files(self, tmp_path):
         fixture = DATA_DIR / "cli_fixture" / "manifest.json"
@@ -285,9 +358,10 @@ class TestRunMonolingual:
                 }
             ],
         )
-        code = main(["run", "monolingual", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
-        assert code == 3
-        assert "divergence" in capsys.readouterr().err
+        for jobs in ("1", "2"):
+            argv = ["run", "monolingual", "--manifest", str(manifest), "--out", str(tmp_path / "o")]
+            assert main([*argv, "--jobs", jobs]) == 3, jobs
+            assert "divergence" in capsys.readouterr().err
 
 
 class TestRunOtherTasks:
@@ -543,3 +617,4 @@ class TestModelCommands:
         assert err.startswith("affectmap: error: ")
         assert "Traceback" not in err
         assert not out_path.exists()
+

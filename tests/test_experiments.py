@@ -1,13 +1,16 @@
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import make_aligned
-from affectmap.errors import ConfigurationError, ContractError
+from affectmap import experiments
+from affectmap.errors import ConfigurationError, ContractError, DegenerateInputError
 from affectmap.experiments import (
     ModelSpec,
+    WorkUnit,
     compare_to_shr,
     cross_validate,
     derive_seed,
@@ -16,6 +19,7 @@ from affectmap.experiments import (
     run_ablation,
     run_crosslingual,
     run_monolingual,
+    run_units,
     write_report_json,
     write_report_table,
 )
@@ -312,6 +316,76 @@ class TestRunMonolingual:
         cat2dim = next(r for r in reports if r.direction == "cat2dim")
         assert cat2dim.shr_flags["valence"] in ("above", "below")
         assert cat2dim.shr_flags["arousal"] == "unreported"
+
+
+class _FailingSpec(ModelSpec):
+    """Fits fine except on the folds whose seed is listed."""
+
+    def __init__(self, fail_seeds):
+        super().__init__(name="fail", kind="lr")
+        self.fail_seeds = fail_seeds
+
+    def build(self, seed=0):
+        if seed in self.fail_seeds:
+            raise DegenerateInputError(f"unit {seed} failed")
+        return ModelSpec("lr", "lr").build(seed)
+
+
+class TestWorkUnits:
+    def _units(self, n_units=6):
+        al = make_aligned(n=40, seed=3)
+        folds = make_folds(len(al), n_units, seed=0)
+        S, T = al.source_matrix, al.target_matrix
+        return [
+            WorkUnit(ModelSpec("lr", "lr"), fold, S, T, S, T,
+                     folds.train_indices(fold), folds.test_indices(fold))
+            for fold in range(n_units)
+        ]
+
+    def test_submission_order_at_any_jobs(self):
+        units = self._units()
+        serial = run_units(units, jobs=1)
+        for jobs in (2, 3, 100):
+            for (p1, r1, d1), (p2, r2, d2) in zip(serial, run_units(units, jobs=jobs)):
+                assert np.array_equal(p1, p2) and np.array_equal(r1, r2) and d1 == d2
+
+    def test_predict_only_unit_is_unscored(self):
+        unit = self._units()[0]
+        (pred, r, bad), = run_units([replace(unit, test_T=None)])
+        assert pred.shape == (len(unit.test_rows), 5) and r is None and bad == []
+
+    def test_first_failure_in_submission_order_is_raised(self):
+        units = [replace(u, spec=_FailingSpec({2, 4})) for u in self._units()]
+        for jobs in (1, 2, 6):
+            with pytest.raises(DegenerateInputError, match="unit 2 failed"):
+                run_units(units, jobs=jobs)
+
+    def test_jobs_must_be_positive(self):
+        with pytest.raises(ConfigurationError):
+            run_units(self._units(), jobs=0)
+
+    def test_feature_matrix_built_once_per_dataset_and_spec(self, monkeypatch):
+        built = []
+        real = experiments._feature_matrix
+        monkeypatch.setattr(
+            experiments, "_feature_matrix", lambda f, words: built.append(len(words)) or real(f, words)
+        )
+        data = {"a": make_aligned(n=30, seed=1, prefix="a"), "b": make_aligned(n=24, seed=2, prefix="b")}
+        rng = np.random.default_rng(0)
+        features = {w: rng.normal(size=2) for d in data.values() for w in d.words}
+        specs = [ModelSpec("f1", "lr", features=features), ModelSpec("f2", "knn", {"k": 3}, features)]
+        reports = run_monolingual(data, specs, seed=0, k_folds=3, jobs=2)
+        assert len(reports) == 8  # 2 datasets x 2 directions x 2 specs
+        assert built == [30, 30, 24, 24]  # per (dataset, spec), shared by both directions
+
+    def test_ablation_and_crosslingual_parallel_equal_serial(self):
+        data = {"en": make_aligned(n=50, seed=1), "de": make_aligned(n=40, seed=2, language="de", prefix="x")}
+        spec = ModelSpec("knn", "knn", params={"k": 4})
+        assert (run_ablation(data, "dim2cat", seed=3, k_folds=4).to_dict()
+                == run_ablation(data, "dim2cat", seed=3, k_folds=4, jobs=3).to_dict())
+        serial = run_crosslingual(data, spec, seed=3)
+        parallel = run_crosslingual(data, spec, seed=3, jobs=3)
+        assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
 
 
 class TestRunAblation:
