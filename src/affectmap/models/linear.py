@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from ..errors import ContractError
 from ..lexicon import AlignedLexicon
@@ -32,6 +31,8 @@ class LinearModel:
         return self.fit_arrays(train.source_matrix, train.target_matrix)
 
     def fit_arrays(self, S, T) -> "LinearModel":
+        from scipy.linalg import cho_factor, cho_solve  # ~0.2 s to import; only fits need it
+
         S = np.asarray(S, dtype=np.float64)
         T = np.asarray(T, dtype=np.float64)
         if S.ndim != 2 or T.ndim != 2 or S.shape[0] != T.shape[0]:
@@ -44,7 +45,7 @@ class LinearModel:
         c = A.T @ T
         try:
             theta = cho_solve(cho_factor(G), c)
-        except LinAlgError:
+        except np.linalg.LinAlgError:  # scipy raises this very class
             theta = np.linalg.pinv(G) @ c
         self.W = np.ascontiguousarray(theta[:-1].T)
         self.b = np.ascontiguousarray(theta[-1])

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -618,3 +621,13 @@ class TestModelCommands:
         assert "Traceback" not in err
         assert not out_path.exists()
 
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported by the linear fit and the t-test only, so a
+    process that runs neither (validate, a boosted-only run) skips it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, affectmap.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
