@@ -74,13 +74,30 @@ def format_rating(v: float) -> str:
     return str(Decimal(repr(float(v))).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 
+# "%.3f" rounds a cell's binary value, format_rating its shortest repr;
+# they can disagree only where v * 1000 is within rounding error of a
+# half, so cells nearer a half than this (in units of 0.001), and cells
+# too large for that bound to hold, are formatted by format_rating.
+_TIE_TOLERANCE = 1e-6
+_PLAIN_LIMIT = 1e6
+
+
 def render_lexicon(lex: Lexicon) -> bytes:
-    """TSV bytes: header, rows sorted lexicographically by word."""
-    header = "\t".join(("word", *lex.format.variables))
-    lines = [header]
-    for word in sorted(lex.words):
-        vec = lex.vector(word)
-        lines.append("\t".join((word, *(format_rating(v) for v in vec))))
+    """TSV bytes: header, rows sorted lexicographically by word, each
+    cell as format_rating prints it."""
+    order = sorted(range(len(lex.words)), key=lex.words.__getitem__)
+    values = lex.values[order]
+    scaled = values * 1000.0
+    plain = (np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_TOLERANCE) & (
+        np.abs(values) < _PLAIN_LIMIT
+    )
+    row_format = "\t".join(["%s"] + ["%.3f"] * lex.format.size)
+    lines = ["\t".join(("word", *lex.format.variables))]
+    for i, row, ok in zip(order, map(np.ndarray.tolist, values), plain.all(axis=1).tolist()):
+        if ok:
+            lines.append(row_format % (lex.words[i], *row))
+        else:
+            lines.append("\t".join((lex.words[i], *map(format_rating, row))))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affectmap.errors import ConfigurationError, EmptyOutputError
 from affectmap.experiments import ModelSpec
@@ -15,7 +17,7 @@ from affectmap.lexgen import (
     write_build_manifest,
     write_lexicon,
 )
-from affectmap.lexicon import BE5, VA, VAD, AlignedLexicon, Lexicon, parse_lexicon
+from affectmap.lexicon import BE5, VA, VAD, AlignedLexicon, EmotionFormat, Lexicon, parse_lexicon
 
 
 def make_training(n=120, seed=0, slope=0.45):
@@ -102,6 +104,65 @@ class TestRenderLexicon:
     def test_write_failure_carries_path(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
             write_lexicon(self._lex(), tmp_path / "no" / "such" / "dir.tsv")
+
+
+def reference_render(lex):
+    """The per-cell path render_lexicon must reproduce byte for byte."""
+    lines = ["\t".join(("word", *lex.format.variables))]
+    for word in sorted(lex.words):
+        lines.append("\t".join((word, *(format_rating(v) for v in lex.vector(word)))))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _neighbours(v):
+    return [float(np.nextafter(v, -np.inf)), v, float(np.nextafter(v, np.inf))]
+
+
+# cells a binary/decimal rounding mismatch would hit: decimal ties
+# (1.0005 prints as a half but is stored just below it), exact binary
+# ties (1.0625 is a half exactly, which "%.3f" rounds to even), their
+# neighbours, and both ends of the scale
+PINNED = sorted({
+    x
+    for v in (1.0005, 2.5135, 1.0625, 2.4375, 3.1875, 4.9995, 4.0005, 1.0, 5.0,
+              1.0004, 1.0006, 4.9996, 2.0, 3.0)
+    for x in _neighbours(v)
+    if 1.0 <= x <= 5.0
+})
+
+SIGNED = EmotionFormat("S", ("a", "b", "c"), -10.0, 10.0)
+_halves = st.integers(-20_000, 20_000).map(lambda k: k / 2000)  # decimal ties and 3-decimal grid
+_binary = st.integers(-1280, 1280).map(lambda k: k / 128)  # exact binary values, ties among them
+_near = st.tuples(st.one_of(_halves, _binary), st.sampled_from([-np.inf, np.inf])).map(
+    lambda t: float(np.nextafter(t[0], t[1]))
+)
+_cell = st.one_of(st.floats(-10.0, 10.0), _halves, _binary, _near).filter(lambda v: -10 <= v <= 10)
+
+
+class TestRenderMatchesFormatRating:
+    def test_pinned_cells(self):
+        values = np.array(PINNED)
+        words = [f"w{i:03d}" for i in range(len(values))][::-1]
+        lex = Lexicon(BE5, words, np.repeat(values[:, None], 5, axis=1))
+        assert render_lexicon(lex) == reference_render(lex)
+
+    @pytest.mark.parametrize("v,expected", [
+        (1.0005, "1.001"), (1.0625, "1.063"), (2.4375, "2.438"), (4.9995, "5.000"),
+        (1.0, "1.000"), (5.0, "5.000"), (-1.0005, "-1.001"), (-0.0, "-0.000"),
+        (-0.0001, "-0.000"),
+    ])
+    def test_pinned_strings(self, v, expected):
+        lex = Lexicon(SIGNED, ["w"], [[v, v, v]])
+        assert render_lexicon(lex).decode().split("\n")[1] == "\t".join(["w", *[expected] * 3])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_cell, _cell, _cell), min_size=1, max_size=40),
+           st.randoms(use_true_random=False))
+    def test_any_cells(self, rows, rnd):
+        words = [f"w{i:03d}" for i in range(len(rows))]
+        rnd.shuffle(words)
+        lex = Lexicon(SIGNED, words, np.array(rows, dtype=np.float64))
+        assert render_lexicon(lex) == reference_render(lex)
 
 
 class TestBuildJob:
