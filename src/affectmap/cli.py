@@ -78,9 +78,7 @@ def _manifest_overrides(args) -> dict:
 def _load(args):
     if not getattr(args, "manifest", None):
         raise ConfigurationError("--manifest is required for this command")
-    m = load_manifest(args.manifest, _manifest_overrides(args))
-    m.jobs = getattr(args, "jobs", 1)
-    return m
+    return load_manifest(args.manifest, _manifest_overrides(args))
 
 
 def _write_run_meta(manifest, task: str) -> None:
@@ -153,7 +151,7 @@ def cmd_run(args) -> int:
             manifest.seed,
             k_folds=manifest.k_folds,
             reliability=reliability,
-            jobs=manifest.jobs,
+            jobs=args.jobs,
         )
         meta = {"task": task, "seed": manifest.seed, "k_folds": manifest.k_folds}
         write_report_json(reports, out / "monolingual_report.json", meta=meta)
@@ -162,7 +160,7 @@ def cmd_run(args) -> int:
         datasets = manifest.load_datasets()
         specs = manifest.load_models()
         spec = manifest.crosslingual_spec(specs)
-        reports = run_crosslingual(datasets, spec, manifest.seed, jobs=manifest.jobs)
+        reports = run_crosslingual(datasets, spec, manifest.seed, jobs=args.jobs)
         meta = {"task": task, "seed": manifest.seed, "model": spec.name}
         write_report_json(reports, out / "crosslingual_report.json", meta=meta)
         write_report_table(reports, out / "crosslingual_table.tsv")
@@ -170,7 +168,7 @@ def cmd_run(args) -> int:
         datasets = manifest.load_datasets()
         direction = manifest.ablation_direction()
         report = run_ablation(
-            datasets, direction, manifest.seed, k_folds=manifest.k_folds, jobs=manifest.jobs
+            datasets, direction, manifest.seed, k_folds=manifest.k_folds, jobs=args.jobs
         )
         doc = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
         (out / "ablation_report.json").write_bytes(doc.encode("utf-8") + b"\n")
@@ -187,10 +185,10 @@ def cmd_run(args) -> int:
         if not entries:
             raise ConfigurationError("manifest declares no lexicon_jobs")
         # a job holds its whole source lexicon: load only as many as run at once
-        for start in range(0, len(entries), manifest.jobs):
-            batch = entries[start : start + manifest.jobs]
+        for start in range(0, len(entries), args.jobs):
+            batch = entries[start : start + args.jobs]
             built = build_lexicons(
-                [manifest.build_job(e) for e in batch], manifest.seed, jobs=manifest.jobs
+                [manifest.build_job(e) for e in batch], manifest.seed, jobs=args.jobs
             )
             for entry, (_, build_manifest, rendered) in zip(batch, built):
                 write_lexicon_bytes(rendered, out / entry["output"])

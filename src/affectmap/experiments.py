@@ -246,22 +246,29 @@ class CvResult:
         return out
 
 
+def _fold_rows(data: AlignedLexicon, k_folds: int, seed: int) -> list:
+    """(train rows, test rows) per fold of data's content-seeded split, built
+    once per dataset and shared by every cell on it, not allocated per unit."""
+    folds = make_folds(len(data), k_folds, derive_seed(seed, _content_key(data), "folds"))
+    return [(folds.train_indices(f), folds.test_indices(f)) for f in range(k_folds)]
+
+
 def _cross_validate_cells(cells, jobs: int) -> list[CvResult]:
-    """Cross-validate (spec, X, T, folds, base_seed, dataset_id, direction)
-    cells, scheduling the folds of all of them as one batch of units."""
+    """Cross-validate (spec, X, T, fold_rows, base_seed, dataset_id,
+    direction) cells, scheduling the folds of all of them as one batch."""
     units = [
         WorkUnit(spec, derive_seed(base_seed, ds_id, direction, spec.name, fold),
-                 X, T, X, T, folds.train_indices(fold), folds.test_indices(fold))
-        for spec, X, T, folds, base_seed, ds_id, direction in cells
-        for fold in range(folds.k_folds)
+                 X, T, X, T, train, test)
+        for spec, X, T, fold_rows, base_seed, ds_id, direction in cells
+        for fold, (train, test) in enumerate(fold_rows)
     ]
     results = iter(run_units(units, jobs))
     out = []
-    for _, _, T, folds, *_ in cells:
-        per_fold = [next(results) for _ in range(folds.k_folds)]
+    for _, _, T, fold_rows, *_ in cells:
+        per_fold = [next(results) for _ in fold_rows]
         pooled_pred = np.empty_like(T)
-        for fold, (pred, _, _) in enumerate(per_fold):
-            pooled_pred[folds.test_indices(fold)] = pred
+        for (_, test), (pred, _, _) in zip(fold_rows, per_fold):
+            pooled_pred[test] = pred
         degenerate = [(fold, v) for fold, (_, _, bad) in enumerate(per_fold) for v in bad]
         fold_r = np.array([r for _, r, _ in per_fold])
         out.append(CvResult(fold_r, degenerate, _correlate(pooled_pred, T)[0]))
@@ -289,7 +296,9 @@ def cross_validate(
         raise ContractError(
             f"fold split covers {folds.n_items} items but dataset has {len(data)}"
         )
-    cell = (spec, _inputs(spec, data, {}), data.target_matrix, folds, base_seed, dataset_id, direction)
+    rows = [(folds.train_indices(f), folds.test_indices(f)) for f in range(folds.k_folds)]
+    cell = (spec, _inputs(spec, data, {}), data.target_matrix, rows,
+            base_seed, dataset_id, direction)
     return _cross_validate_cells([cell], jobs)[0]
 
 
@@ -459,11 +468,11 @@ def run_monolingual(
         raise ConfigurationError(f"duplicate spec names: {names}")
     cells, labels, memo = [], [], {}
     for ds_id, data in data_map.items():
-        folds = make_folds(len(data), k_folds, derive_seed(seed, _content_key(data), "folds"))
+        fold_rows = _fold_rows(data, k_folds, seed)
         for direction, oriented in directions_for(data):
             for spec in specs:
                 X = _inputs(spec, oriented, memo)
-                cells.append((spec, X, oriented.target_matrix, folds, seed, ds_id, direction))
+                cells.append((spec, X, oriented.target_matrix, fold_rows, seed, ds_id, direction))
                 labels.append((spec, ds_id, direction, oriented))
     reports = [
         _report_from_cv(*label, cv, seed, k_folds)
@@ -527,22 +536,20 @@ def run_ablation(
                 "datasets disagree on source variables: "
                 f"{oriented.source_format.variables} vs {source_vars}"
             )
-        folds = make_folds(len(oriented), k_folds, derive_seed(seed, _content_key(oriented), "folds"))
+        rows = _fold_rows(oriented, k_folds, seed)
         variants = [(direction, oriented)] + [
             (f"{direction}/without-{var}",
              project(oriented, [v for v in source_vars if v != var], side="source"))
             for var in source_vars
         ]
-        for label, data in variants:
-            cells.append((spec, data.source_matrix, data.target_matrix, folds, seed, ds_id, label))
-    averages = iter(
-        float(cv.per_variable_mean().mean()) for cv in _cross_validate_cells(cells, jobs)
-    )
+        for label, lex in variants:
+            cells.append((spec, lex.source_matrix, lex.target_matrix, rows, seed, ds_id, label))
+    means = iter(float(cv.per_variable_mean().mean()) for cv in _cross_validate_cells(cells, jobs))
     per_dataset: dict[str, dict[str, float]] = {}
     full_scores: dict[str, float] = {}
     for ds_id in oriented_map:
-        full_scores[ds_id] = full_avg = next(averages)
-        per_dataset[ds_id] = {var: full_avg - next(averages) for var in source_vars}
+        full_scores[ds_id] = full_avg = next(means)
+        per_dataset[ds_id] = {var: full_avg - next(means) for var in source_vars}
     averaged = {
         var: float(np.mean([per_dataset[ds][var] for ds in per_dataset]))
         for var in source_vars

@@ -77,9 +77,8 @@ def format_rating(v: float) -> str:
 # "%.3f" rounds a cell's binary value, format_rating its shortest repr;
 # they can disagree only where v * 1000 is within rounding error of a
 # half, so cells nearer a half than this (in units of 0.001), and cells
-# too large for that bound to hold, are formatted by format_rating.
+# of 1e6 and above, where that error can reach it, go to format_rating.
 _TIE_TOLERANCE = 1e-6
-_PLAIN_LIMIT = 1e6
 
 
 def render_lexicon(lex: Lexicon) -> bytes:
@@ -88,9 +87,7 @@ def render_lexicon(lex: Lexicon) -> bytes:
     order = sorted(range(len(lex.words)), key=lex.words.__getitem__)
     values = lex.values[order]
     scaled = values * 1000.0
-    plain = (np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_TOLERANCE) & (
-        np.abs(values) < _PLAIN_LIMIT
-    )
+    plain = (np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_TOLERANCE) & (np.abs(values) < 1e6)
     row_format = "\t".join(["%s"] + ["%.3f"] * lex.format.size)
     lines = ["\t".join(("word", *lex.format.variables))]
     for i, row, ok in zip(order, map(np.ndarray.tolist, values), plain.all(axis=1).tolist()):

@@ -97,7 +97,6 @@ class Manifest:
     n_star: int
     raw: dict
     source_path: Path | None = None
-    jobs: int = 1
     _dataset_cache: dict = field(default_factory=dict, repr=False)
 
     # ---- input loading -------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -348,6 +349,18 @@ class TestWorkUnits:
         for jobs in (2, 3, 100):
             for (p1, r1, d1), (p2, r2, d2) in zip(serial, run_units(units, jobs=jobs)):
                 assert np.array_equal(p1, p2) and np.array_equal(r1, r2) and d1 == d2
+
+    def test_more_threads_than_cores_with_a_short_switch_interval(self):
+        units = self._units(8) * 4
+        serial = run_units(units)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = run_units(units, jobs=8)
+        finally:
+            sys.setswitchinterval(old)
+        for (p1, r1, d1), (p2, r2, d2) in zip(serial, parallel, strict=True):
+            assert np.array_equal(p1, p2) and np.array_equal(r1, r2) and d1 == d2
 
     def test_predict_only_unit_is_unscored(self):
         unit = self._units()[0]
