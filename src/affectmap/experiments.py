@@ -283,7 +283,6 @@ def cross_validate(
     base_seed: int = 0,
     dataset_id: str = "",
     direction: str = "",
-    jobs: int = 1,
 ) -> CvResult:
     """k-fold evaluation of one spec on one aligned dataset.
 
@@ -299,7 +298,7 @@ def cross_validate(
     rows = [(folds.train_indices(f), folds.test_indices(f)) for f in range(folds.k_folds)]
     cell = (spec, _inputs(spec, data, {}), data.target_matrix, rows,
             base_seed, dataset_id, direction)
-    return _cross_validate_cells([cell], jobs)[0]
+    return _cross_validate_cells([cell], 1)[0]
 
 
 def _nan_to_none(x):
