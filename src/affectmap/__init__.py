@@ -45,18 +45,11 @@ from .models import (
     ffnn_forward,
     ffnn_loss,
     fit_boosted,
-    fit_knn,
-    fit_linear,
     gradient_check,
     init_ffnn,
     load_model,
-    predict_boosted,
-    predict_knn,
-    predict_linear,
     read_feature_vectors,
     save_model,
-    train_ffnn,
-    train_ffnn_arrays,
 )
 from .stats import (
     RaterMatrix,
@@ -76,7 +69,6 @@ from .experiments import (
     FoldSplit,
     ModelSpec,
     compare_to_shr,
-    cross_validate,
     derive_seed,
     directions_for,
     make_folds,
@@ -88,9 +80,9 @@ from .experiments import (
 )
 from .lexgen import (
     LexiconBuildJob,
-    build_lexicon,
+    build_lexicons,
     format_rating,
     render_lexicon,
-    write_lexicon,
+    write_lexicon_bytes,
 )
 from .manifest import Manifest, load_manifest

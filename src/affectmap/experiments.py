@@ -41,7 +41,6 @@ __all__ = [
     "WorkUnit",
     "run_units",
     "CvResult",
-    "cross_validate",
     "EvalReport",
     "AblationReport",
     "directions_for",
@@ -273,32 +272,6 @@ def _cross_validate_cells(cells, jobs: int) -> list[CvResult]:
         fold_r = np.array([r for _, r, _ in per_fold])
         out.append(CvResult(fold_r, degenerate, _correlate(pooled_pred, T)[0]))
     return out
-
-
-def cross_validate(
-    spec: ModelSpec,
-    data: AlignedLexicon,
-    folds: FoldSplit,
-    *,
-    base_seed: int = 0,
-    dataset_id: str = "",
-    direction: str = "",
-) -> CvResult:
-    """k-fold evaluation of one spec on one aligned dataset.
-
-    Reusing one FoldSplit across specs gives every model identical
-    train/test splits. Folds where a correlation is undefined (constant
-    predictions, or a fold too small to correlate) are recorded as
-    degenerate and left out of the means rather than imputed.
-    """
-    if folds.n_items != len(data):
-        raise ContractError(
-            f"fold split covers {folds.n_items} items but dataset has {len(data)}"
-        )
-    rows = [(folds.train_indices(f), folds.test_indices(f)) for f in range(folds.k_folds)]
-    cell = (spec, _inputs(spec, data, {}), data.target_matrix, rows,
-            base_seed, dataset_id, direction)
-    return _cross_validate_cells([cell], 1)[0]
 
 
 def _nan_to_none(x):

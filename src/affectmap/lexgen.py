@@ -23,10 +23,8 @@ from .lexicon import AlignedLexicon, Lexicon
 
 __all__ = [
     "LexiconBuildJob",
-    "build_lexicon",
     "build_lexicons",
     "render_lexicon",
-    "write_lexicon",
     "write_lexicon_bytes",
     "write_build_manifest",
     "format_rating",
@@ -98,10 +96,6 @@ def render_lexicon(lex: Lexicon) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def write_lexicon(lex: Lexicon, path) -> None:
-    write_lexicon_bytes(render_lexicon(lex), path)
-
-
 def write_lexicon_bytes(data: bytes, path) -> None:
     """Write a lexicon already rendered by render_lexicon."""
     path = Path(path)
@@ -119,11 +113,6 @@ def _digest(words, *matrices) -> str:
     for m in matrices:
         h.update(np.ascontiguousarray(m, dtype="<f8").tobytes())
     return h.hexdigest()
-
-
-def build_lexicon(job: LexiconBuildJob, seed: int) -> tuple[Lexicon, dict, bytes]:
-    """build_lexicons for a single job."""
-    return build_lexicons([job], seed)[0]
 
 
 def build_lexicons(build_jobs, seed: int, *, jobs: int = 1) -> list[tuple[Lexicon, dict, bytes]]:

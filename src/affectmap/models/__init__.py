@@ -4,7 +4,6 @@ from .boosting import (
     DEFAULT_BASE_CONFIG,
     BoostedEnsemble,
     fit_boosted,
-    predict_boosted,
     read_feature_vectors,
 )
 from .ffnn import (
@@ -15,33 +14,24 @@ from .ffnn import (
     ffnn_loss,
     gradient_check,
     init_ffnn,
-    train_ffnn,
-    train_ffnn_arrays,
 )
 from .io import MAGIC, load_model, save_model
-from .knn import KnnModel, fit_knn, predict_knn
-from .linear import LinearModel, fit_linear, predict_linear
+from .knn import KnnModel
+from .linear import LinearModel
 
 __all__ = [
     "LinearModel",
-    "fit_linear",
-    "predict_linear",
     "KnnModel",
-    "fit_knn",
-    "predict_knn",
     "FfnnConfig",
     "FfnnModel",
     "init_ffnn",
     "ffnn_forward",
     "ffnn_loss",
     "ffnn_backward",
-    "train_ffnn",
-    "train_ffnn_arrays",
     "gradient_check",
     "BoostedEnsemble",
     "DEFAULT_BASE_CONFIG",
     "fit_boosted",
-    "predict_boosted",
     "read_feature_vectors",
     "MAGIC",
     "save_model",

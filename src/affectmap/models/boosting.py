@@ -24,7 +24,6 @@ from .ffnn import FfnnConfig, FfnnModel
 __all__ = [
     "BoostedEnsemble",
     "fit_boosted",
-    "predict_boosted",
     "read_feature_vectors",
     "DEFAULT_BASE_CONFIG",
 ]
@@ -158,13 +157,6 @@ def fit_boosted(
     ensemble.target_format = train_targets.format
     ensemble.variables = train_targets.format.variables
     return ensemble.fit_arrays(F, T)
-
-
-def predict_boosted(e: BoostedEnsemble, features) -> np.ndarray:
-    """Predict from a feature matrix or a word -> vector map."""
-    if isinstance(features, Mapping):
-        features = np.array([features[w] for w in features], dtype=np.float64)
-    return e.predict(features)
 
 
 def read_feature_vectors(

@@ -24,8 +24,6 @@ __all__ = [
     "ffnn_forward",
     "ffnn_loss",
     "ffnn_backward",
-    "train_ffnn",
-    "train_ffnn_arrays",
     "gradient_check",
 ]
 
@@ -102,7 +100,37 @@ class FfnnModel:
         return self.fit_arrays(train.source_matrix, train.target_matrix)
 
     def fit_arrays(self, S, T) -> "FfnnModel":
-        _train_in_place(self, S, T)
+        """Train in place from a fresh seeded initialization."""
+        cfg = self.config
+        S = np.ascontiguousarray(S, dtype=np.float64)
+        T = np.ascontiguousarray(T, dtype=np.float64)
+        if S.ndim != 2 or T.ndim != 2 or S.shape[0] != T.shape[0]:
+            raise ContractError(f"incompatible training shapes {S.shape} and {T.shape}")
+        if S.shape[0] == 0:
+            raise ContractError("cannot fit on an empty training set")
+        rng = np.random.default_rng(cfg.seed)
+        sizes = [S.shape[1], *cfg.hidden_sizes, T.shape[1]]
+        self.weights, self.biases = _init_layers(sizes, rng)
+        params = [a.reshape(-1) for a in (*self.weights, *self.biases)]
+        moment1 = [np.zeros(p.size) for p in params]
+        moment2 = [np.zeros(p.size) for p in params]
+        lr, b1, b2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
+        trace = []
+        for it in range(1, cfg.iterations + 1):
+            out, cache = ffnn_forward(self, S, mode="train", rng=rng)
+            loss = ffnn_loss(out, T)
+            if not math.isfinite(loss):
+                raise DivergenceError("training loss is not finite", iteration=it)
+            trace.append(loss)
+            grads_w, grads_b = ffnn_backward(self, cache, T)
+            grads = [g.reshape(-1) for g in (*grads_w, *grads_b)]
+            bc1 = 1.0 - b1**it
+            bc2 = 1.0 - b2**it
+            for p, g, m1, m2 in zip(params, grads, moment1, moment2):
+                m1[:] = b1 * m1 + (1.0 - b1) * g
+                m2[:] = b2 * m2 + (1.0 - b2) * (g * g)
+                p -= (lr * (m1 / bc1)) / (np.sqrt(m2 / bc2) + eps)
+        self.loss_trace = trace
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -234,49 +262,6 @@ def ffnn_backward(m: FfnnModel, cache: _ForwardCache, gold):
         if l > 0:
             back = dz @ m.weights[l]
     return grads_w, grads_b
-
-
-def _train_in_place(model: FfnnModel, S, T) -> None:
-    cfg = model.config
-    S = np.ascontiguousarray(S, dtype=np.float64)
-    T = np.ascontiguousarray(T, dtype=np.float64)
-    if S.ndim != 2 or T.ndim != 2 or S.shape[0] != T.shape[0]:
-        raise ContractError(f"incompatible training shapes {S.shape} and {T.shape}")
-    if S.shape[0] == 0:
-        raise ContractError("cannot fit on an empty training set")
-    rng = np.random.default_rng(cfg.seed)
-    sizes = [S.shape[1], *cfg.hidden_sizes, T.shape[1]]
-    model.weights, model.biases = _init_layers(sizes, rng)
-    params = [a.reshape(-1) for a in (*model.weights, *model.biases)]
-    moment1 = [np.zeros(p.size) for p in params]
-    moment2 = [np.zeros(p.size) for p in params]
-    lr, b1, b2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
-    trace = []
-    for it in range(1, cfg.iterations + 1):
-        out, cache = ffnn_forward(model, S, mode="train", rng=rng)
-        loss = ffnn_loss(out, T)
-        if not math.isfinite(loss):
-            raise DivergenceError("training loss is not finite", iteration=it)
-        trace.append(loss)
-        grads_w, grads_b = ffnn_backward(model, cache, T)
-        grads = [g.reshape(-1) for g in (*grads_w, *grads_b)]
-        bc1 = 1.0 - b1**it
-        bc2 = 1.0 - b2**it
-        for p, g, m1, m2 in zip(params, grads, moment1, moment2):
-            m1[:] = b1 * m1 + (1.0 - b1) * g
-            m2[:] = b2 * m2 + (1.0 - b2) * (g * g)
-            p -= (lr * (m1 / bc1)) / (np.sqrt(m2 / bc2) + eps)
-    model.loss_trace = trace
-
-
-def train_ffnn(cfg: FfnnConfig, train: AlignedLexicon) -> FfnnModel:
-    """Train a fresh model on an aligned lexicon; fully seeded."""
-    return FfnnModel(cfg).fit(train)
-
-
-def train_ffnn_arrays(cfg: FfnnConfig, S, T, source_format=None, target_format=None) -> FfnnModel:
-    model = FfnnModel(cfg, source_format=source_format, target_format=target_format)
-    return model.fit_arrays(S, T)
 
 
 def _check_net(hidden_sizes, in_dim, out_dim, seed):

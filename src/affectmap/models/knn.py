@@ -9,7 +9,7 @@ import numpy as np
 from ..errors import ContractError
 from ..lexicon import AlignedLexicon
 
-__all__ = ["KnnModel", "fit_knn", "predict_knn"]
+__all__ = ["KnnModel"]
 
 # cells (query rows x training rows) per distance block: 131,072 float64
 # cells are 1 MiB, so the distance block and its scratch block stay in a
@@ -130,11 +130,3 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     if tied.any():
         order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
     return order
-
-
-def fit_knn(train: AlignedLexicon, k: int = 20) -> KnnModel:
-    return KnnModel(k=k).fit(train)
-
-
-def predict_knn(m: KnnModel, X) -> np.ndarray:
-    return m.predict(X)

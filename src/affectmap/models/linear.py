@@ -7,7 +7,7 @@ import numpy as np
 from ..errors import ContractError
 from ..lexicon import AlignedLexicon
 
-__all__ = ["LinearModel", "fit_linear", "predict_linear"]
+__all__ = ["LinearModel"]
 
 
 class LinearModel:
@@ -60,11 +60,3 @@ class LinearModel:
                 f"expected (n, {self.W.shape[1]}) input, got {X.shape}"
             )
         return X @ self.W.T + self.b
-
-
-def fit_linear(train: AlignedLexicon) -> LinearModel:
-    return LinearModel().fit(train)
-
-
-def predict_linear(m: LinearModel, X) -> np.ndarray:
-    return m.predict(X)

@@ -16,10 +16,10 @@ from affectmap.lexicon import BE5, VAD, AlignedLexicon
 from affectmap.models import (
     BoostedEnsemble,
     FfnnConfig,
+    FfnnModel,
     KnnModel,
     LinearModel,
     save_model,
-    train_ffnn,
 )
 
 
@@ -88,7 +88,7 @@ def misshaped_model_files():
     """Name -> bytes of a model file whose array shapes do not chain into
     one model, or disagree with its formats. Every payload is intact."""
     al = make_aligned(n=6, seed=1)
-    ffnn = train_ffnn(FfnnConfig(hidden_sizes=(4,), iterations=1), al)
+    ffnn = FfnnModel(FfnnConfig(hidden_sizes=(4,), iterations=1)).fit(al)
     rng = np.random.default_rng(2)
     with warnings.catch_warnings():
         # one training step: the first stage's loss is high, which is fine here

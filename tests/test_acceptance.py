@@ -18,11 +18,10 @@ from affectmap.experiments import ModelSpec, make_folds, run_ablation, run_monol
 from affectmap.lexicon import BE5, VAD, AlignedLexicon, align, parse_lexicon
 from affectmap.models import (
     FfnnConfig,
+    FfnnModel,
     KnnModel,
     LinearModel,
     gradient_check,
-    predict_knn,
-    train_ffnn_arrays,
 )
 from affectmap.stats import (
     RaterMatrix,
@@ -128,7 +127,7 @@ def test_a4_model_recovery():
     lr_r = [pearson(lr.predict(S_te)[:, v], T_te[:, v]) for v in range(5)]
 
     cfg = FfnnConfig(iterations=2000, dropout_hidden=0.0, seed=0)
-    net = train_ffnn_arrays(cfg, S_tr, T_tr)
+    net = FfnnModel(cfg).fit_arrays(S_tr, T_tr)
     net_r = [pearson(net.predict(S_te)[:, v], T_te[:, v]) for v in range(5)]
 
     elapsed = time.perf_counter() - start
@@ -148,7 +147,7 @@ def test_a5_nonlinearity_advantage():
     lr = LinearModel().fit_arrays(S_tr, T_tr)
     lr_mean = float(np.mean([pearson(lr.predict(S_te)[:, v], T_te[:, v]) for v in range(5)]))
 
-    net = train_ffnn_arrays(FfnnConfig(iterations=2000, seed=0), S_tr, T_tr)
+    net = FfnnModel(FfnnConfig(iterations=2000, seed=0)).fit_arrays(S_tr, T_tr)
     net_mean = float(np.mean([pearson(net.predict(S_te)[:, v], T_te[:, v]) for v in range(5)]))
 
     elapsed = time.perf_counter() - start
@@ -169,10 +168,10 @@ def test_a6_knn_oracle_equivalence():
         T = np.round(rng.uniform(1.0, 5.0, size=(50, 4)), 1)
         X = np.round(rng.uniform(1.0, 9.0, size=(200 // 3 + 1, 3)), 1)
         m = KnnModel(k=k).fit_arrays(S, T)
-        exact = exact and np.array_equal(predict_knn(m, X), knn_oracle(m, X))
+        exact = exact and np.array_equal(m.predict(X), knn_oracle(m, X))
     _verdict(
         "A6", exact,
-        f"predict_knn vs exhaustive oracle, 201 queries x k in (1, 5, 20): "
+        f"KnnModel.predict vs exhaustive oracle, 201 queries x k in (1, 5, 20): "
         f"bitwise equal: {exact}",
     )
 

@@ -11,7 +11,6 @@ from affectmap.models import (
     FfnnConfig,
     FfnnModel,
     fit_boosted,
-    predict_boosted,
     read_feature_vectors,
 )
 from affectmap.stats import pearson
@@ -172,13 +171,13 @@ class TestFitBoosted:
         with pytest.raises(ContractError):
             fit_boosted(feats, lex, stages=1, seed=0, base_config=FAST_BASE)
 
-    def test_predict_boosted_accepts_mapping(self):
+    def test_predict_shape(self):
         words = [f"w{i}" for i in range(25)]
         lex = self._lexicon(words)
         rng = np.random.default_rng(2)
         feats = {w: rng.normal(size=3) for w in words}
         e = fit_boosted(feats, lex, stages=1, seed=0, base_config=FAST_BASE)
-        out = predict_boosted(e, {"q1": rng.normal(size=3), "q2": rng.normal(size=3)})
+        out = e.predict(rng.normal(size=(2, 3)))
         assert out.shape == (2, 5)
 
 

@@ -13,7 +13,6 @@ from affectmap.experiments import (
     ModelSpec,
     WorkUnit,
     compare_to_shr,
-    cross_validate,
     derive_seed,
     directions_for,
     make_folds,
@@ -199,39 +198,38 @@ class TestDirections:
         assert pairs["tgt2src"].source_format is b
 
 
+def _cv_cell(spec, data, k_folds):
+    """One cross-validation cell, run the way run_monolingual and
+    run_ablation run theirs."""
+    rows = experiments._fold_rows(data, k_folds, 0)
+    cell = (spec, data.source_matrix, data.target_matrix, rows, 0, "ds", "dim2cat")
+    return experiments._cross_validate_cells([cell], jobs=1)[0]
+
+
 class TestCrossValidate:
     def test_oracle_predictor_r_one(self):
         al = make_aligned(n=50, seed=1)
-        folds = make_folds(50, 5, seed=0)
-        cv = cross_validate(_OracleSpec("oracle", al), al, folds)
+        cv = _cv_cell(_OracleSpec("oracle", al), al, 5)
         assert np.allclose(cv.fold_r, 1.0)
         assert np.allclose(cv.pooled_r, 1.0)
         assert cv.degenerate_cells == []
 
     def test_negated_oracle_r_minus_one(self):
         al = make_aligned(n=50, seed=2)
-        folds = make_folds(50, 5, seed=0)
-        cv = cross_validate(_OracleSpec("neg", al, flip=True), al, folds)
+        cv = _cv_cell(_OracleSpec("neg", al, flip=True), al, 5)
         assert np.allclose(cv.fold_r, -1.0)
 
     def test_constant_predictor_flags_all_cells(self):
         al = make_aligned(n=40, seed=3)
-        folds = make_folds(40, 4, seed=0)
-        cv = cross_validate(_ConstantSpec(), al, folds)
+        cv = _cv_cell(_ConstantSpec(), al, 4)
         assert np.all(np.isnan(cv.fold_r))
         assert len(cv.degenerate_cells) == 4 * 5
         assert np.all(np.isnan(cv.per_variable_mean()))
 
     def test_linear_on_affine_data(self):
         al = make_aligned(n=120, seed=4, noise=0.0)
-        folds = make_folds(120, 10, seed=0)
-        cv = cross_validate(ModelSpec("lr", "lr"), al, folds)
+        cv = _cv_cell(ModelSpec("lr", "lr"), al, 10)
         assert np.all(cv.per_variable_mean() > 0.999)
-
-    def test_fold_size_mismatch(self):
-        al = make_aligned(n=30)
-        with pytest.raises(ContractError):
-            cross_validate(ModelSpec("lr", "lr"), al, make_folds(29, 4, seed=0))
 
 
 class TestRunMonolingual:

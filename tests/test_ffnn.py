@@ -14,8 +14,6 @@ from affectmap.models import (
     ffnn_loss,
     gradient_check,
     init_ffnn,
-    train_ffnn,
-    train_ffnn_arrays,
 )
 from affectmap.models import ffnn as ffnn_module
 
@@ -274,8 +272,8 @@ class TestTraining:
     def test_deterministic_bitwise(self):
         S, T = make_affine_arrays(n=40, seed=3)
         cfg = FfnnConfig(hidden_sizes=(16,), iterations=50, seed=9)
-        a = train_ffnn_arrays(cfg, S, T)
-        b = train_ffnn_arrays(cfg, S, T)
+        a = FfnnModel(cfg).fit_arrays(S, T)
+        b = FfnnModel(cfg).fit_arrays(S, T)
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
         for ba, bb in zip(a.biases, b.biases):
@@ -286,7 +284,7 @@ class TestTraining:
         S, T = make_affine_arrays(n=60, seed=4)
         for seed in range(20):
             cfg = FfnnConfig(hidden_sizes=(16,), iterations=60, seed=seed)
-            m = train_ffnn_arrays(cfg, S, T)
+            m = FfnnModel(cfg).fit_arrays(S, T)
             trace = m.loss_trace
             assert len(trace) == 60
             assert all(math.isfinite(v) for v in trace)
@@ -294,13 +292,13 @@ class TestTraining:
 
     def test_exact_iteration_count(self):
         S, T = make_affine_arrays(n=30, seed=5)
-        m = train_ffnn_arrays(FfnnConfig(hidden_sizes=(8,), iterations=17, seed=0), S, T)
+        m = FfnnModel(FfnnConfig(hidden_sizes=(8,), iterations=17, seed=0)).fit_arrays(S, T)
         assert len(m.loss_trace) == 17
 
     def test_affine_recovery(self):
         S, T = make_affine_arrays(n=300, seed=0, mscale=0.8, offset=0.0)
         cfg = FfnnConfig(iterations=2000, dropout_hidden=0.0, seed=0)
-        m = train_ffnn_arrays(cfg, S[:200], T[:200])
+        m = FfnnModel(cfg).fit_arrays(S[:200], T[:200])
         pred = m.predict(S[200:])
         from affectmap.stats import pearson
 
@@ -312,19 +310,19 @@ class TestTraining:
         S, T = make_affine_arrays(n=30, seed=6)
         cfg = FfnnConfig(hidden_sizes=(8,), iterations=500, learning_rate=1e150, seed=0)
         with pytest.raises(DivergenceError) as exc:
-            train_ffnn_arrays(cfg, S, T)
+            FfnnModel(cfg).fit_arrays(S, T)
         assert exc.value.iteration >= 1
 
     def test_train_from_aligned(self):
         al = make_aligned(n=40, noise=0.0)
-        m = train_ffnn(FfnnConfig(hidden_sizes=(8,), iterations=30, seed=0), al)
+        m = FfnnModel(FfnnConfig(hidden_sizes=(8,), iterations=30, seed=0)).fit(al)
         assert m.fitted
         assert m.source_format is al.source_format
         assert m.predict(al.source_matrix).shape == (40, 5)
 
     def test_empty_training_set(self):
         with pytest.raises(ContractError):
-            train_ffnn_arrays(FfnnConfig(), np.empty((0, 3)), np.empty((0, 5)))
+            FfnnModel(FfnnConfig()).fit_arrays(np.empty((0, 3)), np.empty((0, 5)))
 
     def test_predict_before_fit(self):
         with pytest.raises(ContractError):
@@ -418,7 +416,7 @@ class TestReferenceBits:
 
     @staticmethod
     def _assert_same_bits(cfg, S, T):
-        got = train_ffnn_arrays(cfg, S, T)
+        got = FfnnModel(cfg).fit_arrays(S, T)
         weights, biases, trace = _reference_train(cfg, S, T)
         for a, b in zip(got.weights, weights):
             assert np.array_equal(a, b)

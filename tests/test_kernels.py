@@ -18,7 +18,6 @@ from affectmap.models.ffnn import (
     ffnn_backward,
     ffnn_forward,
     init_ffnn,
-    train_ffnn_arrays,
 )
 
 
@@ -115,7 +114,7 @@ class TestNumpySemantics:
         )
         start = init_ffnn(cfg, VAD, BE5)
         grads = grads_at(start, S, T)
-        stepped = train_ffnn_arrays(cfg, S, T)
+        stepped = FfnnModel(cfg).fit_arrays(S, T)
         for p0, p1, g in zip(params_of(start), params_of(stepped), grads):
             assert np.allclose(p1 - p0, -cfg.learning_rate * np.sign(g))
 
@@ -125,9 +124,9 @@ class TestNumpySemantics:
         cfg = FfnnConfig(hidden_sizes=(6,), dropout_hidden=0.0, iterations=1, seed=4)
         lr, b1, b2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
         g1 = grads_at(init_ffnn(cfg, VAD, BE5), S, T)
-        one = train_ffnn_arrays(cfg, S, T)
+        one = FfnnModel(cfg).fit_arrays(S, T)
         g2 = grads_at(one, S, T)
-        two = train_ffnn_arrays(replace(cfg, iterations=2), S, T)
+        two = FfnnModel(replace(cfg, iterations=2)).fit_arrays(S, T)
         bc1, bc2 = 1.0 - b1**2, 1.0 - b2**2
         for p1, p2, a, b in zip(params_of(one), params_of(two), g1, g2):
             m = b1 * ((1.0 - b1) * a) + (1.0 - b1) * b

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from affectmap.errors import ContractError
-from affectmap.models import KnnModel, fit_knn, predict_knn
+from affectmap.models import KnnModel
 from affectmap.models import knn as knn_module
 from conftest import make_aligned
 
@@ -65,7 +65,7 @@ class TestConstruction:
 
     def test_fit_from_aligned(self):
         al = make_aligned(n=30)
-        m = fit_knn(al, k=3)
+        m = KnnModel(k=3).fit(al)
         assert m.source_format is al.source_format
         assert np.array_equal(m.source, al.source_matrix)
 
@@ -138,9 +138,9 @@ class TestPredict:
         monkeypatch.setattr(knn_module, "_CHUNK_CELLS", 80)
         assert np.array_equal(m.predict(X), whole)
 
-    def test_predict_knn_wrapper(self):
+    def test_single_training_row(self):
         m = KnnModel(k=1).fit_arrays([[0.0]], [[2.0]])
-        assert predict_knn(m, [[5.0]])[0, 0] == 2.0
+        assert m.predict([[5.0]])[0, 0] == 2.0
 
 
 def argsort_reference(model, X):

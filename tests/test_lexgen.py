@@ -11,11 +11,11 @@ from affectmap.errors import ConfigurationError, EmptyOutputError
 from affectmap.experiments import ModelSpec
 from affectmap.lexgen import (
     LexiconBuildJob,
-    build_lexicon,
+    build_lexicons,
     format_rating,
     render_lexicon,
     write_build_manifest,
-    write_lexicon,
+    write_lexicon_bytes,
 )
 from affectmap.lexicon import BE5, VA, VAD, AlignedLexicon, EmotionFormat, Lexicon, parse_lexicon
 
@@ -94,7 +94,7 @@ class TestRenderLexicon:
     def test_write_then_parse_round_trip(self, tmp_path):
         lex = self._lex()
         path = tmp_path / "out.tsv"
-        write_lexicon(lex, path)
+        write_lexicon_bytes(render_lexicon(lex), path)
         columns = {"word": "word", **{v: v for v in BE5.variables}}
         back = parse_lexicon(path, BE5, columns)
         assert set(back.words) == set(lex.words)
@@ -103,7 +103,7 @@ class TestRenderLexicon:
 
     def test_write_failure_carries_path(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
-            write_lexicon(self._lex(), tmp_path / "no" / "such" / "dir.tsv")
+            write_lexicon_bytes(render_lexicon(self._lex()), tmp_path / "no" / "such" / "dir.tsv")
 
 
 def reference_render(lex):
@@ -185,7 +185,7 @@ class TestBuildJob:
 
 class TestBuildLexicon:
     def test_predicts_uncovered_words(self):
-        out, manifest, _ = build_lexicon(make_job(), seed=0)
+        out, manifest, _ = build_lexicons([make_job()], seed=0)[0]
         assert set(out.words) == {"alpha", "beta", "gamma"}
         assert out.format is BE5
         assert manifest["new_words"] == 3
@@ -194,7 +194,7 @@ class TestBuildLexicon:
     def test_prediction_quality(self):
         # the training map is exactly linear inside the unclipped region
         src = make_source([f"q{i}" for i in range(50)], seed=7)
-        out, _, _ = build_lexicon(make_job(source=src), seed=0)
+        out, _, _ = build_lexicons([make_job(source=src)], seed=0)[0]
         expected = np.clip(3.0 + 0.45 * (src.values[:, 0] - 5.0), 1.0, 5.0)
         mask = (expected > 1.05) & (expected < 4.95)
         got = np.array([out.vector(w)[0] for w in src.words])
@@ -204,7 +204,7 @@ class TestBuildLexicon:
         src = make_source(["w1", "w2", "w3", "w4"])
         ex1 = Lexicon(BE5, ["w1", "w2"], [[2.0] * 5] * 2, source_id="first")
         ex2 = Lexicon(BE5, ["w2", "w3", "zzz"], [[2.0] * 5] * 3, source_id="second")
-        out, manifest, _ = build_lexicon(make_job(source=src, exclusions=[ex1, ex2]), seed=0)
+        out, manifest, _ = build_lexicons([make_job(source=src, exclusions=[ex1, ex2])], seed=0)[0]
         assert out.words == ("w4",)
         assert manifest["new_words"] == 1
         assert manifest["total_excluded"] == 3
@@ -217,7 +217,7 @@ class TestBuildLexicon:
         src = make_source(["w1", "w2"])
         ex = Lexicon(BE5, ["w1", "w2"], [[2.0] * 5] * 2)
         with pytest.raises(EmptyOutputError):
-            build_lexicon(make_job(source=src, exclusions=[ex]), seed=0)
+            build_lexicons([make_job(source=src, exclusions=[ex])], seed=0)[0]
 
     def test_outputs_clamped_to_scale(self):
         # slope 0.6: the true map exceeds [1, 5] at extreme valence, so the
@@ -228,33 +228,33 @@ class TestBuildLexicon:
             [np.linspace(1.0, 9.0, 40), np.full(40, 5.0), np.full(40, 5.0)]
         )
         src = Lexicon(VAD, words, vals, language="en")
-        out, _, _ = build_lexicon(make_job(source=src, training=training), seed=0)
+        out, _, _ = build_lexicons([make_job(source=src, training=training)], seed=0)[0]
         assert np.all(out.values >= 1.0)
         assert np.all(out.values <= 5.0)
         assert out.values.max() == 5.0
         assert out.values.min() == 1.0
 
     def test_output_digest_matches_rendered_bytes(self):
-        out, manifest, rendered = build_lexicon(make_job(), seed=0)
+        out, manifest, rendered = build_lexicons([make_job()], seed=0)[0]
         assert rendered == render_lexicon(out)
         assert manifest["output_digest"] == hashlib.sha256(rendered).hexdigest()
 
     def test_rebuild_is_byte_identical(self):
-        a_out, a_man, _ = build_lexicon(make_job(), seed=5)
-        b_out, b_man, _ = build_lexicon(make_job(), seed=5)
+        a_out, a_man, _ = build_lexicons([make_job()], seed=5)[0]
+        b_out, b_man, _ = build_lexicons([make_job()], seed=5)[0]
         assert render_lexicon(a_out) == render_lexicon(b_out)
         assert a_man == b_man
 
     def test_seed_recorded_and_derived(self):
-        _, manifest, _ = build_lexicon(make_job(), seed=11)
+        _, manifest, _ = build_lexicons([make_job()], seed=11)[0]
         assert manifest["seed"] == 11
         assert 0 <= manifest["model_seed"] < 2**63
-        _, again, _ = build_lexicon(make_job(), seed=11)
+        _, again, _ = build_lexicons([make_job()], seed=11)[0]
         assert manifest["model_seed"] == again["model_seed"]
 
     def test_manifest_core_fields(self):
         src = make_source(["a", "b", "c", "d"])
-        out, manifest, _ = build_lexicon(make_job(source=src), seed=0)
+        out, manifest, _ = build_lexicons([make_job(source=src)], seed=0)[0]
         assert manifest["mode"] == "monolingual"
         assert manifest["output_name"] == "out.tsv"
         assert manifest["model"] == {"name": "lr", "kind": "lr", "params": {}}
@@ -267,13 +267,13 @@ class TestBuildLexicon:
         assert manifest["input_digests"]["exclusion_sets"] == []
 
     def test_input_digest_tracks_content(self):
-        _, m1, _ = build_lexicon(make_job(source=make_source(["a", "b"], seed=1)), seed=0)
-        _, m2, _ = build_lexicon(make_job(source=make_source(["a", "b"], seed=2)), seed=0)
+        _, m1, _ = build_lexicons([make_job(source=make_source(["a", "b"], seed=1))], seed=0)[0]
+        _, m2, _ = build_lexicons([make_job(source=make_source(["a", "b"], seed=2))], seed=0)[0]
         assert m1["input_digests"]["source_lexicon"] != m2["input_digests"]["source_lexicon"]
         assert m1["input_digests"]["training"] == m2["input_digests"]["training"]
 
     def test_manifest_is_json_ready(self, tmp_path):
-        _, manifest, _ = build_lexicon(make_job(), seed=0)
+        _, manifest, _ = build_lexicons([make_job()], seed=0)[0]
         path = tmp_path / "m.json"
         write_build_manifest(manifest, path)
         doc = json.loads(path.read_bytes())

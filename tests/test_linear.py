@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_affine_arrays, make_aligned
 from affectmap.errors import ContractError
-from affectmap.models import LinearModel, fit_linear, predict_linear
+from affectmap.models import LinearModel
 
 
 class TestFit:
@@ -37,7 +37,7 @@ class TestFit:
 
     def test_fit_from_aligned_lexicon(self):
         al = make_aligned(n=50, noise=0.0)
-        m = fit_linear(al)
+        m = LinearModel().fit(al)
         assert m.source_format is al.source_format
         assert m.target_format is al.target_format
         assert np.abs(m.predict(al.source_matrix) - al.target_matrix).max() < 1e-9
@@ -85,7 +85,7 @@ class TestPredict:
     def test_output_shape(self):
         S, T = make_affine_arrays(n=30, s=3, t=5, seed=2)
         m = LinearModel().fit_arrays(S, T)
-        assert predict_linear(m, S[:7]).shape == (7, 5)
+        assert m.predict(S[:7]).shape == (7, 5)
 
     def test_no_clamping(self):
         # extrapolation runs past any rating scale on purpose

@@ -10,12 +10,12 @@ from affectmap.models import (
     MAGIC,
     BoostedEnsemble,
     FfnnConfig,
+    FfnnModel,
     KnnModel,
     LinearModel,
     fit_boosted,
     load_model,
     save_model,
-    train_ffnn,
 )
 
 
@@ -47,7 +47,7 @@ class TestRoundTrip:
     def test_ffnn(self, tmp_path):
         al = make_aligned(n=40, seed=3)
         cfg = FfnnConfig(hidden_sizes=(16,), iterations=40, seed=5)
-        m = train_ffnn(cfg, al)
+        m = FfnnModel(cfg).fit(al)
         back, _ = round_trip(m, tmp_path, "ffnn")
         assert back.config == cfg
         assert back.loss_trace == m.loss_trace
