@@ -530,6 +530,38 @@ class TestMalformedInputs:
         assert err.startswith("affectmap: error: line ")
 
 
+def _net(kind="ffnn", **params):
+    return {"models": [{"name": "net", "kind": kind, "params": params}]}
+
+
+class TestManifestShape:
+    """Manifest faults that ended in tracebacks, or ran on a silently
+    coerced value: each exits 2 naming the key or the model, at validate
+    and at every run it used to reach."""
+
+    @pytest.mark.parametrize("overrides, named, tasks", [
+        ({"k_folds": "x"}, "'k_folds'", ("monolingual",)),
+        ({"seed": 1.5}, "'seed'", ("monolingual",)),
+        ({"lexicon_jobs": [5]}, "'lexicon_jobs'", ("build-lexicon",)),
+        ({"datasets": {"a": 1}}, "'datasets'", ("monolingual",)),
+        ({"models": "lr"}, "'models'", ("monolingual",)),
+        (_net(hidden_sizes="ab", iterations=1), "model 'net'", ("monolingual",)),
+        (_net(iterations="7"), "model 'net'", ("monolingual",)),
+        (_net("knn", k="z"), "model 'net'", ("monolingual",)),
+        (_net(bogus=1, iterations=1), "model 'net'", ("monolingual",)),
+    ], ids=["k_folds-string", "seed-float", "lexicon_jobs-int", "datasets-object",
+            "models-string", "ffnn-hidden_sizes", "ffnn-iterations-string", "knn-k",
+            "ffnn-unknown-param"])
+    def test_exit_2_naming_the_fault(self, overrides, named, tasks, workspace, capsys):
+        root, _ = workspace
+        manifest = write_manifest(root, **overrides)
+        for argv in (["validate"], *(["run", task] for task in tasks)):
+            assert main([*argv, "--manifest", str(manifest), "--out", str(root / "o")]) == 2
+            out, err = capsys.readouterr()
+            assert named in out + err, argv
+            assert "Traceback" not in err
+
+
 class TestGradientCheckCommand:
     def test_passes(self, capsys):
         assert main(["gradient-check"]) == 0
