@@ -114,7 +114,7 @@ def cmd_validate(args) -> int:
             note(f"warning\t{label}\t{d.kind}\t{where}\t{d.word or ''}\t{d.message}")
         return result
 
-    for entry in manifest.dataset_entries():
+    for entry in attempt("datasets", lambda d: manifest.dataset_entries()) or []:
         label = f"dataset {entry.get('id', '?')}"
         aligned = attempt(label, lambda d, e=entry: manifest.load_dataset(e, d))
         if aligned is not None:
@@ -124,7 +124,7 @@ def cmd_validate(args) -> int:
             )
     attempt("models", lambda d: manifest.load_models())
     attempt("reliability", lambda d: manifest.load_reliability())
-    for entry in manifest.lexicon_job_entries():
+    for entry in attempt("lexicon jobs", lambda d: manifest.lexicon_job_entries()) or []:
         label = f"lexicon job {entry.get('output', '?')}"
         job = attempt(label, lambda d, e=entry: manifest.build_job(e, d))
         if job is not None:

@@ -127,23 +127,28 @@ class ModelSpec:
             )
 
     def build(self, seed: int = 0):
+        """An unfitted model. A param the constructor cannot take (unknown
+        key, wrong type) is a ConfigurationError naming this spec."""
         params = dict(self.params)
         params.pop("seed", None)
-        if self.kind == "lr":
+        try:
+            if self.kind == "lr":
+                if params:
+                    raise ConfigurationError(f"lr takes no parameters, got {params}")
+                return LinearModel()
+            if self.kind == "knn":
+                return KnnModel(**params)
+            # FfnnConfig turns a JSON hidden_sizes list into a tuple itself
+            if self.kind == "ffnn":
+                return FfnnModel(FfnnConfig(**params, seed=seed))
+            stages = params.pop("stages", 10)
+            base = params.pop("base", None)
             if params:
-                raise ConfigurationError(f"lr takes no parameters, got {params}")
-            return LinearModel()
-        if self.kind == "knn":
-            return KnnModel(**params)
-        # FfnnConfig turns a JSON hidden_sizes list into a tuple itself
-        if self.kind == "ffnn":
-            return FfnnModel(FfnnConfig(**params, seed=seed))
-        stages = params.pop("stages", 10)
-        base = params.pop("base", None)
-        if params:
-            raise ConfigurationError(f"unknown boosted parameters: {params}")
-        base_config = None if base is None else FfnnConfig(**base)
-        return BoostedEnsemble(stages=stages, base_config=base_config, seed=seed)
+                raise ConfigurationError(f"unknown boosted parameters: {params}")
+            base_config = None if base is None else FfnnConfig(**base)
+            return BoostedEnsemble(stages=stages, base_config=base_config, seed=seed)
+        except (TypeError, ValueError) as e:
+            raise ConfigurationError(f"model {self.name!r}: {e}") from None
 
 
 def _feature_matrix(features: Mapping, words) -> np.ndarray:

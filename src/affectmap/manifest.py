@@ -85,6 +85,20 @@ def _format_from(value) -> EmotionFormat:
     raise ConfigurationError(f"format must be a name or an object, got {value!r}")
 
 
+def _integer(raw: dict, key: str, default=None) -> int:
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _objects(raw: dict, key: str) -> list[dict]:
+    value = raw.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(e, dict) for e in value):
+        raise ConfigurationError(f"{key!r} must be a list of JSON objects")
+    return list(value)
+
+
 @dataclass
 class Manifest:
     """Parsed and path-resolved manifest. Loading inputs is lazy so that
@@ -131,7 +145,7 @@ class Manifest:
         )
 
     def dataset_entries(self) -> list[dict]:
-        return list(self.raw.get("datasets", []))
+        return _objects(self.raw, "datasets")
 
     def load_dataset(self, entry: dict, diagnostics=None) -> AlignedLexicon:
         ds_id = entry["id"]
@@ -163,20 +177,20 @@ class Manifest:
 
     def load_models(self) -> list[ModelSpec]:
         specs = []
-        for entry in self.raw.get("models", []):
+        for entry in _objects(self.raw, "models"):
             if "name" not in entry or "kind" not in entry:
                 raise ConfigurationError(f"model entry needs name and kind: {entry}")
             features = None
             if entry.get("features_path"):
                 features = read_feature_vectors(self._resolve(entry["features_path"]))
-            specs.append(
-                ModelSpec(
-                    name=entry["name"],
-                    kind=entry["kind"],
-                    params=dict(entry.get("params", {})),
-                    features=features,
-                )
+            spec = ModelSpec(
+                name=entry["name"],
+                kind=entry["kind"],
+                params=dict(entry.get("params", {})),
+                features=features,
             )
+            spec.build(0)  # bad params fail here, before any run starts
+            specs.append(spec)
         return specs
 
     def load_reliability(self, normalized: bool = True) -> list[ReliabilityRecord] | None:
@@ -205,7 +219,7 @@ class Manifest:
     # ---- lexicon build jobs --------------------------------------------
 
     def lexicon_job_entries(self) -> list[dict]:
-        return list(self.raw.get("lexicon_jobs", []))
+        return _objects(self.raw, "lexicon_jobs")
 
     def build_job(self, entry: dict, diagnostics=None):
         from .experiments import directions_for
@@ -292,12 +306,9 @@ def load_manifest(path, overrides: dict | None = None) -> Manifest:
             raw[key] = value
     if "seed" not in raw:
         raise ConfigurationError("manifest must declare a seed (no implicit randomness)")
-    try:
-        seed = int(raw["seed"])
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"seed must be an integer, got {raw['seed']!r}") from None
-    k_folds = int(raw.get("k_folds", 10))
-    n_star = int(raw.get("n_star", 20))
+    seed = _integer(raw, "seed")
+    k_folds = _integer(raw, "k_folds", 10)
+    n_star = _integer(raw, "n_star", 20)
     base_dir = path.resolve().parent
     out = Path(raw.get("output_dir", "out"))
     output_dir = out if out.is_absolute() else base_dir / out
