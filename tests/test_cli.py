@@ -549,9 +549,11 @@ class TestManifestShape:
         (_net(iterations="7"), "model 'net'", ("monolingual",)),
         (_net("knn", k="z"), "model 'net'", ("monolingual",)),
         (_net(bogus=1, iterations=1), "model 'net'", ("monolingual",)),
+        ({"models": [{"name": "net", "kind": "lr", "params": "x"}]}, "model 'net'",
+         ("monolingual",)),
     ], ids=["k_folds-string", "seed-float", "lexicon_jobs-int", "datasets-object",
             "models-string", "ffnn-hidden_sizes", "ffnn-iterations-string", "knn-k",
-            "ffnn-unknown-param"])
+            "ffnn-unknown-param", "params-string"])
     def test_exit_2_naming_the_fault(self, overrides, named, tasks, workspace, capsys):
         root, _ = workspace
         manifest = write_manifest(root, **overrides)
