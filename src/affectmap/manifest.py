@@ -180,13 +180,16 @@ class Manifest:
         for entry in _objects(self.raw, "models"):
             if "name" not in entry or "kind" not in entry:
                 raise ConfigurationError(f"model entry needs name and kind: {entry}")
+            params = entry.get("params", {})
+            if not isinstance(params, dict):
+                raise ConfigurationError(f"model {entry['name']!r}: params must be an object")
             features = None
             if entry.get("features_path"):
                 features = read_feature_vectors(self._resolve(entry["features_path"]))
             spec = ModelSpec(
                 name=entry["name"],
                 kind=entry["kind"],
-                params=dict(entry.get("params", {})),
+                params=dict(params),
                 features=features,
             )
             spec.build(0)  # bad params fail here, before any run starts
