@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -534,6 +535,20 @@ def _net(kind="ffnn", **params):
     return {"models": [{"name": "net", "kind": kind, "params": params}]}
 
 
+def _sides(*sides, **vad_keys):
+    """The syn dataset with its sides replaced, or its VAD side's keys."""
+    if not sides:
+        sides = ({"path": "w_vad.tsv", "format": "VAD", **vad_keys},
+                 {"path": "w_be5.tsv", "format": "BE5"})
+    return {"datasets": [{"id": "syn", "language": "en", "sides": list(sides)}]}
+
+
+def _job_source(**keys):
+    return {"lexicon_jobs": [{
+        "mode": "monolingual", "output": "new.tsv", "model": "lr", "training_id": "syn",
+        "source": {"path": "w_vad.tsv", "format": "VAD", **keys}}]}
+
+
 class TestManifestShape:
     """Manifest faults that ended in tracebacks, or ran on a silently
     coerced value: each exits 2 naming the key or the model, at validate
@@ -551,9 +566,27 @@ class TestManifestShape:
         (_net(bogus=1, iterations=1), "model 'net'", ("monolingual",)),
         ({"models": [{"name": "net", "kind": "lr", "params": "x"}]}, "model 'net'",
          ("monolingual",)),
+        (_sides(5, 6), "dataset 'syn': 'sides'", ("monolingual",)),
+        (_sides(scale="ab"), "dataset 'syn': 'scale'", ("monolingual",)),
+        (_sides(scale=[1, float("inf")]), "dataset 'syn': 'scale'", ("monolingual",)),
+        (_sides(path=5), "dataset 'syn': 'path'", ("monolingual",)),
+        (_sides(lowercase="no"), "dataset 'syn': 'lowercase'", ("monolingual",)),
+        (_sides(columns={"word": 1}), "dataset 'syn': 'columns'", ("monolingual",)),
+        (_job_source(clamp=1), "lexicon job 'new.tsv' source: 'clamp'", ("build-lexicon",)),
+        (_net(iterations=7.5), "model 'net': iterations", ("monolingual",)),
+        (_net(iterations=float("inf")), "model 'net': iterations", ("monolingual",)),
+        (_net(iterations=True), "model 'net': iterations", ("monolingual",)),
+        (_net(hidden_sizes=[4.5], iterations=1), "model 'net': hidden_sizes", ("monolingual",)),
+        (_net(hidden_sizes=[True], iterations=1), "model 'net': hidden_sizes", ("monolingual",)),
+        (_net("boosted", base={"iterations": 2.5}), "model 'net': iterations", ("monolingual",)),
+        ({"k_folds": 1}, "'k_folds'", ("monolingual",)),
     ], ids=["k_folds-string", "seed-float", "lexicon_jobs-int", "datasets-object",
             "models-string", "ffnn-hidden_sizes", "ffnn-iterations-string", "knn-k",
-            "ffnn-unknown-param", "params-string"])
+            "ffnn-unknown-param", "params-string", "sides-ints", "scale-string",
+            "scale-infinite", "path-int", "lowercase-string", "columns-int",
+            "job-clamp-int", "ffnn-iterations-fraction", "ffnn-iterations-infinite",
+            "ffnn-iterations-bool", "ffnn-hidden_sizes-fraction", "ffnn-hidden_sizes-bool",
+            "boosted-base-iterations", "k_folds-one"])
     def test_exit_2_naming_the_fault(self, overrides, named, tasks, workspace, capsys):
         root, _ = workspace
         manifest = write_manifest(root, **overrides)
@@ -562,6 +595,26 @@ class TestManifestShape:
             out, err = capsys.readouterr()
             assert named in out + err, argv
             assert "Traceback" not in err
+
+
+def test_feature_file_read_once_per_process(tmp_path, monkeypatch):
+    """validate and run build-lexicon read a model's feature file once,
+    however many lexicon jobs name a model."""
+    from affectmap import manifest as manifest_module
+
+    reads = []
+    read = manifest_module.read_feature_vectors
+    monkeypatch.setattr(manifest_module, "read_feature_vectors",
+                        lambda path: reads.append(path) or read(path))
+    manifest = write_every_task_manifest(tmp_path)
+    argv = ["--manifest", str(manifest), "--out", str(tmp_path / "o")]
+    assert main(["validate", *argv]) == 0
+    assert len(reads) == 1
+    reads.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a weak first boosting stage
+        assert main(["run", "build-lexicon", *argv]) == 0
+    assert len(reads) == 1
 
 
 class TestGradientCheckCommand:

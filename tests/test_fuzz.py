@@ -11,6 +11,7 @@ import json
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_aligned
+from affectmap import lexicon
 from affectmap.cli import main
 from affectmap.errors import AffectMapError
 from affectmap.models import (
@@ -187,6 +189,38 @@ def test_validate_on_mutated_tsv_exit_code(mutant):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # duplicate rows are averaged with a warning
             assert main(["validate", "--manifest", str(root / "manifest.json")]) in EXIT_CODES
+
+
+_LEXICON_FORMATS = {"vad.tsv": lexicon.VAD, "be5.tsv": lexicon.BE5}
+_PARSE_OPTIONS = ["default", "clamp", "lowercase", "scale", "scale+clamp"]
+
+
+def _parse_outcome(data: bytes, fmt, option: str):
+    """Words, value bytes and diagnostics, or the exception's class and message."""
+    options = {"clamp": "clamp" in option, "lowercase": option == "lowercase"}
+    if "scale" in option:
+        options["scale"] = (fmt.scale_low - 1.0, fmt.scale_high + 1.0)
+    diagnostics = []
+    try:
+        lex = lexicon.parse_lexicon(
+            data, fmt, {"word": "word", **{v: v for v in fmt.variables}},
+            diagnostics=diagnostics, **options,
+        )
+    except Exception as e:
+        return type(e), str(e)
+    return lex.words, lex.values.tobytes(), diagnostics
+
+
+@FUZZ
+@given(mutated_tsv().filter(lambda m: m[0] in _LEXICON_FORMATS), st.sampled_from(_PARSE_OPTIONS))
+def test_fast_pass_matches_row_loop(mutant, option):
+    """parse_lexicon gives what its row loop alone gives: same words,
+    value bits and diagnostics, or the same exception and message."""
+    name, data = mutant
+    fmt = _LEXICON_FORMATS[name]
+    got = _parse_outcome(data, fmt, option)
+    with mock.patch.object(lexicon, "_parse_fast", lambda *args: None):
+        assert got == _parse_outcome(data, fmt, option)
 
 
 @pytest.mark.parametrize("name", sorted(FILES))

@@ -11,6 +11,7 @@ from affectmap.errors import (
     ParseError,
     ValidationError,
 )
+from affectmap import lexicon as lexicon_module
 from affectmap.lexicon import (
     BE5,
     VA,
@@ -177,6 +178,59 @@ class TestParse:
     def test_non_utf8(self):
         with pytest.raises(ParseError, match="UTF-8"):
             parse_lexicon(b"\xff\xfe" + BASIC, VAD, VAD_COLUMNS)
+
+
+_HEADER = ("word", "valence", "arousal", "dominance")
+
+# name: (file bytes, parse options, words, values, diagnostic kinds, fast pass takes it)
+_PASS_CASES = {
+    "duplicate": (
+        tsv(_HEADER, ("x", "2", "2", "2"), ("y", "1", "9", "5"), ("x", "4", "6", "2")),
+        {}, ("x", "y"), [[3.0, 4.0, 2.0], [1.0, 9.0, 5.0]], ["duplicate"], False,
+    ),
+    "clamp": (
+        tsv(_HEADER, ("x", "9.5", "2", "0.5")),
+        {"clamp": True}, ("x",), [[9.0, 2.0, 1.0]], ["clamped", "clamped"], False,
+    ),
+    "crlf": (
+        BASIC.replace(b"\n", b"\r\n"),
+        {}, ("calm", "rage"), [[7.0, 2.5, 6.0], [2.0, 8.0, 5.5]], [], True,
+    ),
+    "header-only": (tsv(_HEADER), {}, (), np.empty((0, 3)), [], True),
+    "trailing-empty-lines": (
+        BASIC + b"\n\n\n",
+        {}, ("calm", "rage"), [[7.0, 2.5, 6.0], [2.0, 8.0, 5.5]], [], True,
+    ),
+    "scale": (
+        tsv(_HEADER, ("x", "0", "0.5", "1"), ("y", "0.25", "0.75", "0.125")),
+        {"scale": (0.0, 1.0)}, ("x", "y"), [[1.0, 5.0, 9.0], [3.0, 7.0, 2.0]], [], True,
+    ),
+}
+
+
+class TestBothPasses:
+    """parse_lexicon's fast pass and its row loop give the same lexicon;
+    the fast pass takes only files that need no diagnostic."""
+
+    @pytest.mark.parametrize("declined", [False, True], ids=["fast", "row-loop"])
+    @pytest.mark.parametrize("case", sorted(_PASS_CASES))
+    def test_case(self, case, declined, monkeypatch):
+        data, options, words, values, kinds, fast_takes = _PASS_CASES[case]
+        taken = []
+        fast = lexicon_module._parse_fast
+
+        def spy(*args):
+            got = None if declined else fast(*args)
+            taken.append(got is not None)
+            return got
+
+        monkeypatch.setattr(lexicon_module, "_parse_fast", spy)
+        diags = []
+        lex = parse_lexicon(data, VAD, VAD_COLUMNS, diagnostics=diags, **options)
+        assert taken == [fast_takes and not declined]
+        assert lex.words == words
+        assert lex.values.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
+        assert [d.kind for d in diags] == kinds
 
 
 class TestLexicon:
