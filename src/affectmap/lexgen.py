@@ -77,22 +77,25 @@ def format_rating(v: float) -> str:
 # half, so cells nearer a half than this (in units of 0.001), and cells
 # of 1e6 and above, where that error can reach it, go to format_rating.
 _TIE_TOLERANCE = 1e-6
+# rows rendered per block: bounds the Python floats and tuples alive at once
+_RENDER_BLOCK = 4096
 
 
 def render_lexicon(lex: Lexicon) -> bytes:
     """TSV bytes: header, rows sorted lexicographically by word, each
     cell as format_rating prints it."""
     order = sorted(range(len(lex.words)), key=lex.words.__getitem__)
-    values = lex.values[order]
-    scaled = values * 1000.0
-    plain = (np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_TOLERANCE) & (np.abs(values) < 1e6)
     row_format = "\t".join(["%s"] + ["%.3f"] * lex.format.size)
     lines = ["\t".join(("word", *lex.format.variables))]
-    for i, row, ok in zip(order, map(np.ndarray.tolist, values), plain.all(axis=1).tolist()):
-        if ok:
-            lines.append(row_format % (lex.words[i], *row))
-        else:
-            lines.append("\t".join((lex.words[i], *map(format_rating, row))))
+    for start in range(0, len(order), _RENDER_BLOCK):
+        rows = order[start : start + _RENDER_BLOCK]
+        block = lex.values[rows]
+        scaled = block * 1000.0
+        plain = (np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_TOLERANCE) & (np.abs(block) < 1e6)
+        cells = list(zip([lex.words[i] for i in rows], *block.T.tolist()))
+        lines += map(row_format.__mod__, cells)
+        for j in np.flatnonzero(~plain.all(axis=1)).tolist():
+            lines[start + 1 + j] = "\t".join((cells[j][0], *map(format_rating, cells[j][1:])))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

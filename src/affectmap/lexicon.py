@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import unicodedata
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Mapping, Sequence
@@ -154,10 +155,6 @@ class Lexicon:
     def vector(self, word: str) -> np.ndarray:
         return self.values[self._index[word]]
 
-    def entries(self) -> dict[str, np.ndarray]:
-        """Entry-order dict view of the lexicon."""
-        return {w: self.values[i] for i, w in enumerate(self.words)}
-
     def __repr__(self) -> str:
         return (
             f"Lexicon({self.format.name}, {len(self)} words, "
@@ -279,6 +276,34 @@ def _emit(payload: bytes, dest) -> None:
         Path(dest).write_bytes(payload)
 
 
+def _parse_fast(lines, fmt, positions, lowercase, scale, src_low, span):
+    """Words and values of a file that parses as is, else None. It never
+    raises or reports: on a short row, an empty word, a cell float()
+    rejects, a value out of bounds or a repeated word it declines, and
+    parse_lexicon's row loop parses the file again and reports."""
+    wpos = positions["word"]
+    vpos = [positions[v] for v in fmt.variables]
+    words = []
+    flat = array("d")
+    try:
+        for line in lines[1:]:
+            if line:
+                cells = line.split("\t")
+                words.append(canonical_word(cells[wpos], lowercase))
+                for p in vpos:
+                    # float() strips what strip() does, but rejects \x1c-\x1f
+                    flat.append(float(cells[p]))
+    except (IndexError, ValueError):
+        return None
+    values = np.frombuffer(flat, dtype=np.float64).reshape(len(words), fmt.size)
+    if scale is not None:
+        values = fmt.scale_low + (values - src_low) * span
+    inside = (values >= fmt.scale_low) & (values <= fmt.scale_high)
+    if not (inside.all() and all(words) and len(set(words)) == len(words)):
+        return None
+    return words, values
+
+
 def parse_lexicon(
     data: str | Path | bytes | IO[bytes],
     fmt: EmotionFormat,
@@ -327,6 +352,9 @@ def parse_lexicon(
     if not src_low < src_high:
         raise ConfigurationError("declared scale must satisfy low < high")
     span = (fmt.scale_high - fmt.scale_low) / (src_high - src_low)
+    fast = _parse_fast(lines, fmt, positions, lowercase, scale, src_low, span)
+    if fast is not None:
+        return Lexicon(fmt, *fast, language=language, source_id=source_id)
 
     sink = diagnostics if diagnostics is not None else []
     rows: dict[str, list[np.ndarray]] = {}
