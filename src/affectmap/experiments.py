@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    AffectMapError,
     ConfigurationError,
     ContractError,
     DegenerateInputError,
@@ -147,7 +148,7 @@ class ModelSpec:
                 raise ConfigurationError(f"unknown boosted parameters: {params}")
             base_config = None if base is None else FfnnConfig(**base)
             return BoostedEnsemble(stages=stages, base_config=base_config, seed=seed)
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, AffectMapError) as e:
             raise ConfigurationError(f"model {self.name!r}: {e}") from None
 
 

@@ -44,6 +44,7 @@ Column maps default to the variable names themselves plus "word".
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,18 +86,44 @@ def _format_from(value) -> EmotionFormat:
     raise ConfigurationError(f"format must be a name or an object, got {value!r}")
 
 
-def _integer(raw: dict, key: str, default=None) -> int:
+def _field(raw: dict, key: str, ok, what: str, default=None, owner: str = ""):
+    """raw[key] (default when absent) if ok() accepts it, else an error naming key and owner."""
     value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{key!r} must be an integer, got {value!r}")
+    if not ok(value):
+        raise ConfigurationError(f"{owner}{key!r} must be {what}, got {value!r}")
     return value
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:  # finite: the bound also refuses ints past the float range
+    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+
+
+def _is_object(v) -> bool:
+    return isinstance(v, dict)
+
+
+def _list_of(ok, n=None):
+    """Accepts a list, of n entries when n is given, whose entries ok() accepts."""
+    return lambda v: isinstance(v, list) and n in (None, len(v)) and all(map(ok, v))
+
+
 def _objects(raw: dict, key: str) -> list[dict]:
-    value = raw.get(key, [])
-    if not isinstance(value, list) or not all(isinstance(e, dict) for e in value):
-        raise ConfigurationError(f"{key!r} must be a list of JSON objects")
-    return list(value)
+    return list(_field(raw, key, _list_of(_is_object), "a list of JSON objects", []))
+
+
+# a lexicon side's typed keys: (check, what the value must be, default)
+_SIDE_FIELDS = {
+    "path": (lambda v: isinstance(v, str), "a string", None),
+    "columns": (lambda v: v is None or _is_object(v) and all(type(c) is str for c in v.values()),
+                "an object of strings", None),
+    "scale": (lambda v: v is None or _list_of(_is_number, 2)(v), "a pair of finite numbers", None),
+    "lowercase": (lambda v: isinstance(v, bool), "true or false", False),
+    "clamp": (lambda v: isinstance(v, bool), "true or false", False),
+}
 
 
 @dataclass
@@ -112,6 +139,7 @@ class Manifest:
     raw: dict
     source_path: Path | None = None
     _dataset_cache: dict = field(default_factory=dict, repr=False)
+    _models: list | None = field(default=None, repr=False)  # feature files are read once
 
     # ---- input loading -------------------------------------------------
 
@@ -119,28 +147,26 @@ class Manifest:
         p = Path(rel)
         return p if p.is_absolute() else self.base_dir / p
 
-    def _load_side(
-        self, side: dict, language: str, diagnostics: list[Diagnostic] | None
-    ) -> Lexicon:
-        if "path" not in side or "format" not in side:
-            raise ConfigurationError(f"dataset side needs path and format: {side}")
+    def _load_side(self, side, owner: str, diagnostics: list[Diagnostic] | None) -> Lexicon:
+        """One lexicon; owner names its dataset or lexicon job in errors."""
+        if not isinstance(side, dict) or "path" not in side or "format" not in side:
+            raise ConfigurationError(f"{owner}: a side needs path and format, got {side!r}")
+        path, columns, scale, lowercase, clamp = (
+            _field(side, key, ok, what, default, owner=f"{owner}: ")
+            for key, (ok, what, default) in _SIDE_FIELDS.items()
+        )
         fmt = _format_from(side["format"])
-        columns = side.get("columns")
         if columns is None:
             columns = {"word": "word", **{v: v for v in fmt.variables}}
-        scale = side.get("scale")
-        if scale is not None:
-            scale = (float(scale[0]), float(scale[1]))
-        path = self._resolve(side["path"])
         return parse_lexicon(
-            path,
+            self._resolve(path),
             fmt,
             columns,
-            language=language,
-            source_id=str(side["path"]),
-            lowercase=bool(side.get("lowercase", False)),
-            clamp=bool(side.get("clamp", False)),
-            scale=scale,
+            language=side.get("language", ""),
+            source_id=path,
+            lowercase=lowercase,
+            clamp=clamp,
+            scale=None if scale is None else (float(scale[0]), float(scale[1])),
             diagnostics=diagnostics,
         )
 
@@ -151,14 +177,11 @@ class Manifest:
         ds_id = entry["id"]
         if ds_id in self._dataset_cache:
             return self._dataset_cache[ds_id]
-        sides = entry.get("sides", [])
-        if len(sides) != 2:
-            raise ConfigurationError(
-                f"dataset {ds_id!r} needs exactly 2 sides, got {len(sides)}"
-            )
+        owner = f"dataset {ds_id!r}"
+        sides = _field(entry, "sides", _list_of(_is_object, 2), "a list of 2 objects", [],
+                       owner=f"{owner}: ")
         language = entry.get("language", "")
-        a = self._load_side(sides[0], language, diagnostics)
-        b = self._load_side(sides[1], language, diagnostics)
+        a, b = (self._load_side({**s, "language": language}, owner, diagnostics) for s in sides)
         aligned = align(a, b)
         self._dataset_cache[ds_id] = aligned
         return aligned
@@ -176,6 +199,8 @@ class Manifest:
         return out
 
     def load_models(self) -> list[ModelSpec]:
+        if self._models is not None:
+            return list(self._models)
         specs = []
         for entry in _objects(self.raw, "models"):
             if "name" not in entry or "kind" not in entry:
@@ -194,7 +219,8 @@ class Manifest:
             )
             spec.build(0)  # bad params fail here, before any run starts
             specs.append(spec)
-        return specs
+        self._models = specs
+        return list(specs)
 
     def load_reliability(self, normalized: bool = True) -> list[ReliabilityRecord] | None:
         rel = self.raw.get("reliability")
@@ -263,13 +289,12 @@ class Manifest:
         else:
             raise ConfigurationError(f"unknown lexicon job mode {entry['mode']!r}")
 
-        source_entry = dict(entry["source"])
-        source = self._load_side(
-            source_entry, source_entry.get("language", ""), diagnostics
-        )
+        owner = f"lexicon job {entry['output']!r}"
+        source = self._load_side(entry["source"], f"{owner} source", diagnostics)
         exclusions = [
-            self._load_side(dict(x), x.get("language", ""), diagnostics)
-            for x in entry.get("exclusions", [])
+            self._load_side(x, f"{owner} exclusion", diagnostics)
+            for x in _field(entry, "exclusions", _list_of(_is_object), "a list of objects", [],
+                            owner=f"{owner}: ")
         ]
         return LexiconBuildJob(
             mode=entry["mode"],
@@ -309,9 +334,9 @@ def load_manifest(path, overrides: dict | None = None) -> Manifest:
             raw[key] = value
     if "seed" not in raw:
         raise ConfigurationError("manifest must declare a seed (no implicit randomness)")
-    seed = _integer(raw, "seed")
-    k_folds = _integer(raw, "k_folds", 10)
-    n_star = _integer(raw, "n_star", 20)
+    seed = _field(raw, "seed", _is_int, "an integer")
+    k_folds = _field(raw, "k_folds", lambda v: _is_int(v) and v >= 2, "an integer >= 2", 10)
+    n_star = _field(raw, "n_star", _is_int, "an integer", 20)
     base_dir = path.resolve().parent
     out = Path(raw.get("output_dir", "out"))
     output_dir = out if out.is_absolute() else base_dir / out

@@ -10,6 +10,7 @@ per-iteration dropout masks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,15 @@ __all__ = [
     "ffnn_backward",
     "gradient_check",
 ]
+
+
+def _count(name: str, v) -> int:
+    """v as a positive int; refuses a bool, a string, a fractional or non-finite float."""
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {v!r}")
+    return int(v)
 
 
 @dataclass(frozen=True)
@@ -48,15 +58,13 @@ class FfnnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        sizes = tuple(_count("hidden_sizes", h) for h in self.hidden_sizes)
+        object.__setattr__(self, "hidden_sizes", sizes)
+        object.__setattr__(self, "iterations", _count("iterations", self.iterations))
         if not self.hidden_sizes:
             raise ValidationError("hidden_sizes must not be empty")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ValidationError(f"hidden sizes must be positive: {self.hidden_sizes}")
         if not 0.0 <= self.dropout_hidden < 1.0:
             raise ValidationError(f"dropout must lie in [0, 1), got {self.dropout_hidden!r}")
-        if self.iterations < 1:
-            raise ValidationError(f"iterations must be positive, got {self.iterations!r}")
         if not self.learning_rate > 0.0:
             raise ValidationError("learning_rate must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

@@ -46,12 +46,6 @@ def _format_from(d):
     return EmotionFormat(d["name"], tuple(d["variables"]), d["scale_low"], d["scale_high"])
 
 
-def _config_from(d):
-    d = dict(d)
-    d["hidden_sizes"] = tuple(d["hidden_sizes"])
-    return FfnnConfig(**d)
-
-
 def _net_arrays(prefix, net):
     arrays = []
     for i, w in enumerate(net.weights):
@@ -261,7 +255,7 @@ def _build(header, arrays):
         model.target_format = target_format
         return model
     if kind == "ffnn":
-        cfg = _config_from(meta["config"])
+        cfg = FfnnConfig(**meta["config"])
         n_layers = len(cfg.hidden_sizes) + 1
         d = _matrix(arrays, "W0")[1]
         t = _matrix(arrays, f"W{n_layers - 1}")[0]
@@ -278,7 +272,7 @@ def _build(header, arrays):
             loss_trace=arrays["loss_trace"].tolist(),
         )
     if kind == "boosted":
-        base = _config_from(meta["base_config"])
+        base = FfnnConfig(**meta["base_config"])
         n_features = meta["n_features"]
         counts = meta["stage_counts"]
         variables = meta["variables"]
