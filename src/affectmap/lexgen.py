@@ -92,10 +92,10 @@ def render_lexicon(lex: Lexicon) -> bytes:
         block = lex.values[rows]
         scaled = block * 1000.0
         plain = (np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_TOLERANCE) & (np.abs(block) < 1e6)
-        cells = list(zip([lex.words[i] for i in rows], *block.T.tolist()))
-        lines += map(row_format.__mod__, cells)
+        words = [lex.words[i] for i in rows]
+        lines += map(row_format.__mod__, zip(words, *block.T.tolist()))
         for j in np.flatnonzero(~plain.all(axis=1)).tolist():
-            lines[start + 1 + j] = "\t".join((cells[j][0], *map(format_rating, cells[j][1:])))
+            lines[start + 1 + j] = "\t".join((words[j], *map(format_rating, block[j].tolist())))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

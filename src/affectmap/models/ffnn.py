@@ -58,7 +58,7 @@ class FfnnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        sizes = tuple(_count("hidden_sizes", h) for h in self.hidden_sizes)
+        sizes = tuple(_count("hidden_sizes entry", h) for h in self.hidden_sizes)
         object.__setattr__(self, "hidden_sizes", sizes)
         object.__setattr__(self, "iterations", _count("iterations", self.iterations))
         if not self.hidden_sizes:
