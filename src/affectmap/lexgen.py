@@ -77,7 +77,7 @@ def format_rating(v: float) -> str:
 # half, so cells nearer a half than this (in units of 0.001), and cells
 # of 1e6 and above, where that error can reach it, go to format_rating.
 _TIE_TOLERANCE = 1e-6
-# rows rendered per block: bounds the Python floats and tuples alive at once
+# rows rendered per block: bounds the Python floats alive at once
 _RENDER_BLOCK = 4096
 
 
