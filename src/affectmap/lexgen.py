@@ -77,25 +77,22 @@ def format_rating(v: float) -> str:
 # half, so cells nearer a half than this (in units of 0.001), and cells
 # of 1e6 and above, where that error can reach it, go to format_rating.
 _TIE_TOLERANCE = 1e-6
-# rows rendered per block: bounds the Python floats alive at once
-_RENDER_BLOCK = 4096
 
 
 def render_lexicon(lex: Lexicon) -> bytes:
     """TSV bytes: header, rows sorted lexicographically by word, each
     cell as format_rating prints it."""
     order = sorted(range(len(lex.words)), key=lex.words.__getitem__)
+    values = lex.values[order]
+    scaled = values * 1000.0
+    plain = (np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_TOLERANCE) & (np.abs(values) < 1e6)
     row_format = "\t".join(["%s"] + ["%.3f"] * lex.format.size)
     lines = ["\t".join(("word", *lex.format.variables))]
-    for start in range(0, len(order), _RENDER_BLOCK):
-        rows = order[start : start + _RENDER_BLOCK]
-        block = lex.values[rows]
-        scaled = block * 1000.0
-        plain = (np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_TOLERANCE) & (np.abs(block) < 1e6)
-        words = [lex.words[i] for i in rows]
-        lines += map(row_format.__mod__, zip(words, *block.T.tolist()))
-        for j in np.flatnonzero(~plain.all(axis=1)).tolist():
-            lines[start + 1 + j] = "\t".join((words[j], *map(format_rating, block[j].tolist())))
+    for i, row, ok in zip(order, map(np.ndarray.tolist, values), plain.all(axis=1).tolist()):
+        if ok:
+            lines.append(row_format % (lex.words[i], *row))
+        else:
+            lines.append("\t".join((lex.words[i], *map(format_rating, row))))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

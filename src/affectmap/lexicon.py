@@ -276,34 +276,6 @@ def _emit(payload: bytes, dest) -> None:
         Path(dest).write_bytes(payload)
 
 
-def _parse_fast(lines, fmt, positions, lowercase, scale, src_low, span):
-    """Words and values of a file that parses as is, else None. It never
-    raises or reports: on a short row, an empty word, a cell float()
-    rejects, a value out of bounds or a repeated word it declines, and
-    parse_lexicon's row loop parses the file again and reports."""
-    wpos = positions["word"]
-    vpos = [positions[v] for v in fmt.variables]
-    words = []
-    flat = array("d")
-    try:
-        for line in lines[1:]:
-            if line:
-                cells = line.split("\t")
-                words.append(canonical_word(cells[wpos], lowercase))
-                for p in vpos:
-                    # float() strips what strip() does, but rejects \x1c-\x1f
-                    flat.append(float(cells[p]))
-    except (IndexError, ValueError):
-        return None
-    values = np.frombuffer(flat, dtype=np.float64).reshape(len(words), fmt.size)
-    if scale is not None:
-        values = fmt.scale_low + (values - src_low) * span
-    inside = (values >= fmt.scale_low) & (values <= fmt.scale_high)
-    if not (inside.all() and all(words) and len(set(words)) == len(words)):
-        return None
-    return words, values
-
-
 def parse_lexicon(
     data: str | Path | bytes | IO[bytes],
     fmt: EmotionFormat,
@@ -352,13 +324,15 @@ def parse_lexicon(
     if not src_low < src_high:
         raise ConfigurationError("declared scale must satisfy low < high")
     span = (fmt.scale_high - fmt.scale_low) / (src_high - src_low)
-    fast = _parse_fast(lines, fmt, positions, lowercase, scale, src_low, span)
-    if fast is not None:
-        return Lexicon(fmt, *fast, language=language, source_id=source_id)
 
     sink = diagnostics if diagnostics is not None else []
-    rows: dict[str, list[np.ndarray]] = {}
+    low, high = fmt.scale_low, fmt.scale_high
+    columns = [(var, positions[var]) for var in fmt.variables]
+    # first rows go straight into words/flat; repeats wait for the average
+    words: list[str] = []
+    flat = array("d")
     first_line: dict[str, int] = {}
+    repeats: dict[str, list[list[float]]] = {}
     needed = max(positions.values()) + 1
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -372,26 +346,30 @@ def parse_lexicon(
         word = canonical_word(cells[positions["word"]], lowercase=lowercase)
         if not word:
             raise ParseError("empty word", line=lineno)
-        vec = np.empty(fmt.size)
-        for j, var in enumerate(fmt.variables):
-            cell = cells[positions[var]].strip()
+        vec = []
+        for var, p in columns:
+            cell = cells[p]
             try:
                 v = float(cell)
             except ValueError:
-                raise ParseError(
-                    f"non-numeric value {cell!r} in column {column_map[var]!r}",
-                    line=lineno,
-                ) from None
+                cell = cell.strip()  # also removes \x1c-\x1f, which float() refuses
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"non-numeric value {cell!r} in column {column_map[var]!r}",
+                        line=lineno,
+                    ) from None
             if scale is not None:
-                v = fmt.scale_low + (v - src_low) * span
-            if not fmt.scale_low <= v <= fmt.scale_high:
+                v = low + (v - src_low) * span
+            if not low <= v <= high:
                 if not math.isfinite(v):
                     raise ParseError(
-                        f"non-finite value {cell!r} in column {column_map[var]!r}",
+                        f"non-finite value {cell.strip()!r} in column {column_map[var]!r}",
                         line=lineno,
                     )
                 if clamp:
-                    clamped = min(max(v, fmt.scale_low), fmt.scale_high)
+                    clamped = min(max(v, low), high)
                     sink.append(
                         Diagnostic(
                             "clamped",
@@ -404,10 +382,10 @@ def parse_lexicon(
                 else:
                     raise ValidationError(
                         f"line {lineno}: {var}={v!r} for word {word!r} outside "
-                        f"[{fmt.scale_low}, {fmt.scale_high}]"
+                        f"[{low}, {high}]"
                     )
-            vec[j] = v
-        if word in rows:
+            vec.append(v)
+        if word in first_line:
             sink.append(
                 Diagnostic(
                     "duplicate",
@@ -417,14 +395,18 @@ def parse_lexicon(
                     word=word,
                 )
             )
+            repeats.setdefault(word, []).append(vec)
         else:
             first_line[word] = lineno
-        rows.setdefault(word, []).append(vec)
+            words.append(word)
+            flat.extend(vec)
 
-    words = list(rows)
-    values = np.array(
-        [np.mean(rows[w], axis=0) if len(rows[w]) > 1 else rows[w][0] for w in words]
-    ).reshape(len(words), fmt.size)
+    values = np.frombuffer(flat, dtype=np.float64).reshape(len(words), fmt.size)
+    if repeats:
+        values = values.copy()
+        for i, word in enumerate(words):
+            if word in repeats:
+                values[i] = np.mean([values[i].tolist(), *repeats[word]], axis=0)
     return Lexicon(fmt, words, values, language=language, source_id=source_id)
 
 

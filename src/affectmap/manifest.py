@@ -102,28 +102,14 @@ def _is_number(v) -> bool:  # finite: the bound also refuses ints past the float
     return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
 
 
-def _is_object(v) -> bool:
-    return isinstance(v, dict)
-
-
 def _list_of(ok, n=None):
     """Accepts a list, of n entries when n is given, whose entries ok() accepts."""
     return lambda v: isinstance(v, list) and n in (None, len(v)) and all(map(ok, v))
 
 
-def _objects(raw: dict, key: str) -> list[dict]:
-    return list(_field(raw, key, _list_of(_is_object), "a list of JSON objects", []))
-
-
-# a lexicon side's typed keys: (check, what the value must be, default)
-_SIDE_FIELDS = {
-    "path": (lambda v: isinstance(v, str), "a string", None),
-    "columns": (lambda v: v is None or _is_object(v) and all(type(c) is str for c in v.values()),
-                "an object of strings", None),
-    "scale": (lambda v: v is None or _list_of(_is_number, 2)(v), "a pair of finite numbers", None),
-    "lowercase": (lambda v: isinstance(v, bool), "true or false", False),
-    "clamp": (lambda v: isinstance(v, bool), "true or false", False),
-}
+def _objects(raw: dict, key: str, n=None, owner: str = "") -> list[dict]:
+    what = "a list of JSON objects" if n is None else f"a list of {n} JSON objects"
+    return list(_field(raw, key, _list_of(lambda v: isinstance(v, dict), n), what, [], owner))
 
 
 @dataclass
@@ -151,23 +137,21 @@ class Manifest:
         """One lexicon; owner names its dataset or lexicon job in errors."""
         if not isinstance(side, dict) or "path" not in side or "format" not in side:
             raise ConfigurationError(f"{owner}: a side needs path and format, got {side!r}")
-        path, columns, scale, lowercase, clamp = (
-            _field(side, key, ok, what, default, owner=f"{owner}: ")
-            for key, (ok, what, default) in _SIDE_FIELDS.items()
-        )
+        owner += ": "
         fmt = _format_from(side["format"])
+        path = _field(side, "path", lambda v: isinstance(v, str), "a string", owner=owner)
+        columns = _field(side, "columns", lambda v: v is None or isinstance(v, dict) and all(
+            type(c) is str for c in v.values()), "an object of strings", owner=owner)
         if columns is None:
             columns = {"word": "word", **{v: v for v in fmt.variables}}
+        scale = _field(side, "scale", lambda v: v is None or _list_of(_is_number, 2)(v),
+                       "a pair of finite numbers", owner=owner)
+        flags = {key: _field(side, key, lambda v: isinstance(v, bool), "true or false", False,
+                             owner) for key in ("lowercase", "clamp")}
         return parse_lexicon(
-            self._resolve(path),
-            fmt,
-            columns,
-            language=side.get("language", ""),
-            source_id=path,
-            lowercase=lowercase,
-            clamp=clamp,
-            scale=None if scale is None else (float(scale[0]), float(scale[1])),
-            diagnostics=diagnostics,
+            self._resolve(path), fmt, columns, language=side.get("language", ""),
+            source_id=path, scale=None if scale is None else (float(scale[0]), float(scale[1])),
+            diagnostics=diagnostics, **flags,
         )
 
     def dataset_entries(self) -> list[dict]:
@@ -178,8 +162,7 @@ class Manifest:
         if ds_id in self._dataset_cache:
             return self._dataset_cache[ds_id]
         owner = f"dataset {ds_id!r}"
-        sides = _field(entry, "sides", _list_of(_is_object, 2), "a list of 2 objects", [],
-                       owner=f"{owner}: ")
+        sides = _objects(entry, "sides", 2, f"{owner}: ")
         language = entry.get("language", "")
         a, b = (self._load_side({**s, "language": language}, owner, diagnostics) for s in sides)
         aligned = align(a, b)
@@ -293,8 +276,7 @@ class Manifest:
         source = self._load_side(entry["source"], f"{owner} source", diagnostics)
         exclusions = [
             self._load_side(x, f"{owner} exclusion", diagnostics)
-            for x in _field(entry, "exclusions", _list_of(_is_object), "a list of objects", [],
-                            owner=f"{owner}: ")
+            for x in _objects(entry, "exclusions", owner=f"{owner}: ")
         ]
         return LexiconBuildJob(
             mode=entry["mode"],
@@ -340,12 +322,5 @@ def load_manifest(path, overrides: dict | None = None) -> Manifest:
     base_dir = path.resolve().parent
     out = Path(raw.get("output_dir", "out"))
     output_dir = out if out.is_absolute() else base_dir / out
-    return Manifest(
-        seed=seed,
-        base_dir=base_dir,
-        output_dir=output_dir,
-        k_folds=k_folds,
-        n_star=n_star,
-        raw=raw,
-        source_path=path.resolve(),
-    )
+    return Manifest(seed=seed, base_dir=base_dir, output_dir=output_dir, k_folds=k_folds,
+                    n_star=n_star, raw=raw, source_path=path.resolve())

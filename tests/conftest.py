@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import struct
 import warnings
@@ -12,7 +13,16 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import numpy as np
 
-from affectmap.lexicon import BE5, VAD, AlignedLexicon
+from affectmap.errors import ConfigurationError, ParseError, ValidationError
+from affectmap.lexicon import (
+    BE5,
+    VAD,
+    AlignedLexicon,
+    Diagnostic,
+    Lexicon,
+    _decode,
+    canonical_word,
+)
 from affectmap.models import (
     BoostedEnsemble,
     FfnnConfig,
@@ -21,6 +31,100 @@ from affectmap.models import (
     LinearModel,
     save_model,
 )
+
+
+def reference_parse(data, fmt, column_map, *, language="", source_id="", lowercase=False,
+                    clamp=False, scale=None, diagnostics=None):
+    """parse_lexicon as it read before its lean row loop: one numpy vector
+    per row, every row of a word kept until the end, then averaged. The
+    tests hold parse_lexicon to its words, value bits, diagnostics and
+    exceptions."""
+    missing = [v for v in ("word", *fmt.variables) if v not in column_map]
+    if missing:
+        raise ConfigurationError(f"column_map is missing bindings for: {', '.join(missing)}")
+    lines = _decode(data).split("\n")
+    if not lines or not lines[0].strip():
+        raise ParseError("missing header row", line=1)
+    header = lines[0].split("\t")
+    positions = {}
+    for key in ("word", *fmt.variables):
+        col = column_map[key]
+        if col not in header:
+            raise ConfigurationError(f"column {col!r} (bound to {key!r}) not found in header")
+        positions[key] = header.index(col)
+    src_low, src_high = scale if scale is not None else (fmt.scale_low, fmt.scale_high)
+    if not src_low < src_high:
+        raise ConfigurationError("declared scale must satisfy low < high")
+    span = (fmt.scale_high - fmt.scale_low) / (src_high - src_low)
+    sink = diagnostics if diagnostics is not None else []
+    rows, first_line = {}, {}
+    needed = max(positions.values()) + 1
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) < needed:
+            raise ParseError(
+                f"expected at least {needed} tab-separated fields, got {len(cells)}", line=lineno
+            )
+        word = canonical_word(cells[positions["word"]], lowercase=lowercase)
+        if not word:
+            raise ParseError("empty word", line=lineno)
+        vec = np.empty(fmt.size)
+        for j, var in enumerate(fmt.variables):
+            cell = cells[positions[var]].strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"non-numeric value {cell!r} in column {column_map[var]!r}", line=lineno
+                ) from None
+            if scale is not None:
+                v = fmt.scale_low + (v - src_low) * span
+            if not fmt.scale_low <= v <= fmt.scale_high:
+                if not math.isfinite(v):
+                    raise ParseError(
+                        f"non-finite value {cell!r} in column {column_map[var]!r}", line=lineno
+                    )
+                if not clamp:
+                    raise ValidationError(
+                        f"line {lineno}: {var}={v!r} for word {word!r} outside "
+                        f"[{fmt.scale_low}, {fmt.scale_high}]"
+                    )
+                clamped = min(max(v, fmt.scale_low), fmt.scale_high)
+                sink.append(Diagnostic(
+                    "clamped", f"{var}={v!r} clamped to {clamped!r}", line=lineno, word=word
+                ))
+                v = clamped
+            vec[j] = v
+        if word in rows:
+            sink.append(Diagnostic(
+                "duplicate",
+                f"word {word!r} repeats entry from line {first_line[word]}; ratings averaged",
+                line=lineno,
+                word=word,
+            ))
+        else:
+            first_line[word] = lineno
+        rows.setdefault(word, []).append(vec)
+    words = list(rows)
+    values = np.array(
+        [np.mean(rows[w], axis=0) if len(rows[w]) > 1 else rows[w][0] for w in words]
+    ).reshape(len(words), fmt.size)
+    return Lexicon(fmt, words, values, language=language, source_id=source_id)
+
+
+def parse_outcome(parse, data, fmt, column_map=None, **options):
+    """Words, value bytes and diagnostics of parse(...), or the class and
+    message of the exception it raises."""
+    if column_map is None:
+        column_map = {"word": "word", **{v: v for v in fmt.variables}}
+    diagnostics = []
+    try:
+        lex = parse(data, fmt, column_map, diagnostics=diagnostics, **options)
+    except Exception as e:
+        return type(e), str(e)
+    return lex.words, lex.values.tobytes(), diagnostics
 
 
 def make_affine_arrays(n=200, s=3, t=5, seed=0, noise=0.0, mscale=0.15, offset=3.0):

@@ -11,14 +11,13 @@ import json
 import tempfile
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_aligned
+from conftest import make_aligned, parse_outcome, reference_parse
 from affectmap import lexicon
 from affectmap.cli import main
 from affectmap.errors import AffectMapError
@@ -195,32 +194,19 @@ _LEXICON_FORMATS = {"vad.tsv": lexicon.VAD, "be5.tsv": lexicon.BE5}
 _PARSE_OPTIONS = ["default", "clamp", "lowercase", "scale", "scale+clamp"]
 
 
-def _parse_outcome(data: bytes, fmt, option: str):
-    """Words, value bytes and diagnostics, or the exception's class and message."""
-    options = {"clamp": "clamp" in option, "lowercase": option == "lowercase"}
-    if "scale" in option:
-        options["scale"] = (fmt.scale_low - 1.0, fmt.scale_high + 1.0)
-    diagnostics = []
-    try:
-        lex = lexicon.parse_lexicon(
-            data, fmt, {"word": "word", **{v: v for v in fmt.variables}},
-            diagnostics=diagnostics, **options,
-        )
-    except Exception as e:
-        return type(e), str(e)
-    return lex.words, lex.values.tobytes(), diagnostics
-
-
 @FUZZ
 @given(mutated_tsv().filter(lambda m: m[0] in _LEXICON_FORMATS), st.sampled_from(_PARSE_OPTIONS))
-def test_fast_pass_matches_row_loop(mutant, option):
-    """parse_lexicon gives what its row loop alone gives: same words,
+def test_parse_matches_reference(mutant, option):
+    """parse_lexicon gives what the reference parser gives: same words,
     value bits and diagnostics, or the same exception and message."""
     name, data = mutant
     fmt = _LEXICON_FORMATS[name]
-    got = _parse_outcome(data, fmt, option)
-    with mock.patch.object(lexicon, "_parse_fast", lambda *args: None):
-        assert got == _parse_outcome(data, fmt, option)
+    options = {"clamp": "clamp" in option, "lowercase": option == "lowercase"}
+    if "scale" in option:
+        options["scale"] = (fmt.scale_low - 1.0, fmt.scale_high + 1.0)
+    assert parse_outcome(lexicon.parse_lexicon, data, fmt, **options) == parse_outcome(
+        reference_parse, data, fmt, **options
+    )
 
 
 @pytest.mark.parametrize("name", sorted(FILES))

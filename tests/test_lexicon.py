@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import parse_outcome, reference_parse
 from affectmap.errors import (
     ConfigurationError,
     EmptyAlignmentError,
     ParseError,
     ValidationError,
 )
-from affectmap import lexicon as lexicon_module
 from affectmap.lexicon import (
     BE5,
     VA,
@@ -182,55 +182,85 @@ class TestParse:
 
 _HEADER = ("word", "valence", "arousal", "dominance")
 
-# name: (file bytes, parse options, words, values, diagnostic kinds, fast pass takes it)
-_PASS_CASES = {
+# name: (file bytes, parse options, words, values, diagnostic kinds)
+_PARSE_CASES = {
     "duplicate": (
         tsv(_HEADER, ("x", "2", "2", "2"), ("y", "1", "9", "5"), ("x", "4", "6", "2")),
-        {}, ("x", "y"), [[3.0, 4.0, 2.0], [1.0, 9.0, 5.0]], ["duplicate"], False,
+        {}, ("x", "y"), [[3.0, 4.0, 2.0], [1.0, 9.0, 5.0]], ["duplicate"],
     ),
     "clamp": (
         tsv(_HEADER, ("x", "9.5", "2", "0.5")),
-        {"clamp": True}, ("x",), [[9.0, 2.0, 1.0]], ["clamped", "clamped"], False,
+        {"clamp": True}, ("x",), [[9.0, 2.0, 1.0]], ["clamped", "clamped"],
+    ),
+    "clamped-duplicate": (
+        tsv(_HEADER, ("x", "9.5", "2", "2"), ("x", "8", "4", "0")),
+        {"clamp": True}, ("x",), [[8.5, 3.0, 1.5]], ["clamped", "clamped", "duplicate"],
     ),
     "crlf": (
         BASIC.replace(b"\n", b"\r\n"),
-        {}, ("calm", "rage"), [[7.0, 2.5, 6.0], [2.0, 8.0, 5.5]], [], True,
+        {}, ("calm", "rage"), [[7.0, 2.5, 6.0], [2.0, 8.0, 5.5]], [],
     ),
-    "header-only": (tsv(_HEADER), {}, (), np.empty((0, 3)), [], True),
+    "header-only": (tsv(_HEADER), {}, (), np.empty((0, 3)), []),
     "trailing-empty-lines": (
         BASIC + b"\n\n\n",
-        {}, ("calm", "rage"), [[7.0, 2.5, 6.0], [2.0, 8.0, 5.5]], [], True,
+        {}, ("calm", "rage"), [[7.0, 2.5, 6.0], [2.0, 8.0, 5.5]], [],
     ),
     "scale": (
         tsv(_HEADER, ("x", "0", "0.5", "1"), ("y", "0.25", "0.75", "0.125")),
-        {"scale": (0.0, 1.0)}, ("x", "y"), [[1.0, 5.0, 9.0], [3.0, 7.0, 2.0]], [], True,
+        {"scale": (0.0, 1.0)}, ("x", "y"), [[1.0, 5.0, 9.0], [3.0, 7.0, 2.0]], [],
+    ),
+    "separator-padding": (
+        tsv(_HEADER, ("x", "\x1c2\x1f", " 3 ", "\u20034")),
+        {}, ("x",), [[2.0, 3.0, 4.0]], [],
+    ),
+}
+
+# name: (file bytes, parse options, exception, message fragment); the
+# earliest fault by line wins, whatever its kind
+_FAULT_CASES = {
+    "range-before-short-row": (
+        tsv(_HEADER, ("x", "9.5", "2", "2"), ("y", "1")),
+        {}, ValidationError, "line 2: valence=9.5",
+    ),
+    "short-row-before-range": (
+        tsv(_HEADER, ("y", "1"), ("x", "9.5", "2", "2")),
+        {}, ParseError, "expected at least 4",
+    ),
+    "padded-non-numeric": (
+        tsv(_HEADER, ("x", "\x1cfive ", "2", "2")),
+        {}, ParseError, "non-numeric value 'five'",
+    ),
+    "non-finite-after-clamp": (
+        tsv(_HEADER, ("x", "9.5", "2", "2"), ("y", " nan", "2", "2")),
+        {"clamp": True}, ParseError, "non-finite value 'nan'",
     ),
 }
 
 
-class TestBothPasses:
-    """parse_lexicon's fast pass and its row loop give the same lexicon;
-    the fast pass takes only files that need no diagnostic."""
+class TestParseMatchesReference:
+    """parse_lexicon gives the reference parser's words, value bits,
+    diagnostics and exceptions."""
 
-    @pytest.mark.parametrize("declined", [False, True], ids=["fast", "row-loop"])
-    @pytest.mark.parametrize("case", sorted(_PASS_CASES))
-    def test_case(self, case, declined, monkeypatch):
-        data, options, words, values, kinds, fast_takes = _PASS_CASES[case]
-        taken = []
-        fast = lexicon_module._parse_fast
-
-        def spy(*args):
-            got = None if declined else fast(*args)
-            taken.append(got is not None)
-            return got
-
-        monkeypatch.setattr(lexicon_module, "_parse_fast", spy)
+    @pytest.mark.parametrize("case", sorted(_PARSE_CASES))
+    def test_case(self, case):
+        data, options, words, values, kinds = _PARSE_CASES[case]
         diags = []
         lex = parse_lexicon(data, VAD, VAD_COLUMNS, diagnostics=diags, **options)
-        assert taken == [fast_takes and not declined]
         assert lex.words == words
         assert lex.values.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
         assert [d.kind for d in diags] == kinds
+        assert parse_outcome(parse_lexicon, data, VAD, **options) == parse_outcome(
+            reference_parse, data, VAD, **options
+        )
+
+    @pytest.mark.parametrize("case", sorted(_FAULT_CASES))
+    def test_fault(self, case):
+        data, options, error, fragment = _FAULT_CASES[case]
+        with pytest.raises(error, match=fragment):
+            parse_lexicon(data, VAD, VAD_COLUMNS, **options)
+        assert parse_outcome(parse_lexicon, data, VAD, **options) == parse_outcome(
+            reference_parse, data, VAD, **options
+        )
 
 
 class TestLexicon:
