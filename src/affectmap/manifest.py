@@ -322,5 +322,12 @@ def load_manifest(path, overrides: dict | None = None) -> Manifest:
     base_dir = path.resolve().parent
     out = Path(raw.get("output_dir", "out"))
     output_dir = out if out.is_absolute() else base_dir / out
-    return Manifest(seed=seed, base_dir=base_dir, output_dir=output_dir, k_folds=k_folds,
-                    n_star=n_star, raw=raw, source_path=path.resolve())
+    return Manifest(
+        seed=seed,
+        base_dir=base_dir,
+        output_dir=output_dir,
+        k_folds=k_folds,
+        n_star=n_star,
+        raw=raw,
+        source_path=path.resolve(),
+    )
