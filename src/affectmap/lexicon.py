@@ -328,11 +328,12 @@ def parse_lexicon(
     sink = diagnostics if diagnostics is not None else []
     low, high = fmt.scale_low, fmt.scale_high
     columns = [(var, positions[var]) for var in fmt.variables]
-    # first rows go straight into words/flat; repeats wait for the average
+    # every row goes into flat; a repeated word's row moves out to wait for the average
     words: list[str] = []
     flat = array("d")
     first_line: dict[str, int] = {}
     repeats: dict[str, list[list[float]]] = {}
+    wpos = positions["word"]
     needed = max(positions.values()) + 1
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -343,16 +344,14 @@ def parse_lexicon(
                 f"expected at least {needed} tab-separated fields, got {len(cells)}",
                 line=lineno,
             )
-        word = canonical_word(cells[positions["word"]], lowercase=lowercase)
+        word = canonical_word(cells[wpos], lowercase)
         if not word:
             raise ParseError("empty word", line=lineno)
-        vec = []
         for var, p in columns:
-            cell = cells[p]
             try:
-                v = float(cell)
+                v = float(cells[p])
             except ValueError:
-                cell = cell.strip()  # also removes \x1c-\x1f, which float() refuses
+                cell = cells[p].strip()  # str.strip() also takes \x1c-\x1f, which float() refuses
                 try:
                     v = float(cell)
                 except ValueError:
@@ -365,7 +364,7 @@ def parse_lexicon(
             if not low <= v <= high:
                 if not math.isfinite(v):
                     raise ParseError(
-                        f"non-finite value {cell.strip()!r} in column {column_map[var]!r}",
+                        f"non-finite value {cells[p].strip()!r} in column {column_map[var]!r}",
                         line=lineno,
                     )
                 if clamp:
@@ -384,7 +383,7 @@ def parse_lexicon(
                         f"line {lineno}: {var}={v!r} for word {word!r} outside "
                         f"[{low}, {high}]"
                     )
-            vec.append(v)
+            flat.append(v)
         if word in first_line:
             sink.append(
                 Diagnostic(
@@ -395,15 +394,14 @@ def parse_lexicon(
                     word=word,
                 )
             )
-            repeats.setdefault(word, []).append(vec)
+            repeats.setdefault(word, []).append(flat[-fmt.size :].tolist())
+            del flat[-fmt.size :]
         else:
             first_line[word] = lineno
             words.append(word)
-            flat.extend(vec)
 
     values = np.frombuffer(flat, dtype=np.float64).reshape(len(words), fmt.size)
     if repeats:
-        values = values.copy()
         for i, word in enumerate(words):
             if word in repeats:
                 values[i] = np.mean([values[i].tolist(), *repeats[word]], axis=0)
