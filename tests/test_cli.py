@@ -709,12 +709,28 @@ class TestModelCommands:
         assert not out_path.exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """scipy is imported by the linear fit and the t-test only, so a
-    process that runs neither (validate, a boosted-only run) skips it."""
+def test_run_leaves_scipy_unloaded(tmp_path):
+    """The runtime needs numpy alone: a process that validates and runs
+    every task, linear fits and t-tests included, never imports scipy."""
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = "import sys, affectmap.cli; print('scipy' in sys.modules)"
+    every = write_every_task_manifest(tmp_path)
+    doc = json.loads(every.read_text())
+    doc["reliability"] = str(DATA_DIR / "cli_fixture" / "reliability.tsv")
+    every.write_text(json.dumps(doc))
+    runs = [["run", "monolingual", "--manifest", str(DATA_DIR / "cli_fixture" / "manifest.json")],
+            ["validate", "--manifest", str(every)],
+            *(["run", task, "--manifest", str(every)] for task in
+              ("monolingual", "crosslingual", "ablation", "shr-normalize", "build-lexicon"))]
+    probe = (
+        "import json, sys, warnings\n"
+        "from affectmap.cli import main\n"
+        "warnings.simplefilter('ignore')\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, 'scipy' in sys.modules)\n"
+    )
+    argvs = [[*argv, "--out", str(tmp_path / "o")] for argv in runs]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip().splitlines()[-1] == f"{[0] * len(runs)} False"

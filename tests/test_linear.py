@@ -50,6 +50,19 @@ class TestFit:
         with pytest.raises(ContractError):
             LinearModel().fit_arrays(np.ones((4, 2)), np.ones((5, 2)))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_lstsq_when_well_conditioned(self, seed):
+        # centred inputs and unit-scale coefficients keep cond(A) small, so the
+        # normal equations lose nothing measurable against a QR-based solve
+        rng = np.random.default_rng(seed)
+        S = rng.normal(size=(200, 3))
+        coef = rng.choice([-1.0, 1.0], size=(4, 5)) * rng.uniform(0.5, 2.0, size=(4, 5))
+        A = np.hstack([S, np.ones((200, 1))])
+        T = A @ coef + rng.normal(0.0, 0.1, size=(200, 5))
+        m = LinearModel().fit_arrays(S, T)
+        expected = np.linalg.lstsq(A, T, rcond=None)[0]
+        np.testing.assert_allclose(np.vstack([m.W.T, m.b]), expected, rtol=1e-12, atol=0)
+
     def test_rank_deficient_falls_back(self):
         # duplicated column: normal equations singular, pseudo-inverse path
         rng = np.random.default_rng(7)

@@ -305,6 +305,40 @@ class TestPairedTTest:
             paired_t_test([1.0], [2.0])
 
 
+class TestStudentTail:
+    """The two-tailed p is I_x(df/2, 1/2) at x = df/(df + t^2); the
+    math-only incomplete beta is held to scipy's as a test-only oracle."""
+
+    T_GRID = np.concatenate([[0.0], np.logspace(-8, 4, 161), np.linspace(0.25, 10.0, 40)])
+
+    @staticmethod
+    def _stars(p):
+        return 3 if p < 0.001 else 2 if p < 0.01 else 1 if p < 0.05 else 0
+
+    @pytest.mark.parametrize("dfs, rtol", [(range(1, 201), 1e-12), (range(341, 1001, 37), 1e-11)],
+                             ids=["df-1-200", "df-341-1000"])
+    def test_matches_scipy_betainc(self, dfs, rtol):
+        from scipy.special import betainc
+
+        from affectmap import stats
+
+        for df in dfs:
+            x = df / (df + self.T_GRID * self.T_GRID)
+            for xi, ref in zip(x, betainc(df / 2.0, 0.5, x)):
+                if ref < 1e-290:
+                    continue
+                got = stats._betainc(df / 2.0, 0.5, float(xi))
+                assert abs(got - ref) <= rtol * ref, (df, xi)
+                assert self._stars(got) == self._stars(ref), (df, xi)
+
+    def test_edges(self):
+        from affectmap import stats
+
+        assert stats._betainc(2.5, 0.5, 1.0) == 1.0
+        assert stats._betainc(2.5, 0.5, 0.0) == 0.0
+        assert math.isnan(stats._betainc(2.5, 0.5, math.nan))
+
+
 class TestFormatStars:
     def test_rendering(self):
         assert format_stars(0) == ""
