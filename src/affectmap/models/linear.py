@@ -15,8 +15,9 @@ class LinearModel:
 
     W has one row per target variable, one column per source variable.
     Fitted by least squares on the bias-augmented source matrix; the
-    normal equations are solved by Cholesky factorization with a
-    pseudo-inverse fallback for rank-deficient systems.
+    normal equations are solved through their Cholesky factor, with a
+    pseudo-inverse fallback when that factor does not exist (G is not
+    positive definite, as for rank-deficient systems).
     """
 
     def __init__(self):
@@ -31,8 +32,6 @@ class LinearModel:
         return self.fit_arrays(train.source_matrix, train.target_matrix)
 
     def fit_arrays(self, S, T) -> "LinearModel":
-        from scipy.linalg import cho_factor, cho_solve  # ~0.2 s to import; only fits need it
-
         S = np.asarray(S, dtype=np.float64)
         T = np.asarray(T, dtype=np.float64)
         if S.ndim != 2 or T.ndim != 2 or S.shape[0] != T.shape[0]:
@@ -44,9 +43,11 @@ class LinearModel:
         G = A.T @ A
         c = A.T @ T
         try:
-            theta = cho_solve(cho_factor(G), c)
-        except np.linalg.LinAlgError:  # scipy raises this very class
+            L = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
             theta = np.linalg.pinv(G) @ c
+        else:
+            theta = np.linalg.solve(L.T, np.linalg.solve(L, c))
         self.W = np.ascontiguousarray(theta[:-1].T)
         self.b = np.ascontiguousarray(theta[-1])
         return self

@@ -200,6 +200,41 @@ def split_half_reliability(m: RaterMatrix, iterations: int = 100, *, seed: int) 
     return float(np.mean(values))
 
 
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for a, b > 0.
+
+    The continued fraction of Numerical Recipes §6.4, by the modified
+    Lentz method. It converges fast for x < (a+1)/(a+b+2); above that
+    I_x(a, b) = 1 - I_{1-x}(b, a), where 1 - x is exact.
+    """
+    if not 0.0 < x < 1.0:
+        return 0.0 if x <= 0.0 else 1.0 if x >= 1.0 else math.nan
+    flip = x >= (a + 1.0) / (a + b + 2.0)
+    if flip:
+        a, b, x = b, a, 1.0 - x
+    if a + b < 171.0:  # gamma() holds a few ulps; differences of lgamma() would cancel
+        front = x**a * math.exp(b * math.log1p(-x)) * math.gamma(a + b)
+        front /= a * math.gamma(a) * math.gamma(b)
+    else:  # gamma() overflows
+        front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                         + a * math.log(x) + b * math.log1p(-x)) / a
+    tiny = 1e-300  # stands in for a zero denominator
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    f = d
+    for m in range(1, 10_000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            f *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            break
+    return 1.0 - front * f if flip else front * f
+
+
 def paired_t_test(a, b) -> tuple[float, float, int]:
     """Paired two-tailed t-test; returns (t, p, stars).
 
@@ -207,8 +242,6 @@ def paired_t_test(a, b) -> tuple[float, float, int]:
     through the regularized incomplete beta function. stars encodes the
     significance level: 3/2/1/0 for p < .001/.01/.05 and above.
     """
-    from scipy.special import betainc  # imported here: most runs never test
-
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1:
@@ -224,7 +257,7 @@ def paired_t_test(a, b) -> tuple[float, float, int]:
         raise DegenerateInputError("paired differences have zero variance")
     t = float(d.mean()) / (sd / math.sqrt(n))
     df = n - 1
-    p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+    p = _betainc(df / 2.0, 0.5, df / (df + t * t))
     stars = 3 if p < 0.001 else 2 if p < 0.01 else 1 if p < 0.05 else 0
     return t, p, stars
 
