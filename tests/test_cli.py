@@ -543,10 +543,14 @@ def _sides(*sides, **vad_keys):
     return {"datasets": [{"id": "syn", "language": "en", "sides": list(sides)}]}
 
 
-def _job_source(**keys):
-    return {"lexicon_jobs": [{
-        "mode": "monolingual", "output": "new.tsv", "model": "lr", "training_id": "syn",
-        "source": {"path": "w_vad.tsv", "format": "VAD", **keys}}]}
+def _job_source(mode="monolingual", training_id="syn", training_ids=None, **keys):
+    job = {"mode": mode, "output": "new.tsv", "model": "lr", "training_id": training_id,
+           "source": {"path": "w_vad.tsv", "format": "VAD", **keys}}
+    return {"lexicon_jobs": [job if training_ids is None else {**job, "training_ids": training_ids}]}
+
+
+_INLINE_VAD = {"name": "X", "variables": ["valence", "arousal", "dominance"],
+               "scale_low": 1, "scale_high": 9}
 
 
 class TestManifestShape:
@@ -580,13 +584,27 @@ class TestManifestShape:
         (_net(hidden_sizes=[True], iterations=1), "model 'net': hidden_sizes", ("monolingual",)),
         (_net("boosted", base={"iterations": 2.5}), "model 'net': iterations", ("monolingual",)),
         ({"k_folds": 1}, "'k_folds'", ("monolingual",)),
+        (_sides(format={**_INLINE_VAD, "variables": 5}), "dataset 'syn': 'variables'",
+         ("monolingual",)),
+        (_sides(format={**_INLINE_VAD, "scale_low": "a"}), "dataset 'syn': 'scale_low'",
+         ("monolingual",)),
+        ({"datasets": [{**_sides()["datasets"][0], "id": ["syn"]}]}, "'id'", ("monolingual",)),
+        (_job_source(mode="crosslingual", training_ids=5),
+         "lexicon job 'new.tsv': 'training_ids'", ("build-lexicon",)),
+        (_job_source(training_id=["syn"]), "lexicon job 'new.tsv': 'training_id'",
+         ("build-lexicon",)),
+        ({"ablation": 5}, "'ablation'", ("ablation",)),
+        (_net("knn", k=True), "model 'net': k", ("monolingual",)),
+        (_net("boosted", stages=True), "model 'net': stages", ("monolingual",)),
     ], ids=["k_folds-string", "seed-float", "lexicon_jobs-int", "datasets-object",
             "models-string", "ffnn-hidden_sizes", "ffnn-iterations-string", "knn-k",
             "ffnn-unknown-param", "params-string", "sides-ints", "scale-string",
             "scale-infinite", "path-int", "lowercase-string", "columns-int",
             "job-clamp-int", "ffnn-iterations-fraction", "ffnn-iterations-infinite",
             "ffnn-iterations-bool", "ffnn-hidden_sizes-fraction", "ffnn-hidden_sizes-bool",
-            "boosted-base-iterations", "k_folds-one"])
+            "boosted-base-iterations", "k_folds-one", "format-variables-int",
+            "format-scale_low-string", "dataset-id-list", "job-training_ids-int",
+            "job-training_id-list", "ablation-int", "knn-k-bool", "boosted-stages-bool"])
     def test_exit_2_naming_the_fault(self, overrides, named, tasks, workspace, capsys):
         root, _ = workspace
         manifest = write_manifest(root, **overrides)
