@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import ContractError, ParseError
 from ..lexicon import AlignedLexicon, Lexicon, _decode, canonical_word
-from .ffnn import FfnnConfig, FfnnModel
+from .ffnn import FfnnConfig, FfnnModel, _count
 
 __all__ = [
     "BoostedEnsemble",
@@ -43,9 +43,7 @@ class BoostedEnsemble:
     """
 
     def __init__(self, stages: int = 10, base_config: FfnnConfig | None = None, seed: int = 0):
-        if int(stages) != stages or stages < 1:
-            raise ContractError(f"stages must be a positive integer, got {stages!r}")
-        self.max_stages = int(stages)
+        self.max_stages = _count("stages", stages, ContractError)
         self.base_config = base_config if base_config is not None else DEFAULT_BASE_CONFIG
         self.seed = seed
         self.stages = None  # per variable: list of FfnnModel

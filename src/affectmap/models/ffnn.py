@@ -29,12 +29,12 @@ __all__ = [
 ]
 
 
-def _count(name: str, v) -> int:
+def _count(name: str, v, error=ValidationError) -> int:
     """v as a positive int; refuses a bool, a string, a fractional or non-finite float."""
     if isinstance(v, float) and v.is_integer():
         v = int(v)
     if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-        raise ValidationError(f"{name} must be a positive integer, got {v!r}")
+        raise error(f"{name} must be a positive integer, got {v!r}")
     return int(v)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 
 from ..errors import ContractError
 from ..lexicon import AlignedLexicon
+from .ffnn import _count
 
 __all__ = ["KnnModel"]
 
@@ -36,9 +37,7 @@ class KnnModel:
     """
 
     def __init__(self, k: int = 20):
-        if int(k) != k or k < 1:
-            raise ContractError(f"k must be a positive integer, got {k!r}")
-        self.k = int(k)
+        self.k = _count("k", k, ContractError)
         self.source = None
         self.target = None
         self.source_format = None
