@@ -66,24 +66,18 @@ from .stats import ReliabilityRecord, normalize_shr, read_reliability_records
 __all__ = ["Manifest", "load_manifest"]
 
 
-def _format_from(value) -> EmotionFormat:
-    if isinstance(value, str):
-        if value not in BUILTIN_FORMATS:
-            raise ConfigurationError(
-                f"unknown format {value!r}; builtins: {sorted(BUILTIN_FORMATS)}"
-            )
+def _format_from(value, owner: str) -> EmotionFormat:
+    if isinstance(value, str) and value in BUILTIN_FORMATS:
         return BUILTIN_FORMATS[value]
-    if isinstance(value, dict):
-        try:
-            return EmotionFormat(
-                value["name"],
-                tuple(value["variables"]),
-                float(value["scale_low"]),
-                float(value["scale_high"]),
-            )
-        except KeyError as e:
-            raise ConfigurationError(f"inline format is missing key {e}") from None
-    raise ConfigurationError(f"format must be a name or an object, got {value!r}")
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{owner}'format' must be one of {sorted(BUILTIN_FORMATS)} "
+                                 f"or an object, got {value!r}")
+    return EmotionFormat(
+        _field(value, "name", _is_str, "a string", owner=owner),
+        tuple(_field(value, "variables", _list_of(_is_str), "a list of strings", owner=owner)),
+        *(float(_field(value, key, _is_number, "a finite number", owner=owner))
+          for key in ("scale_low", "scale_high")),
+    )
 
 
 def _field(raw: dict, key: str, ok, what: str, default=None, owner: str = ""):
@@ -92,6 +86,10 @@ def _field(raw: dict, key: str, ok, what: str, default=None, owner: str = ""):
     if not ok(value):
         raise ConfigurationError(f"{owner}{key!r} must be {what}, got {value!r}")
     return value
+
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
 
 
 def _is_int(v) -> bool:
@@ -138,8 +136,8 @@ class Manifest:
         if not isinstance(side, dict) or "path" not in side or "format" not in side:
             raise ConfigurationError(f"{owner}: a side needs path and format, got {side!r}")
         owner += ": "
-        fmt = _format_from(side["format"])
-        path = _field(side, "path", lambda v: isinstance(v, str), "a string", owner=owner)
+        fmt = _format_from(side["format"], owner)
+        path = _field(side, "path", _is_str, "a string", owner=owner)
         columns = _field(side, "columns", lambda v: v is None or isinstance(v, dict) and all(
             type(c) is str for c in v.values()), "an object of strings", owner=owner)
         if columns is None:
@@ -158,7 +156,7 @@ class Manifest:
         return _objects(self.raw, "datasets")
 
     def load_dataset(self, entry: dict, diagnostics=None) -> AlignedLexicon:
-        ds_id = entry["id"]
+        ds_id = _field(entry, "id", _is_str, "a string", owner="dataset: ")
         if ds_id in self._dataset_cache:
             return self._dataset_cache[ds_id]
         owner = f"dataset {ds_id!r}"
@@ -170,15 +168,12 @@ class Manifest:
         return aligned
 
     def load_datasets(self, diagnostics=None) -> dict[str, AlignedLexicon]:
-        entries = self.dataset_entries()
-        ids = [e.get("id") for e in entries]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError(f"duplicate dataset ids: {ids}")
         out = {}
-        for entry in entries:
-            if "id" not in entry:
-                raise ConfigurationError(f"dataset entry without id: {entry}")
-            out[entry["id"]] = self.load_dataset(entry, diagnostics)
+        for entry in self.dataset_entries():
+            aligned = self.load_dataset(entry, diagnostics)  # types the id
+            if entry["id"] in out:
+                raise ConfigurationError(f"duplicate dataset id {entry['id']!r}")
+            out[entry["id"]] = aligned
         return out
 
     def load_models(self) -> list[ModelSpec]:
@@ -237,14 +232,13 @@ class Manifest:
         from .experiments import directions_for
         from .lexgen import LexiconBuildJob
 
-        for key in ("mode", "output", "model", "source"):
-            if key not in entry:
-                raise ConfigurationError(f"lexicon job needs {key!r}: {entry}")
+        job = f"lexicon job {entry.get('output')!r}"
+        owner = f"{job}: "
+        mode, output, model = (_field(entry, k, _is_str, "a string", owner=owner)
+                               for k in ("mode", "output", "model"))
         specs = {s.name: s for s in self.load_models()}
-        if entry["model"] not in specs:
-            raise ConfigurationError(
-                f"lexicon job model {entry['model']!r} is not a defined model"
-            )
+        if model not in specs:
+            raise ConfigurationError(f"{owner}model {model!r} is not a defined model")
         direction = entry.get("training_direction", "dim2cat")
         datasets = self.load_datasets(diagnostics)
 
@@ -258,32 +252,28 @@ class Manifest:
                 )
             return options[direction]
 
-        if entry["mode"] == "monolingual":
-            if "training_id" not in entry:
-                raise ConfigurationError("monolingual lexicon job needs training_id")
-            training = oriented(entry["training_id"])
-        elif entry["mode"] == "crosslingual":
-            ids = entry.get("training_ids")
-            if not ids:
-                raise ConfigurationError("crosslingual lexicon job needs training_ids")
+        if mode == "monolingual":
+            training = oriented(_field(entry, "training_id", _is_str, "a dataset id", owner=owner))
+        elif mode == "crosslingual":
+            ids = _field(entry, "training_ids", lambda v: bool(v) and _list_of(_is_str)(v),
+                         "a non-empty list of dataset ids", owner=owner)
             from .experiments import _without_dominance
 
             training = concat([_without_dominance(oriented(i)) for i in ids])
         else:
-            raise ConfigurationError(f"unknown lexicon job mode {entry['mode']!r}")
+            raise ConfigurationError(f"{owner}unknown mode {mode!r}")
 
-        owner = f"lexicon job {entry['output']!r}"
-        source = self._load_side(entry["source"], f"{owner} source", diagnostics)
+        source = self._load_side(entry.get("source"), f"{job} source", diagnostics)
         exclusions = [
-            self._load_side(x, f"{owner} exclusion", diagnostics)
-            for x in _objects(entry, "exclusions", owner=f"{owner}: ")
+            self._load_side(x, f"{job} exclusion", diagnostics)
+            for x in _objects(entry, "exclusions", owner=owner)
         ]
         return LexiconBuildJob(
-            mode=entry["mode"],
+            mode=mode,
             source_lexicon=source,
             training=training,
-            model_spec=specs[entry["model"]],
-            output_name=entry["output"],
+            model_spec=specs[model],
+            output_name=output,
             exclusion_sets=exclusions,
         )
 
@@ -319,6 +309,7 @@ def load_manifest(path, overrides: dict | None = None) -> Manifest:
     seed = _field(raw, "seed", _is_int, "an integer")
     k_folds = _field(raw, "k_folds", lambda v: _is_int(v) and v >= 2, "an integer >= 2", 10)
     n_star = _field(raw, "n_star", _is_int, "an integer", 20)
+    _field(raw, "ablation", lambda v: isinstance(v, dict), "a JSON object", {})
     base_dir = path.resolve().parent
     out = Path(raw.get("output_dir", "out"))
     output_dir = out if out.is_absolute() else base_dir / out
