@@ -201,11 +201,12 @@ def split_half_reliability(m: RaterMatrix, iterations: int = 100, *, seed: int) 
 
 
 def _betainc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0.
+    """Regularized incomplete beta I_x(a, b) for a, b >= 1/2.
 
     The continued fraction of Numerical Recipes §6.4, by the modified
     Lentz method. It converges fast for x < (a+1)/(a+b+2); above that
-    I_x(a, b) = 1 - I_{1-x}(b, a), where 1 - x is exact.
+    I_x(a, b) = 1 - I_{1-x}(b, a). With b = 1/2, as in the t-test, that
+    switch lies at x >= 0.6, where 1 - x is exact.
     """
     if not 0.0 < x < 1.0:
         return 0.0 if x <= 0.0 else 1.0 if x >= 1.0 else math.nan

@@ -543,10 +543,11 @@ def _sides(*sides, **vad_keys):
     return {"datasets": [{"id": "syn", "language": "en", "sides": list(sides)}]}
 
 
-def _job_source(mode="monolingual", training_id="syn", training_ids=None, **keys):
-    job = {"mode": mode, "output": "new.tsv", "model": "lr", "training_id": training_id,
+def _job_source(job_keys=(), **keys):
+    """One monolingual lexicon job, with some of its keys or its source's replaced."""
+    job = {"mode": "monolingual", "output": "new.tsv", "model": "lr", "training_id": "syn",
            "source": {"path": "w_vad.tsv", "format": "VAD", **keys}}
-    return {"lexicon_jobs": [job if training_ids is None else {**job, "training_ids": training_ids}]}
+    return {"lexicon_jobs": [{**job, **dict(job_keys)}]}
 
 
 _INLINE_VAD = {"name": "X", "variables": ["valence", "arousal", "dominance"],
@@ -589,9 +590,9 @@ class TestManifestShape:
         (_sides(format={**_INLINE_VAD, "scale_low": "a"}), "dataset 'syn': 'scale_low'",
          ("monolingual",)),
         ({"datasets": [{**_sides()["datasets"][0], "id": ["syn"]}]}, "'id'", ("monolingual",)),
-        (_job_source(mode="crosslingual", training_ids=5),
+        (_job_source({"mode": "crosslingual", "training_ids": 5}),
          "lexicon job 'new.tsv': 'training_ids'", ("build-lexicon",)),
-        (_job_source(training_id=["syn"]), "lexicon job 'new.tsv': 'training_id'",
+        (_job_source({"training_id": ["syn"]}), "lexicon job 'new.tsv': 'training_id'",
          ("build-lexicon",)),
         ({"ablation": 5}, "'ablation'", ("ablation",)),
         (_net("knn", k=True), "model 'net': k", ("monolingual",)),
