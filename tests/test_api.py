@@ -2,9 +2,25 @@
 write: the model classes' fit/fit_arrays/predict and the protocol runners."""
 
 import ast
+import io
+import warnings
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from conftest import make_aligned
 from affectmap import experiments, lexgen, models
+from affectmap.errors import ContractError
+from affectmap.models import (
+    BoostedEnsemble,
+    FfnnConfig,
+    FfnnModel,
+    KnnModel,
+    LinearModel,
+    load_model,
+    save_model,
+)
 import affectmap
 
 # functional wrappers that duplicated the kept paths; see README "Python API"
@@ -35,3 +51,37 @@ def test_runtime_imports_no_scipy():
                 continue
             found += [f"{path.relative_to(root)}: {n}" for n in names if n.split(".")[0] == "scipy"]
     assert found == []
+
+
+_TINY = FfnnConfig(hidden_sizes=(4,), iterations=3)
+_MODELS = {
+    "lr": LinearModel,
+    "knn": lambda: KnnModel(k=3),
+    "ffnn": lambda: FfnnModel(_TINY),
+    "boosted": lambda: BoostedEnsemble(stages=2, base_config=_TINY),
+}
+
+
+@pytest.mark.parametrize("make", _MODELS.values(), ids=_MODELS)
+def test_one_fit_predict_contract(make):
+    """Every model guards fit_arrays and predict alike, refuses to be saved
+    unfitted, and round-trips both formats recorded by fit() through a file."""
+    with pytest.raises(ContractError, match="incompatible training shapes"):
+        make().fit_arrays(np.zeros((3, 2)), np.zeros((4, 1)))
+    with pytest.raises(ContractError, match="empty training set"):
+        make().fit_arrays(np.zeros((0, 2)), np.zeros((0, 1)))
+    with pytest.raises(ContractError, match="before fit"):
+        make().predict(np.zeros((1, 3)))
+    with pytest.raises(ContractError, match="unfitted"):
+        save_model(make(), io.BytesIO())
+    data = make_aligned(n=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a weak first boosting stage
+        model = make().fit(data)
+    with pytest.raises(ContractError, match=r"expected \(n, 3\) input"):
+        model.predict(np.zeros((1, 2)))
+    buf = io.BytesIO()
+    save_model(model, buf)
+    back = load_model(io.BytesIO(buf.getvalue()))
+    assert (back.source_format, back.target_format) == (data.source_format, data.target_format)
+    assert np.array_equal(back.predict(data.source_matrix), model.predict(data.source_matrix))

@@ -597,6 +597,16 @@ class TestManifestShape:
         ({"ablation": 5}, "'ablation'", ("ablation",)),
         (_net("knn", k=True), "model 'net': k", ("monolingual",)),
         (_net("boosted", stages=True), "model 'net': stages", ("monolingual",)),
+        (_job_source({"training_direction": ["x"]}),
+         "lexicon job 'new.tsv': 'training_direction'", ("build-lexicon",)),
+        ({"reliability": 5}, "'reliability'", ("shr-normalize", "monolingual")),
+        ({"models": [{"name": "net", "kind": "lr", "features_path": 5}]},
+         "model 'net': 'features_path'", ("monolingual",)),
+        ({"models": [{"name": "net", "kind": ["x"]}]}, "model 'net': 'kind'", ("monolingual",)),
+        ({"models": [{"name": ["x"], "kind": "lr"}]}, "'name'", ("monolingual",)),
+        ({"ablation": {"direction": ["x"]}}, "ablation: 'direction'", ("ablation",)),
+        ({"ablation": {"direction": 5}}, "ablation: 'direction'", ("ablation",)),
+        ({"datasets": _sides()["datasets"] * 2}, "duplicate dataset id 'syn'", ("monolingual",)),
     ], ids=["k_folds-string", "seed-float", "lexicon_jobs-int", "datasets-object",
             "models-string", "ffnn-hidden_sizes", "ffnn-iterations-string", "knn-k",
             "ffnn-unknown-param", "params-string", "sides-ints", "scale-string",
@@ -605,7 +615,10 @@ class TestManifestShape:
             "ffnn-iterations-bool", "ffnn-hidden_sizes-fraction", "ffnn-hidden_sizes-bool",
             "boosted-base-iterations", "k_folds-one", "format-variables-int",
             "format-scale_low-string", "dataset-id-list", "job-training_ids-int",
-            "job-training_id-list", "ablation-int", "knn-k-bool", "boosted-stages-bool"])
+            "job-training_id-list", "ablation-int", "knn-k-bool", "boosted-stages-bool",
+            "job-training_direction-list", "reliability-int", "features_path-int", "kind-list",
+            "name-list", "ablation-direction-list", "ablation-direction-int",
+            "dataset-id-duplicate"])
     def test_exit_2_naming_the_fault(self, overrides, named, tasks, workspace, capsys):
         root, _ = workspace
         manifest = write_manifest(root, **overrides)
@@ -711,6 +724,26 @@ class TestModelCommands:
         err = capsys.readouterr().err
         assert err.startswith("affectmap: error: ")
         assert "Traceback" not in err
+
+    def test_boosted_save_then_predict(self, tmp_path):
+        """A boosted model fitted on ratings keeps its source format, so the
+        saved file can be applied to a lexicon."""
+        write_dataset(tmp_path)
+        base = {"hidden_sizes": [4], "iterations": 3}
+        manifest = write_manifest(tmp_path, models=[
+            {"name": "wei", "kind": "boosted", "params": {"stages": 2, "base": base}}])
+        model_path = tmp_path / "wei.afm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a weak first boosting stage
+            assert main(["model", "save", str(model_path), "--manifest", str(manifest),
+                         "--set", "dataset=syn", "--set", "model=wei",
+                         "--set", "direction=dim2cat"]) == 0
+        out_path = tmp_path / "pred.tsv"
+        assert main(["model", "predict", str(model_path), str(tmp_path / "w_vad.tsv"),
+                     str(out_path)]) == 0
+        lines = out_path.read_text().strip().split("\n")
+        assert lines[0] == "word\tjoy\tanger\tsadness\tfear\tdisgust"
+        assert len(lines) == 41
 
     @pytest.mark.parametrize("name", ["ffnn-W1-transposed", "knn-target-transposed"])
     def test_predict_rejects_misshaped_model(self, name, tmp_path, capsys):
