@@ -256,8 +256,7 @@ def cmd_model_save(args) -> int:
 def cmd_model_load(args) -> int:
     model = load_model(args.path)
     kind = type(model).__name__
-    src = getattr(model, "source_format", None)
-    tgt = getattr(model, "target_format", None)
+    src, tgt = model.source_format, model.target_format
     print(f"kind: {kind}")
     print(f"source format: {src.name if src else 'n/a'}")
     print(f"target format: {tgt.name if tgt else 'n/a'}")
@@ -268,8 +267,7 @@ def cmd_model_predict(args) -> int:
     from .lexicon import parse_lexicon
 
     model = load_model(args.path)
-    src = getattr(model, "source_format", None)
-    tgt = getattr(model, "target_format", None)
+    src, tgt = model.source_format, model.target_format
     if src is None or tgt is None:
         raise ConfigurationError(
             "model file carries no format bindings; predict via the API instead"

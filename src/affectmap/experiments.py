@@ -308,30 +308,18 @@ class EvalReport:
     shr_flags: dict[str, str] | None = None
 
     def to_dict(self) -> dict:
+        def by_variable(values):
+            return {v: _nan_to_none(x) for v, x in zip(self.variables, values)}
+
         return {
-            "dataset_id": self.dataset_id,
-            "direction": self.direction,
-            "model": self.model,
+            **asdict(self),
             "variables": list(self.variables),
             "fold_r": [[_nan_to_none(x) for x in row] for row in self.fold_r],
-            "per_variable_r": {
-                v: _nan_to_none(x)
-                for v, x in zip(self.variables, self.per_variable_r)
-            },
+            "per_variable_r": by_variable(self.per_variable_r),
             "format_average_r": _nan_to_none(self.format_average_r),
-            "pooled_per_variable_r": {
-                v: _nan_to_none(x)
-                for v, x in zip(self.variables, self.pooled_per_variable_r)
-            },
+            "pooled_per_variable_r": by_variable(self.pooled_per_variable_r),
             "pooled_format_average_r": _nan_to_none(self.pooled_format_average_r),
             "degenerate_cells": [list(c) for c in self.degenerate_cells],
-            "n_items": self.n_items,
-            "k_folds": self.k_folds,
-            "seed": self.seed,
-            "n_train": self.n_train,
-            "best": self.best,
-            "significance": self.significance,
-            "shr_flags": self.shr_flags,
         }
 
 
@@ -369,6 +357,19 @@ def directions_for(data: AlignedLexicon) -> list[tuple[str, AlignedLexicon]]:
         dim2cat = data if src_dim else data.swapped()
         return [("cat2dim", dim2cat.swapped()), ("dim2cat", dim2cat)]
     return [("src2tgt", data), ("tgt2src", data.swapped())]
+
+
+def _orient(datasets: Mapping[str, AlignedLexicon], ds_id: str, direction: str) -> AlignedLexicon:
+    """Dataset ds_id in the given direction; a ConfigurationError names a
+    missing dataset or direction."""
+    if ds_id not in datasets:
+        raise ConfigurationError(f"unknown dataset {ds_id!r}")
+    options = dict(directions_for(datasets[ds_id]))
+    if direction not in options:
+        raise ConfigurationError(
+            f"dataset {ds_id!r} has no direction {direction!r}; available: {sorted(options)}"
+        )
+    return options[direction]
 
 
 def _as_dataset_map(datasets) -> dict[str, AlignedLexicon]:
@@ -497,15 +498,7 @@ def run_ablation(
     if not data_map:
         raise ContractError("no datasets given")
     spec = ModelSpec("lr", "lr")
-    oriented_map: dict[str, AlignedLexicon] = {}
-    for ds_id, data in data_map.items():
-        options = dict(directions_for(data))
-        if direction not in options:
-            raise ConfigurationError(
-                f"dataset {ds_id!r} has no direction {direction!r}; "
-                f"available: {sorted(options)}"
-            )
-        oriented_map[ds_id] = options[direction]
+    oriented_map = {ds_id: _orient(data_map, ds_id, direction) for ds_id in data_map}
     source_vars = next(iter(oriented_map.values())).source_format.variables
     cells = []
     for ds_id, oriented in oriented_map.items():
@@ -579,15 +572,8 @@ def run_crosslingual(datasets, spec: ModelSpec, seed: int, *, jobs: int = 1) -> 
             )
         for direction, oriented in directions_for(data):
             eval_data = _without_dominance(oriented)
-            train_parts = []
-            for other_id, other in others.items():
-                options = dict(directions_for(other))
-                if direction not in options:
-                    raise ConfigurationError(
-                        f"dataset {other_id!r} has no direction {direction!r}"
-                    )
-                train_parts.append(_without_dominance(options[direction]))
-            train = concat(train_parts)
+            train = concat([_without_dominance(_orient(others, other_id, direction))
+                            for other_id in others])
             if any(lang == data.language for lang in train.row_languages):
                 raise ContractError(
                     "training rows leaked from the evaluation language "

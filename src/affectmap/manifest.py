@@ -49,7 +49,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigurationError, ParseError
-from .experiments import ModelSpec
+from .experiments import ModelSpec, _orient, _without_dominance
+from .lexgen import LexiconBuildJob
 from .lexicon import (
     BUILTIN_FORMATS,
     AlignedLexicon,
@@ -153,10 +154,16 @@ class Manifest:
         )
 
     def dataset_entries(self) -> list[dict]:
-        return _objects(self.raw, "datasets")
+        """The dataset entries, each id a string and no id repeated."""
+        entries = _objects(self.raw, "datasets")
+        ids = [_field(e, "id", _is_str, "a string", owner="dataset: ") for e in entries]
+        for n, ds_id in enumerate(ids):
+            if ds_id in ids[:n]:
+                raise ConfigurationError(f"duplicate dataset id {ds_id!r}")
+        return entries
 
     def load_dataset(self, entry: dict, diagnostics=None) -> AlignedLexicon:
-        ds_id = _field(entry, "id", _is_str, "a string", owner="dataset: ")
+        ds_id = entry["id"]
         if ds_id in self._dataset_cache:
             return self._dataset_cache[ds_id]
         owner = f"dataset {ds_id!r}"
@@ -168,40 +175,28 @@ class Manifest:
         return aligned
 
     def load_datasets(self, diagnostics=None) -> dict[str, AlignedLexicon]:
-        out = {}
-        for entry in self.dataset_entries():
-            aligned = self.load_dataset(entry, diagnostics)  # types the id
-            if entry["id"] in out:
-                raise ConfigurationError(f"duplicate dataset id {entry['id']!r}")
-            out[entry["id"]] = aligned
-        return out
+        return {e["id"]: self.load_dataset(e, diagnostics) for e in self.dataset_entries()}
 
     def load_models(self) -> list[ModelSpec]:
         if self._models is not None:
             return list(self._models)
         specs = []
         for entry in _objects(self.raw, "models"):
-            if "name" not in entry or "kind" not in entry:
-                raise ConfigurationError(f"model entry needs name and kind: {entry}")
-            params = entry.get("params", {})
-            if not isinstance(params, dict):
-                raise ConfigurationError(f"model {entry['name']!r}: params must be an object")
-            features = None
-            if entry.get("features_path"):
-                features = read_feature_vectors(self._resolve(entry["features_path"]))
-            spec = ModelSpec(
-                name=entry["name"],
-                kind=entry["kind"],
-                params=dict(params),
-                features=features,
-            )
+            name = _field(entry, "name", _is_str, "a string", owner="model: ")
+            owner = f"model {name!r}: "
+            kind = _field(entry, "kind", _is_str, "a string", owner=owner)
+            params = _field(entry, "params", lambda v: isinstance(v, dict), "an object", {}, owner)
+            path = _field(entry, "features_path", lambda v: v is None or _is_str(v), "a string",
+                          owner=owner)
+            features = read_feature_vectors(self._resolve(path)) if path else None
+            spec = ModelSpec(name=name, kind=kind, params=dict(params), features=features)
             spec.build(0)  # bad params fail here, before any run starts
             specs.append(spec)
         self._models = specs
         return list(specs)
 
     def load_reliability(self, normalized: bool = True) -> list[ReliabilityRecord] | None:
-        rel = self.raw.get("reliability")
+        rel = _field(self.raw, "reliability", lambda v: v is None or _is_str(v), "a string")
         if not rel:
             return None
         records = read_reliability_records(self._resolve(rel))
@@ -228,10 +223,7 @@ class Manifest:
     def lexicon_job_entries(self) -> list[dict]:
         return _objects(self.raw, "lexicon_jobs")
 
-    def build_job(self, entry: dict, diagnostics=None):
-        from .experiments import directions_for
-        from .lexgen import LexiconBuildJob
-
+    def build_job(self, entry: dict, diagnostics=None) -> LexiconBuildJob:
         job = f"lexicon job {entry.get('output')!r}"
         owner = f"{job}: "
         mode, output, model = (_field(entry, k, _is_str, "a string", owner=owner)
@@ -239,27 +231,15 @@ class Manifest:
         specs = {s.name: s for s in self.load_models()}
         if model not in specs:
             raise ConfigurationError(f"{owner}model {model!r} is not a defined model")
-        direction = entry.get("training_direction", "dim2cat")
+        direction = _field(entry, "training_direction", _is_str, "a string", "dim2cat", owner)
         datasets = self.load_datasets(diagnostics)
-
-        def oriented(ds_id):
-            if ds_id not in datasets:
-                raise ConfigurationError(f"unknown training dataset {ds_id!r}")
-            options = dict(directions_for(datasets[ds_id]))
-            if direction not in options:
-                raise ConfigurationError(
-                    f"dataset {ds_id!r} has no direction {direction!r}"
-                )
-            return options[direction]
-
         if mode == "monolingual":
-            training = oriented(_field(entry, "training_id", _is_str, "a dataset id", owner=owner))
+            ds_id = _field(entry, "training_id", _is_str, "a dataset id", owner=owner)
+            training = _orient(datasets, ds_id, direction)
         elif mode == "crosslingual":
             ids = _field(entry, "training_ids", lambda v: bool(v) and _list_of(_is_str)(v),
                          "a non-empty list of dataset ids", owner=owner)
-            from .experiments import _without_dominance
-
-            training = concat([_without_dominance(oriented(i)) for i in ids])
+            training = concat([_without_dominance(_orient(datasets, i, direction)) for i in ids])
         else:
             raise ConfigurationError(f"{owner}unknown mode {mode!r}")
 
@@ -309,7 +289,8 @@ def load_manifest(path, overrides: dict | None = None) -> Manifest:
     seed = _field(raw, "seed", _is_int, "an integer")
     k_folds = _field(raw, "k_folds", lambda v: _is_int(v) and v >= 2, "an integer >= 2", 10)
     n_star = _field(raw, "n_star", _is_int, "an integer", 20)
-    _field(raw, "ablation", lambda v: isinstance(v, dict), "a JSON object", {})
+    ablation = _field(raw, "ablation", lambda v: isinstance(v, dict), "a JSON object", {})
+    _field(ablation, "direction", _is_str, "a string", "dim2cat", "ablation: ")
     base_dir = path.resolve().parent
     out = Path(raw.get("output_dir", "out"))
     output_dir = out if out.is_absolute() else base_dir / out

@@ -19,7 +19,8 @@ import numpy as np
 
 from ..errors import ContractError, ParseError
 from ..lexicon import AlignedLexicon, Lexicon, _decode, canonical_word
-from .ffnn import FfnnConfig, FfnnModel, _count
+from .base import MappingModel, _count
+from .ffnn import FfnnConfig, FfnnModel
 
 __all__ = [
     "BoostedEnsemble",
@@ -31,7 +32,7 @@ __all__ = [
 DEFAULT_BASE_CONFIG = FfnnConfig(hidden_sizes=(100,))
 
 
-class BoostedEnsemble:
+class BoostedEnsemble(MappingModel):
     """One boosted regressor per target variable.
 
     Base learners are one-hidden-layer 100-unit rectifier networks by
@@ -48,26 +49,14 @@ class BoostedEnsemble:
         self.seed = seed
         self.stages = None  # per variable: list of FfnnModel
         self.stage_weights = None  # per variable: float64 array, positive
-        self.target_format = None
         self.variables = None
-        self.n_features = None
-
-    @property
-    def fitted(self) -> bool:
-        return self.stages is not None
 
     def fit(self, train: AlignedLexicon) -> "BoostedEnsemble":
-        self.target_format = train.target_format
         self.variables = train.target_format.variables
-        return self.fit_arrays(train.source_matrix, train.target_matrix)
+        return super().fit(train)
 
     def fit_arrays(self, F, T) -> "BoostedEnsemble":
-        F = np.ascontiguousarray(F, dtype=np.float64)
-        T = np.ascontiguousarray(T, dtype=np.float64)
-        if F.ndim != 2 or T.ndim != 2 or F.shape[0] != T.shape[0]:
-            raise ContractError(f"incompatible training shapes {F.shape} and {T.shape}")
-        if F.shape[0] == 0:
-            raise ContractError("cannot fit on an empty training set")
+        F, T = self._training(F, T)
         rng = np.random.default_rng(self.seed)
         self.n_features = F.shape[1]
         self.stages = []
@@ -118,11 +107,7 @@ class BoostedEnsemble:
         return nets, weights
 
     def predict(self, X) -> np.ndarray:
-        if not self.fitted:
-            raise ContractError("predict called before fit")
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ContractError(f"expected (n, {self.n_features}) input, got {X.shape}")
+        X = self._query(X)
         out = np.empty((X.shape[0], len(self.stages)))
         rows = np.arange(X.shape[0])
         for var, (nets, weights) in enumerate(zip(self.stages, self.stage_weights)):

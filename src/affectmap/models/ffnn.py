@@ -10,13 +10,13 @@ per-iteration dropout masks.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ContractError, DivergenceError, ValidationError
 from ..lexicon import AlignedLexicon
+from .base import MappingModel, _count
 
 __all__ = [
     "FfnnConfig",
@@ -27,15 +27,6 @@ __all__ = [
     "ffnn_backward",
     "gradient_check",
 ]
-
-
-def _count(name: str, v, error=ValidationError) -> int:
-    """v as a positive int; refuses a bool, a string, a fractional or non-finite float."""
-    if isinstance(v, float) and v.is_integer():
-        v = int(v)
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-        raise error(f"{name} must be a positive integer, got {v!r}")
-    return int(v)
 
 
 @dataclass(frozen=True)
@@ -73,7 +64,7 @@ class FfnnConfig:
             raise ValidationError("epsilon must be positive")
 
 
-class FfnnModel:
+class FfnnModel(MappingModel):
     """Parameter container plus the uniform fit/predict contract.
 
     weights[l] has shape (fan_out, fan_in); the last layer is affine.
@@ -99,23 +90,13 @@ class FfnnModel:
         self.loss_trace = list(loss_trace) if loss_trace is not None else []
 
     @property
-    def fitted(self) -> bool:
-        return self.weights is not None
-
-    def fit(self, train: AlignedLexicon) -> "FfnnModel":
-        self.source_format = train.source_format
-        self.target_format = train.target_format
-        return self.fit_arrays(train.source_matrix, train.target_matrix)
+    def n_features(self):
+        return None if self.weights is None else self.weights[0].shape[1]
 
     def fit_arrays(self, S, T) -> "FfnnModel":
         """Train in place from a fresh seeded initialization."""
         cfg = self.config
-        S = np.ascontiguousarray(S, dtype=np.float64)
-        T = np.ascontiguousarray(T, dtype=np.float64)
-        if S.ndim != 2 or T.ndim != 2 or S.shape[0] != T.shape[0]:
-            raise ContractError(f"incompatible training shapes {S.shape} and {T.shape}")
-        if S.shape[0] == 0:
-            raise ContractError("cannot fit on an empty training set")
+        S, T = self._training(S, T)
         rng = np.random.default_rng(cfg.seed)
         sizes = [S.shape[1], *cfg.hidden_sizes, T.shape[1]]
         self.weights, self.biases = _init_layers(sizes, rng)
@@ -142,9 +123,7 @@ class FfnnModel:
         return self
 
     def predict(self, X) -> np.ndarray:
-        if not self.fitted:
-            raise ContractError("predict called before fit")
-        out, _ = ffnn_forward(self, X, mode="eval")
+        out, _ = ffnn_forward(self, self._query(X), mode="eval")
         return out
 
     def parameter_count(self) -> int:

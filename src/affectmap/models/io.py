@@ -57,49 +57,43 @@ def _net_arrays(prefix, net):
 
 def _collect(model):
     """(kind, meta, named arrays) for any supported model."""
+    if not isinstance(model, (LinearModel, KnnModel, FfnnModel, BoostedEnsemble)):
+        raise ContractError(f"cannot serialize {type(model).__name__}")
+    if not model.fitted:
+        raise ContractError("cannot save an unfitted model")
     if isinstance(model, LinearModel):
-        if model.W is None:
-            raise ContractError("cannot save an unfitted model")
         return "linear", {}, [("W", model.W), ("b", model.b)]
     if isinstance(model, KnnModel):
-        if model.source is None:
-            raise ContractError("cannot save an unfitted model")
         meta = {"k": model.k}
         return "knn", meta, [("source", model.source), ("target", model.target)]
     if isinstance(model, FfnnModel):
-        if not model.fitted:
-            raise ContractError("cannot save an unfitted model")
         meta = {"config": asdict(model.config)}
         arrays = _net_arrays("", model)
         arrays.append(("loss_trace", np.asarray(model.loss_trace, dtype=np.float64)))
         return "ffnn", meta, arrays
-    if isinstance(model, BoostedEnsemble):
-        if not model.fitted:
-            raise ContractError("cannot save an unfitted model")
-        meta = {
-            "max_stages": model.max_stages,
-            "seed": model.seed,
-            "base_config": asdict(model.base_config),
-            "variables": list(model.variables) if model.variables else None,
-            "n_features": model.n_features,
-            "stage_counts": [len(nets) for nets in model.stages],
-            "stage_seeds": [[net.config.seed for net in nets] for nets in model.stages],
-        }
-        arrays = []
-        for vi, (nets, weights) in enumerate(zip(model.stages, model.stage_weights)):
-            arrays.append((f"v{vi}_weights", weights))
-            for si, net in enumerate(nets):
-                arrays.extend(_net_arrays(f"v{vi}s{si}_", net))
-        return "boosted", meta, arrays
-    raise ContractError(f"cannot serialize {type(model).__name__}")
+    meta = {
+        "max_stages": model.max_stages,
+        "seed": model.seed,
+        "base_config": asdict(model.base_config),
+        "variables": list(model.variables) if model.variables else None,
+        "n_features": model.n_features,
+        "stage_counts": [len(nets) for nets in model.stages],
+        "stage_seeds": [[net.config.seed for net in nets] for nets in model.stages],
+    }
+    arrays = []
+    for vi, (nets, weights) in enumerate(zip(model.stages, model.stage_weights)):
+        arrays.append((f"v{vi}_weights", weights))
+        for si, net in enumerate(nets):
+            arrays.extend(_net_arrays(f"v{vi}s{si}_", net))
+    return "boosted", meta, arrays
 
 
 def save_model(model, dest) -> None:
     kind, meta, arrays = _collect(model)
     header = {
         "kind": kind,
-        "source_format": _format_dict(getattr(model, "source_format", None)),
-        "target_format": _format_dict(getattr(model, "target_format", None)),
+        "source_format": _format_dict(model.source_format),
+        "target_format": _format_dict(model.target_format),
         "meta": meta,
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
@@ -188,9 +182,12 @@ def load_model(source):
     # past the structural checks, a missing array or a mistyped meta value
     # surfaces as one of these while the model is built
     try:
-        return _build(header, arrays)
+        formats = [_format_from(header[side]) for side in ("source_format", "target_format")]
+        model = _build(header["kind"], header["meta"], arrays, formats)
     except (LookupError, TypeError, ValueError) as e:
         raise ParseError(f"malformed {header['kind']} model header: {e!r}") from None
+    model.source_format, model.target_format = formats
+    return model
 
 
 def _matrix(arrays, name) -> tuple[int, int]:
@@ -224,20 +221,15 @@ def _check_formats(d, t, source_format, target_format) -> None:
             )
 
 
-def _build(header, arrays):
-    kind = header["kind"]
-    meta = header["meta"]
-    source_format = _format_from(header["source_format"])
-    target_format = _format_from(header["target_format"])
+def _build(kind, meta, arrays, formats):
+    """The model the arrays describe, its formats checked but not yet bound."""
     if kind == "linear":
         t, d = _matrix(arrays, "W")
         _expect(arrays, "b", (t,))
-        _check_formats(d, t, source_format, target_format)
+        _check_formats(d, t, *formats)
         model = LinearModel()
         model.W = arrays["W"]
         model.b = arrays["b"]
-        model.source_format = source_format
-        model.target_format = target_format
         return model
     if kind == "knn":
         n, d = _matrix(arrays, "source")
@@ -247,12 +239,10 @@ def _build(header, arrays):
                 f"knn arrays 'source' and 'target' need the same positive "
                 f"number of rows, got {n} and {n_target}"
             )
-        _check_formats(d, t, source_format, target_format)
+        _check_formats(d, t, *formats)
         model = KnnModel(k=meta["k"])
         model.source = np.ascontiguousarray(arrays["source"])
         model.target = np.ascontiguousarray(arrays["target"])
-        model.source_format = source_format
-        model.target_format = target_format
         return model
     if kind == "ffnn":
         cfg = FfnnConfig(**meta["config"])
@@ -260,15 +250,13 @@ def _build(header, arrays):
         d = _matrix(arrays, "W0")[1]
         t = _matrix(arrays, f"W{n_layers - 1}")[0]
         _check_net(arrays, "", cfg.hidden_sizes, d, t)
-        _check_formats(d, t, source_format, target_format)
+        _check_formats(d, t, *formats)
         weights = [arrays[f"W{i}"] for i in range(n_layers)]
         biases = [arrays[f"b{i}"] for i in range(n_layers)]
         return FfnnModel(
             cfg,
             weights=weights,
             biases=biases,
-            source_format=source_format,
-            target_format=target_format,
             loss_trace=arrays["loss_trace"].tolist(),
         )
     if kind == "boosted":
@@ -284,11 +272,10 @@ def _build(header, arrays):
             raise ParseError(
                 f"boosted model has {len(variables)} variables but {len(counts)} stage counts"
             )
-        _check_formats(n_features, len(counts), source_format, target_format)
+        _check_formats(n_features, len(counts), *formats)
         model = BoostedEnsemble(
             stages=meta["max_stages"], base_config=base, seed=meta["seed"]
         )
-        model.target_format = target_format
         model.variables = tuple(variables) if variables else None
         model.n_features = n_features
         n_net_layers = len(base.hidden_sizes) + 1

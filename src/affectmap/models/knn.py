@@ -7,8 +7,7 @@ import warnings
 import numpy as np
 
 from ..errors import ContractError
-from ..lexicon import AlignedLexicon
-from .ffnn import _count
+from .base import MappingModel, _count
 
 __all__ = ["KnnModel"]
 
@@ -20,7 +19,7 @@ __all__ = ["KnnModel"]
 _CHUNK_CELLS = 131_072
 
 
-class KnnModel:
+class KnnModel(MappingModel):
     """k-nearest-neighbor regression (lazy learner).
 
     Stores the training matrices verbatim. Each query is answered by the
@@ -40,35 +39,17 @@ class KnnModel:
         self.k = _count("k", k, ContractError)
         self.source = None
         self.target = None
-        self.source_format = None
-        self.target_format = None
 
-    def fit(self, train: AlignedLexicon) -> "KnnModel":
-        self.source_format = train.source_format
-        self.target_format = train.target_format
-        return self.fit_arrays(train.source_matrix, train.target_matrix)
+    @property
+    def n_features(self):
+        return None if self.source is None else self.source.shape[1]
 
     def fit_arrays(self, S, T) -> "KnnModel":
-        S = np.ascontiguousarray(S, dtype=np.float64)
-        T = np.ascontiguousarray(T, dtype=np.float64)
-        if S.ndim != 2 or T.ndim != 2 or S.shape[0] != T.shape[0]:
-            raise ContractError(
-                f"incompatible training shapes {S.shape} and {T.shape}"
-            )
-        if S.shape[0] == 0:
-            raise ContractError("cannot fit on an empty training set")
-        self.source = S
-        self.target = T
+        self.source, self.target = self._training(S, T)
         return self
 
     def predict(self, X) -> np.ndarray:
-        if self.source is None:
-            raise ContractError("predict called before fit")
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.source.shape[1]:
-            raise ContractError(
-                f"expected (n, {self.source.shape[1]}) input, got {X.shape}"
-            )
+        X = self._query(X)
         n_train = self.source.shape[0]
         k = self.k
         if k > n_train:

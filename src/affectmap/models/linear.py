@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ContractError
-from ..lexicon import AlignedLexicon
+from .base import MappingModel
 
 __all__ = ["LinearModel"]
 
 
-class LinearModel:
+class LinearModel(MappingModel):
     """Per-variable affine map: predictions are X @ W.T + b.
 
     W has one row per target variable, one column per source variable.
@@ -23,21 +22,13 @@ class LinearModel:
     def __init__(self):
         self.W = None
         self.b = None
-        self.source_format = None
-        self.target_format = None
 
-    def fit(self, train: AlignedLexicon) -> "LinearModel":
-        self.source_format = train.source_format
-        self.target_format = train.target_format
-        return self.fit_arrays(train.source_matrix, train.target_matrix)
+    @property
+    def n_features(self):
+        return None if self.W is None else self.W.shape[1]
 
     def fit_arrays(self, S, T) -> "LinearModel":
-        S = np.asarray(S, dtype=np.float64)
-        T = np.asarray(T, dtype=np.float64)
-        if S.ndim != 2 or T.ndim != 2 or S.shape[0] != T.shape[0]:
-            raise ContractError(f"incompatible training shapes {S.shape} and {T.shape}")
-        if S.shape[0] == 0:
-            raise ContractError("cannot fit on an empty training set")
+        S, T = self._training(S, T)
         ones = np.ones((S.shape[0], 1))
         A = np.hstack([S, ones])
         G = A.T @ A
@@ -53,11 +44,5 @@ class LinearModel:
         return self
 
     def predict(self, X) -> np.ndarray:
-        if self.W is None:
-            raise ContractError("predict called before fit")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.W.shape[1]:
-            raise ContractError(
-                f"expected (n, {self.W.shape[1]}) input, got {X.shape}"
-            )
+        X = self._query(X)
         return X @ self.W.T + self.b
