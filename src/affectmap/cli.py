@@ -123,6 +123,8 @@ def cmd_validate(args) -> int:
                 f"{aligned.source_format.name}<->{aligned.target_format.name}"
             )
     attempt("models", lambda d: manifest.load_models())
+    if "ablation" in manifest.raw:
+        attempt("ablation", lambda d: manifest.ablation_direction())
     attempt("reliability", lambda d: manifest.load_reliability())
     for entry in attempt("lexicon jobs", lambda d: manifest.lexicon_job_entries()) or []:
         label = f"lexicon job {entry.get('output', '?')}"

@@ -183,6 +183,8 @@ class Manifest:
         specs = []
         for entry in _objects(self.raw, "models"):
             name = _field(entry, "name", _is_str, "a string", owner="model: ")
+            if any(spec.name == name for spec in specs):
+                raise ConfigurationError(f"duplicate model name {name!r}")
             owner = f"model {name!r}: "
             kind = _field(entry, "kind", _is_str, "a string", owner=owner)
             params = _field(entry, "params", lambda v: isinstance(v, dict), "an object", {}, owner)
@@ -216,7 +218,15 @@ class Manifest:
         raise ConfigurationError(f"crosslingual_model {name!r} is not a defined model")
 
     def ablation_direction(self) -> str:
-        return self.raw.get("ablation", {}).get("direction", "dim2cat")
+        """The ablation direction, once every dataset is known to offer it."""
+        direction = self.raw.get("ablation", {}).get("direction", "dim2cat")
+        datasets = self.load_datasets()
+        try:
+            for ds_id in datasets:
+                _orient(datasets, ds_id, direction)
+        except ConfigurationError as e:
+            raise ConfigurationError(f"ablation: 'direction': {e}") from None
+        return direction
 
     # ---- lexicon build jobs --------------------------------------------
 
@@ -288,7 +298,7 @@ def load_manifest(path, overrides: dict | None = None) -> Manifest:
         raise ConfigurationError("manifest must declare a seed (no implicit randomness)")
     seed = _field(raw, "seed", _is_int, "an integer")
     k_folds = _field(raw, "k_folds", lambda v: _is_int(v) and v >= 2, "an integer >= 2", 10)
-    n_star = _field(raw, "n_star", _is_int, "an integer", 20)
+    n_star = _field(raw, "n_star", lambda v: _is_int(v) and v >= 1, "a positive integer", 20)
     ablation = _field(raw, "ablation", lambda v: isinstance(v, dict), "a JSON object", {})
     _field(ablation, "direction", _is_str, "a string", "dim2cat", "ablation: ")
     base_dir = path.resolve().parent

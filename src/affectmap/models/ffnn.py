@@ -4,7 +4,8 @@ All target variables are predicted jointly through a shared trunk.
 Training runs full-batch gradient steps with adaptive-moment updates and
 inverted dropout on the hidden layers. Everything is deterministic for a
 fixed config seed: one generator drives initialization first, then the
-per-iteration dropout masks.
+per-iteration dropout masks. Training computes in the config's precision
+(float32 by default); predictions are returned as float64.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ class FfnnConfig:
     Defaults follow the reference setup: two 128-unit hidden layers,
     0.2 dropout on hidden outputs, 10,000 full-batch iterations, and the
     standard adaptive-moment settings (step 1e-3, decays 0.9/0.999,
-    epsilon 1e-8).
+    epsilon 1e-8). precision is the dtype training computes in,
+    "float32" or "float64"; the step and epsilon must hold in it.
     """
 
     hidden_sizes: tuple[int, ...] = (128, 128)
@@ -47,6 +49,7 @@ class FfnnConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
     seed: int = 0
+    precision: str = "float32"
 
     def __post_init__(self):
         sizes = tuple(_count("hidden_sizes entry", h) for h in self.hidden_sizes)
@@ -56,12 +59,23 @@ class FfnnConfig:
             raise ValidationError("hidden_sizes must not be empty")
         if not 0.0 <= self.dropout_hidden < 1.0:
             raise ValidationError(f"dropout must lie in [0, 1), got {self.dropout_hidden!r}")
-        if not self.learning_rate > 0.0:
-            raise ValidationError("learning_rate must be positive")
+        if self.precision not in ("float32", "float64"):
+            raise ValidationError(
+                f"precision must be 'float32' or 'float64', got {self.precision!r}"
+            )
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValidationError("moment decays must lie in [0, 1)")
-        if not self.epsilon > 0.0:
-            raise ValidationError("epsilon must be positive")
+        # values in (tiny, huge] round to a positive finite number in the
+        # precision; as Python floats the bounds compare with a huge JSON
+        # integer without overflow
+        info = np.finfo(self.precision)
+        tiny, huge = float(info.smallest_subnormal) / 2, float(info.max)
+        for name in ("learning_rate", "epsilon"):
+            value = getattr(self, name)
+            if not tiny < value <= huge:
+                raise ValidationError(
+                    f"{name} must be positive and finite in {self.precision}, got {value!r}"
+                )
 
 
 class FfnnModel(MappingModel):
@@ -94,57 +108,77 @@ class FfnnModel(MappingModel):
         return None if self.weights is None else self.weights[0].shape[1]
 
     def fit_arrays(self, S, T) -> "FfnnModel":
-        """Train in place from a fresh seeded initialization."""
+        """Train in place from a fresh seeded initialization.
+
+        A diverging run overflows to inf and nan; the finite-loss check
+        ends it in a DivergenceError, so those float warnings are muted.
+        """
         cfg = self.config
-        S, T = self._training(S, T)
+        dt = np.dtype(cfg.precision)
+        S, T = (a.astype(dt, copy=False) for a in self._training(S, T))
         rng = np.random.default_rng(cfg.seed)
         sizes = [S.shape[1], *cfg.hidden_sizes, T.shape[1]]
-        self.weights, self.biases = _init_layers(sizes, rng)
-        params = [a.reshape(-1) for a in (*self.weights, *self.biases)]
-        moment1 = [np.zeros(p.size) for p in params]
-        moment2 = [np.zeros(p.size) for p in params]
-        lr, b1, b2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
+        self.weights, self.biases = _init_layers(sizes, rng, dt)
+        params = [*self.weights, *self.biases]
+        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
         trace = []
-        for it in range(1, cfg.iterations + 1):
-            out, cache = ffnn_forward(self, S, mode="train", rng=rng)
-            loss = ffnn_loss(out, T)
-            if not math.isfinite(loss):
-                raise DivergenceError("training loss is not finite", iteration=it)
-            trace.append(loss)
-            grads_w, grads_b = ffnn_backward(self, cache, T)
-            grads = [g.reshape(-1) for g in (*grads_w, *grads_b)]
-            bc1 = 1.0 - b1**it
-            bc2 = 1.0 - b2**it
-            for p, g, m1, m2 in zip(params, grads, moment1, moment2):
-                m1[:] = b1 * m1 + (1.0 - b1) * g
-                m2[:] = b2 * m2 + (1.0 - b2) * (g * g)
-                p -= (lr * (m1 / bc1)) / (np.sqrt(m2 / bc2) + eps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for it in range(1, cfg.iterations + 1):
+                out, cache = ffnn_forward(self, S, mode="train", rng=rng)
+                loss = ffnn_loss(out, T)
+                if not math.isfinite(loss):
+                    raise DivergenceError("training loss is not finite", iteration=it)
+                trace.append(loss)
+                grads_w, grads_b = ffnn_backward(self, cache, T)
+                _adam_step(cfg, it, params, (*grads_w, *grads_b), moments)
         self.loss_trace = trace
         return self
 
     def predict(self, X) -> np.ndarray:
         out, _ = ffnn_forward(self, self._query(X), mode="eval")
-        return out
+        return out.astype(np.float64, copy=False)
 
     def parameter_count(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
 
-def _init_layers(sizes, rng):
-    """Uniform draws in +-sqrt(6/(fan_in+fan_out)) per layer, zero biases."""
+def _init_layers(sizes, rng, dtype=np.float64):
+    """Uniform draws in +-sqrt(6/(fan_in+fan_out)) per layer, zero biases.
+
+    The draws are float64 whatever the dtype, then cast, so every
+    precision starts from the same generator stream.
+    """
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(np.ascontiguousarray(rng.uniform(-limit, limit, size=(fan_out, fan_in))))
-        biases.append(np.zeros(fan_out))
+        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(dtype))
+        biases.append(np.zeros(fan_out, dtype))
     return weights, biases
 
 
+def _adam_step(cfg: FfnnConfig, it: int, params, grads, moments) -> None:
+    """One adaptive-moment update of params in place at iteration it.
+
+    Every scalar is cast to the parameters' dtype first: a float64 scalar
+    would promote float32 arithmetic to float64 under NEP 50.
+    """
+    dt = params[0].dtype.type
+    b1, b2 = cfg.beta1, cfg.beta2
+    c1, c2 = dt(1.0 - b1), dt(1.0 - b2)
+    bc1, bc2 = dt(1.0 - b1**it), dt(1.0 - b2**it)
+    b1, b2 = dt(b1), dt(b2)
+    lr, eps = dt(cfg.learning_rate), dt(cfg.epsilon)
+    for p, g, (m1, m2) in zip(params, grads, moments):
+        m1[:] = b1 * m1 + c1 * g
+        m2[:] = b2 * m2 + c2 * (g * g)
+        p -= (lr * (m1 / bc1)) / (np.sqrt(m2 / bc2) + eps)
+
+
 def init_ffnn(cfg: FfnnConfig, source_format, target_format) -> FfnnModel:
-    """Fresh untrained model with seeded initialization."""
+    """Fresh untrained model: the initialization fit_arrays starts from."""
     rng = np.random.default_rng(cfg.seed)
     sizes = [source_format.size, *cfg.hidden_sizes, target_format.size]
-    weights, biases = _init_layers(sizes, rng)
+    weights, biases = _init_layers(sizes, rng, np.dtype(cfg.precision))
     return FfnnModel(
         cfg,
         weights=weights,
@@ -170,12 +204,14 @@ def ffnn_forward(m: FfnnModel, X, mode: str = "eval", rng=None):
     In train mode each hidden layer's output gets an inverted dropout
     mask drawn from ``rng`` (scaled by 1/keep); eval mode applies neither
     masks nor scaling. The output layer is always affine and unbounded.
+    Everything is computed in the weights' dtype.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
     if m.weights is None:
         raise ContractError("forward pass on an uninitialized model")
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    dt = m.weights[0].dtype
+    X = np.ascontiguousarray(X, dtype=dt)
     if X.ndim != 2 or X.shape[1] != m.weights[0].shape[1]:
         raise ContractError(
             f"expected (n, {m.weights[0].shape[1]}) input, got {X.shape}"
@@ -184,8 +220,8 @@ def ffnn_forward(m: FfnnModel, X, mode: str = "eval", rng=None):
     dropping = mode == "train" and p > 0.0
     if dropping and rng is None:
         raise ContractError("train-mode forward with dropout needs a generator")
-    keep = 1.0 - p
-    inv = 1.0 / keep
+    keep = dt.type(1.0 - p)
+    inv = dt.type(1.0 / (1.0 - p))
     cache = _ForwardCache(model=m, mode=mode)
     a = X
     for W, b in zip(m.weights[:-1], m.biases[:-1]):
@@ -194,7 +230,8 @@ def ffnn_forward(m: FfnnModel, X, mode: str = "eval", rng=None):
         h = np.maximum(z, 0.0)
         mask = None
         if dropping:
-            mask = (rng.random(size=z.shape) < keep) * inv
+            # dtype= keeps a bool * scalar product in dt under numpy 1.x too
+            mask = np.multiply(rng.random(size=z.shape, dtype=dt) < keep, inv, dtype=dt)
             h *= mask
         cache.layers.append((a, z, mask))
         a = h
@@ -223,7 +260,8 @@ def ffnn_backward(m: FfnnModel, cache: _ForwardCache, gold):
     """
     if cache.model is not m:
         raise ContractError("cache was produced by a different model")
-    gold = np.asarray(gold, dtype=np.float64)
+    dt = cache.output.dtype
+    gold = np.asarray(gold, dtype=dt)
     if gold.shape != cache.output.shape:
         raise ContractError(
             f"gold shape {gold.shape} does not match cached output "
@@ -232,7 +270,7 @@ def ffnn_backward(m: FfnnModel, cache: _ForwardCache, gold):
     n_layers = len(m.weights)
     grads_w = [None] * n_layers
     grads_b = [None] * n_layers
-    delta = (cache.output - gold) * (2.0 / cache.output.size)
+    delta = (cache.output - gold) * dt.type(2.0 / cache.output.size)
     grads_w[-1] = np.ascontiguousarray(delta.T @ cache.last_input)
     grads_b[-1] = delta.sum(axis=0)
     if n_layers == 1:

@@ -4,7 +4,9 @@ Layout: 8-byte magic "AFMAP001", little-endian uint32 header length, a
 UTF-8 JSON header (kind, formats, scalar metadata, array manifest), then
 the arrays as raw little-endian float64 bytes, row-major, in manifest
 order. Save -> load -> predict round-trips bit-identically because the
-parameters themselves round-trip bit-identically.
+parameters themselves round-trip bit-identically: a network config records
+its training precision, and float32 weights, stored exactly as float64,
+are cast back to it. Files that predate the precision key load as float64.
 """
 
 from __future__ import annotations
@@ -212,6 +214,20 @@ def _check_net(arrays, prefix, hidden_sizes, d, t) -> None:
         _expect(arrays, f"{prefix}b{i}", (fan_out,))
 
 
+def _net_config(d) -> FfnnConfig:
+    """A saved network config; files without a precision trained in float64."""
+    return FfnnConfig(**{"precision": "float64", **d})
+
+
+def _layers(arrays, prefix, cfg) -> tuple[list, list]:
+    """A network's weights and biases, cast to its config's precision."""
+    n_layers = len(cfg.hidden_sizes) + 1
+    return tuple(
+        [arrays[f"{prefix}{kind}{i}"].astype(cfg.precision) for i in range(n_layers)]
+        for kind in "Wb"
+    )
+
+
 def _check_formats(d, t, source_format, target_format) -> None:
     for side, fmt, size in (("source", source_format, d), ("target", target_format, t)):
         if fmt is not None and len(fmt.variables) != size:
@@ -245,14 +261,12 @@ def _build(kind, meta, arrays, formats):
         model.target = np.ascontiguousarray(arrays["target"])
         return model
     if kind == "ffnn":
-        cfg = FfnnConfig(**meta["config"])
-        n_layers = len(cfg.hidden_sizes) + 1
+        cfg = _net_config(meta["config"])
         d = _matrix(arrays, "W0")[1]
-        t = _matrix(arrays, f"W{n_layers - 1}")[0]
+        t = _matrix(arrays, f"W{len(cfg.hidden_sizes)}")[0]
         _check_net(arrays, "", cfg.hidden_sizes, d, t)
         _check_formats(d, t, *formats)
-        weights = [arrays[f"W{i}"] for i in range(n_layers)]
-        biases = [arrays[f"b{i}"] for i in range(n_layers)]
+        weights, biases = _layers(arrays, "", cfg)
         return FfnnModel(
             cfg,
             weights=weights,
@@ -260,7 +274,7 @@ def _build(kind, meta, arrays, formats):
             loss_trace=arrays["loss_trace"].tolist(),
         )
     if kind == "boosted":
-        base = FfnnConfig(**meta["base_config"])
+        base = _net_config(meta["base_config"])
         n_features = meta["n_features"]
         counts = meta["stage_counts"]
         variables = meta["variables"]
@@ -278,7 +292,6 @@ def _build(kind, meta, arrays, formats):
         )
         model.variables = tuple(variables) if variables else None
         model.n_features = n_features
-        n_net_layers = len(base.hidden_sizes) + 1
         model.stages = []
         model.stage_weights = []
         for vi, count in enumerate(counts):
@@ -288,12 +301,8 @@ def _build(kind, meta, arrays, formats):
             for si in range(count):
                 prefix = f"v{vi}s{si}_"
                 _check_net(arrays, prefix, base.hidden_sizes, n_features, 1)
-                nets.append(
-                    FfnnModel(
-                        replace(base, seed=meta["stage_seeds"][vi][si]),
-                        weights=[arrays[f"{prefix}W{i}"] for i in range(n_net_layers)],
-                        biases=[arrays[f"{prefix}b{i}"] for i in range(n_net_layers)],
-                    )
-                )
+                weights, biases = _layers(arrays, prefix, base)
+                cfg = replace(base, seed=meta["stage_seeds"][vi][si])
+                nets.append(FfnnModel(cfg, weights=weights, biases=biases))
             model.stages.append(nets)
         return model

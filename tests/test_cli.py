@@ -358,7 +358,8 @@ class TestRunMonolingual:
                 {
                     "name": "blowup",
                     "kind": "ffnn",
-                    "params": {"hidden_sizes": [8], "iterations": 50, "learning_rate": 1e150},
+                    "params": {"hidden_sizes": [8], "iterations": 50, "learning_rate": 1e150,
+                               "precision": "float64"},
                 }
             ],
         )
@@ -607,6 +608,17 @@ class TestManifestShape:
         ({"ablation": {"direction": ["x"]}}, "ablation: 'direction'", ("ablation",)),
         ({"ablation": {"direction": 5}}, "ablation: 'direction'", ("ablation",)),
         ({"datasets": _sides()["datasets"] * 2}, "duplicate dataset id 'syn'", ("monolingual",)),
+        (_net(learning_rate=float("inf"), iterations=1), "model 'net': learning_rate",
+         ("monolingual",)),
+        (_net(epsilon=float("inf"), iterations=1), "model 'net': epsilon", ("monolingual",)),
+        (_net(learning_rate=10**400, iterations=1), "model 'net': learning_rate",
+         ("monolingual",)),
+        (_net(precision="float16", iterations=1), "model 'net': precision must be",
+         ("monolingual",)),
+        ({"models": [{"name": "lr", "kind": "lr"}, {"name": "lr", "kind": "knn"}],
+          **_job_source()}, "duplicate model name 'lr'", ("monolingual", "build-lexicon")),
+        ({"ablation": {"direction": "bogus"}}, "ablation: 'direction'", ("ablation",)),
+        ({"n_star": 0}, "'n_star'", ("monolingual",)),
     ], ids=["k_folds-string", "seed-float", "lexicon_jobs-int", "datasets-object",
             "models-string", "ffnn-hidden_sizes", "ffnn-iterations-string", "knn-k",
             "ffnn-unknown-param", "params-string", "sides-ints", "scale-string",
@@ -618,7 +630,9 @@ class TestManifestShape:
             "job-training_id-list", "ablation-int", "knn-k-bool", "boosted-stages-bool",
             "job-training_direction-list", "reliability-int", "features_path-int", "kind-list",
             "name-list", "ablation-direction-list", "ablation-direction-int",
-            "dataset-id-duplicate"])
+            "dataset-id-duplicate", "ffnn-learning_rate-Infinity", "ffnn-epsilon-Infinity",
+            "ffnn-learning_rate-huge-int", "ffnn-precision-float16", "models-name-duplicate", "ablation-direction-bogus",
+            "n_star-zero"])
     def test_exit_2_naming_the_fault(self, overrides, named, tasks, workspace, capsys):
         root, _ = workspace
         manifest = write_manifest(root, **overrides)

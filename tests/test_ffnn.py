@@ -57,6 +57,26 @@ class TestConfig:
         with pytest.raises(ValidationError):
             FfnnConfig(epsilon=0.0)
 
+    def test_precision_defaults_to_float32(self):
+        assert FfnnConfig().precision == "float32"
+        assert FfnnConfig(precision="float64").precision == "float64"
+        for bad in ("float16", "f4", np.float32, None):
+            with pytest.raises(ValidationError, match="precision"):
+                FfnnConfig(precision=bad)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "epsilon"])
+    def test_refuses_steps_the_precision_cannot_hold(self, name):
+        for bad in (math.inf, -math.inf, math.nan, -1e-3, 10**400):
+            for precision in ("float32", "float64"):
+                with pytest.raises(ValidationError, match=name):
+                    FfnnConfig(**{name: bad, "precision": precision})
+        # past float32's range, or below half its least subnormal
+        for value in (1e39, 1e-46):
+            with pytest.raises(ValidationError, match=f"{name}.*float32"):
+                FfnnConfig(**{name: value})
+            assert getattr(FfnnConfig(**{name: value, "precision": "float64"}), name) == value
+        assert getattr(FfnnConfig(**{name: 1e-45}), name) == 1e-45
+
 
 class TestInit:
     def test_same_seed_bitwise_identical(self):
@@ -215,7 +235,7 @@ class TestBackward:
     def test_masked_paths_carry_no_gradient(self):
         # a unit whose dropout mask is zero is dead for the step, so the
         # weights feeding it get exactly zero gradient
-        cfg = FfnnConfig(hidden_sizes=(8,), dropout_hidden=0.5, seed=0)
+        cfg = FfnnConfig(hidden_sizes=(8,), dropout_hidden=0.5, seed=0, precision="float64")
         m = init_ffnn(cfg, VAD, BE5)
         X = np.random.default_rng(6).uniform(1, 9, size=(1, 3))
         rng = np.random.default_rng(7)
@@ -305,10 +325,20 @@ class TestTraining:
         for j in range(T.shape[1]):
             assert pearson(pred[:, j], T[200:, j]) > 0.999
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises_with_iteration(self):
         S, T = make_affine_arrays(n=30, seed=6)
-        cfg = FfnnConfig(hidden_sizes=(8,), iterations=500, learning_rate=1e150, seed=0)
+        cfg = FfnnConfig(
+            hidden_sizes=(8,), iterations=500, learning_rate=1e150, seed=0, precision="float64"
+        )
+        with pytest.raises(DivergenceError) as exc:
+            FfnnModel(cfg).fit_arrays(S, T)
+        assert exc.value.iteration >= 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_in_float32_raises_with_iteration(self):
+        S, T = make_affine_arrays(n=30, seed=6)
+        cfg = FfnnConfig(hidden_sizes=(8,), iterations=500, learning_rate=1e30, seed=0)
         with pytest.raises(DivergenceError) as exc:
             FfnnModel(cfg).fit_arrays(S, T)
         assert exc.value.iteration >= 1
@@ -332,41 +362,47 @@ class TestTraining:
 def _reference_train(cfg, S, T):
     """Train with the original elementwise expressions, kept as a bit-level
     reference: np.where relu/dropout chains forward and backward, and the
-    Adam step in its original expression order. Uses the same BLAS as the
-    code under test, so equality does not depend on the machine."""
-    S = np.ascontiguousarray(S, dtype=np.float64)
-    T = np.ascontiguousarray(T, dtype=np.float64)
+    Adam step in its original expression order. Everything but the loss is
+    computed in cfg.precision, each scalar rounded once from float64; the
+    loss is the float64 mean of the squared errors. Uses the same BLAS as
+    the code under test, so equality does not depend on the machine."""
+    dt = np.dtype(cfg.precision).type
+    S = np.ascontiguousarray(S, dtype=dt)
+    T = np.ascontiguousarray(T, dtype=dt)
     rng = np.random.default_rng(cfg.seed)
     sizes = [S.shape[1], *cfg.hidden_sizes, T.shape[1]]
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(np.ascontiguousarray(rng.uniform(-limit, limit, size=(fan_out, fan_in))))
-        biases.append(np.zeros(fan_out))
+        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(dt))
+        biases.append(np.zeros(fan_out, dtype=dt))
     params = [a.reshape(-1) for a in (*weights, *biases)]
-    moment1 = [np.zeros(p.size) for p in params]
-    moment2 = [np.zeros(p.size) for p in params]
-    keep = 1.0 - cfg.dropout_hidden
-    inv = 1.0 / keep
-    lr, b1, b2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
+    moment1 = [np.zeros(p.size, dtype=dt) for p in params]
+    moment2 = [np.zeros(p.size, dtype=dt) for p in params]
+    zero = dt(0.0)
+    keep = dt(1.0 - cfg.dropout_hidden)
+    inv = dt(1.0 / (1.0 - cfg.dropout_hidden))
+    lr, b1, b2, eps = (dt(v) for v in (cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon))
+    c1, c2 = dt(1.0 - cfg.beta1), dt(1.0 - cfg.beta2)
     trace = []
     for it in range(1, cfg.iterations + 1):
         layers = []
         a = S
         for W, b in zip(weights[:-1], biases[:-1]):
             z = a @ W.T + b
-            h = np.where(z > 0.0, z, 0.0)
+            h = np.where(z > zero, z, zero)
             if cfg.dropout_hidden > 0.0:
-                u = rng.random(size=z.shape)
-                h = np.where(u < keep, h * inv, 0.0)
+                u = rng.random(size=z.shape, dtype=dt)
+                h = np.where(u < keep, h * inv, zero)
             else:
                 u = None
             layers.append((a, z, u))
             a = h
         out = a @ weights[-1].T + biases[-1]
         d = out - T
-        trace.append(float(np.mean(d * d)))
-        delta = d * (2.0 / out.size)
+        d64 = out.astype(np.float64) - T.astype(np.float64)
+        trace.append(float(np.mean(d64 * d64)))
+        delta = d * dt(2.0 / out.size)
         grads_w = [None] * len(weights)
         grads_b = [None] * len(weights)
         grads_w[-1] = delta.T @ a
@@ -375,31 +411,43 @@ def _reference_train(cfg, S, T):
         for l in range(len(weights) - 2, -1, -1):
             a_prev, z, u = layers[l]
             if u is None:
-                dz = np.where(z > 0.0, back, 0.0)
+                dz = np.where(z > zero, back, zero)
             else:
-                dz = np.where(z > 0.0, np.where(u < keep, back * inv, 0.0), 0.0)
+                dz = np.where(z > zero, np.where(u < keep, back * inv, zero), zero)
             grads_w[l] = dz.T @ a_prev
             grads_b[l] = dz.sum(axis=0)
             if l > 0:
                 back = dz @ weights[l]
         grads = [g.reshape(-1) for g in (*grads_w, *grads_b)]
-        bc1 = 1.0 - b1**it
-        bc2 = 1.0 - b2**it
+        bc1 = dt(1.0 - cfg.beta1**it)
+        bc2 = dt(1.0 - cfg.beta2**it)
         for p, g, m, v in zip(params, grads, moment1, moment2):
-            m[:] = b1 * m + (1.0 - b1) * g
-            v[:] = b2 * v + (1.0 - b2) * (g * g)
+            m[:] = b1 * m + c1 * g
+            v[:] = b2 * v + c2 * (g * g)
             p -= (lr * (m / bc1)) / (np.sqrt(v / bc2) + eps)
     return weights, biases, trace
 
 
 class TestReferenceBits:
-    """Training matches the reference expressions bit for bit."""
+    """Training matches the reference expressions bit for bit, in float64
+    and in float32."""
 
     @pytest.mark.parametrize("hidden", [(128, 128), (8,)], ids=["128x128", "8"])
     @pytest.mark.parametrize("dropout", [0.2, 0.0])
     def test_matches_reference_trainer(self, hidden, dropout):
         S, T = make_affine_arrays(n=60, seed=11)
+        cfg = FfnnConfig(
+            hidden_sizes=hidden, dropout_hidden=dropout, iterations=25, seed=4,
+            precision="float64",
+        )
+        self._assert_same_bits(cfg, S, T)
+
+    @pytest.mark.parametrize("hidden", [(128, 128), (8,)], ids=["128x128", "8"])
+    @pytest.mark.parametrize("dropout", [0.2, 0.0])
+    def test_matches_reference_trainer_float32(self, hidden, dropout):
+        S, T = make_affine_arrays(n=60, seed=11)
         cfg = FfnnConfig(hidden_sizes=hidden, dropout_hidden=dropout, iterations=25, seed=4)
+        assert cfg.precision == "float32"
         self._assert_same_bits(cfg, S, T)
 
     def test_zero_preactivation_takes_the_strict_gate(self):
@@ -407,19 +455,49 @@ class TestReferenceBits:
         # sees pre-activations that are exactly 0.0 in every hidden layer
         S, T = make_affine_arrays(n=40, seed=12)
         S[::4] = 0.0
-        cfg = FfnnConfig(hidden_sizes=(16, 16), iterations=25, seed=5)
-        model = init_ffnn(cfg, VAD, BE5)
-        rng = np.random.default_rng(cfg.seed)
-        _, cache = ffnn_forward(model, S, mode="train", rng=rng)
-        assert all(np.any(z == 0.0) for _, z, _ in cache.layers)
-        self._assert_same_bits(cfg, S, T)
+        for precision in ("float64", "float32"):
+            cfg = FfnnConfig(hidden_sizes=(16, 16), iterations=25, seed=5, precision=precision)
+            model = init_ffnn(cfg, VAD, BE5)
+            rng = np.random.default_rng(cfg.seed)
+            _, cache = ffnn_forward(model, S, mode="train", rng=rng)
+            assert all(np.any(z == 0.0) for _, z, _ in cache.layers)
+            self._assert_same_bits(cfg, S, T)
 
     @staticmethod
     def _assert_same_bits(cfg, S, T):
         got = FfnnModel(cfg).fit_arrays(S, T)
         weights, biases, trace = _reference_train(cfg, S, T)
-        for a, b in zip(got.weights, weights):
-            assert np.array_equal(a, b)
-        for a, b in zip(got.biases, biases):
+        for a, b in zip((*got.weights, *got.biases), (*weights, *biases)):
+            assert a.dtype == b.dtype == np.dtype(cfg.precision)
             assert np.array_equal(a, b)
         assert np.array_equal(got.loss_trace, trace)
+
+
+def test_float32_fit_stays_float32(monkeypatch):
+    """Every weight, bias, gradient, moment and forward-cache array of a
+    float32 fit is float32. A float64 array, or a float64 scalar that NEP 50
+    lets promote an expression, would show here as a float64 result; one
+    whose result is written back into a float32 array is left to the
+    reference-bits tests. Predictions come back as float64."""
+    seen = []
+    forward, adam = ffnn_module.ffnn_forward, ffnn_module._adam_step
+
+    def spy_forward(m, X, mode="eval", rng=None):
+        out, cache = forward(m, X, mode, rng)
+        seen.extend([out, cache.last_input, cache.output])
+        seen.extend(a for layer in cache.layers for a in layer)
+        return out, cache
+
+    def spy_adam(cfg, it, params, grads, moments):
+        seen.extend([*params, *grads, *(m for pair in moments for m in pair)])
+        adam(cfg, it, params, grads, moments)
+
+    monkeypatch.setattr(ffnn_module, "ffnn_forward", spy_forward)
+    monkeypatch.setattr(ffnn_module, "_adam_step", spy_adam)
+    S, T = make_affine_arrays(n=30, seed=2)
+    m = FfnnModel(FfnnConfig(hidden_sizes=(8, 8), iterations=3, seed=1)).fit_arrays(S, T)
+    assert len(seen) == 3 * (3 + 3 * 2) + 3 * (4 * 6)
+    assert {a.dtype for a in seen} == {np.dtype(np.float32)}
+    assert {a.dtype for a in (*m.weights, *m.biases)} == {np.dtype(np.float32)}
+    assert m.predict(S).dtype == np.float64
+    assert all(type(v) is float for v in m.loss_trace)

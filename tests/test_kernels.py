@@ -110,7 +110,8 @@ class TestNumpySemantics:
         # with bias correction the very first step is lr * sign(g) for eps ~ 0
         S, T = make_affine_arrays(n=30, seed=3)
         cfg = FfnnConfig(
-            hidden_sizes=(6,), dropout_hidden=0.0, iterations=1, epsilon=1e-12, seed=3
+            hidden_sizes=(6,), dropout_hidden=0.0, iterations=1, epsilon=1e-12, seed=3,
+            precision="float64",
         )
         start = init_ffnn(cfg, VAD, BE5)
         grads = grads_at(start, S, T)
@@ -121,7 +122,9 @@ class TestNumpySemantics:
     def test_adam_moment_recursions(self):
         # the second step is fixed by the moments carried over from the first
         S, T = make_affine_arrays(n=30, seed=4)
-        cfg = FfnnConfig(hidden_sizes=(6,), dropout_hidden=0.0, iterations=1, seed=4)
+        cfg = FfnnConfig(
+            hidden_sizes=(6,), dropout_hidden=0.0, iterations=1, seed=4, precision="float64"
+        )
         lr, b1, b2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
         g1 = grads_at(init_ffnn(cfg, VAD, BE5), S, T)
         one = FfnnModel(cfg).fit_arrays(S, T)
