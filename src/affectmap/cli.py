@@ -114,17 +114,20 @@ def cmd_validate(args) -> int:
             note(f"warning\t{label}\t{d.kind}\t{where}\t{d.word or ''}\t{d.message}")
         return result
 
+    loaded = {}
     for entry in attempt("datasets", lambda d: manifest.dataset_entries()) or []:
         label = f"dataset {entry.get('id', '?')}"
         aligned = attempt(label, lambda d, e=entry: manifest.load_dataset(e, d))
         if aligned is not None:
+            loaded[entry["id"]] = aligned
             note(
                 f"ok\t{label}\t{len(aligned)} aligned words\t"
                 f"{aligned.source_format.name}<->{aligned.target_format.name}"
             )
     attempt("models", lambda d: manifest.load_models())
     if "ablation" in manifest.raw:
-        attempt("ablation", lambda d: manifest.ablation_direction())
+        # only the datasets that loaded: a failed one is already reported
+        attempt("ablation", lambda d: manifest.ablation_direction(loaded))
     attempt("reliability", lambda d: manifest.load_reliability())
     for entry in attempt("lexicon jobs", lambda d: manifest.lexicon_job_entries()) or []:
         label = f"lexicon job {entry.get('output', '?')}"
@@ -168,7 +171,7 @@ def cmd_run(args) -> int:
         write_report_table(reports, out / "crosslingual_table.tsv")
     elif task == "ablation":
         datasets = manifest.load_datasets()
-        direction = manifest.ablation_direction()
+        direction = manifest.ablation_direction(datasets)
         report = run_ablation(
             datasets, direction, manifest.seed, k_folds=manifest.k_folds, jobs=args.jobs
         )

@@ -217,10 +217,9 @@ class Manifest:
                 return spec
         raise ConfigurationError(f"crosslingual_model {name!r} is not a defined model")
 
-    def ablation_direction(self) -> str:
-        """The ablation direction, once every dataset is known to offer it."""
+    def ablation_direction(self, datasets: dict[str, AlignedLexicon]) -> str:
+        """The ablation direction, once each of ``datasets`` is known to offer it."""
         direction = self.raw.get("ablation", {}).get("direction", "dim2cat")
-        datasets = self.load_datasets()
         try:
             for ds_id in datasets:
                 _orient(datasets, ds_id, direction)

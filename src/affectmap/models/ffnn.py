@@ -4,8 +4,8 @@ All target variables are predicted jointly through a shared trunk.
 Training runs full-batch gradient steps with adaptive-moment updates and
 inverted dropout on the hidden layers. Everything is deterministic for a
 fixed config seed: one generator drives initialization first, then the
-per-iteration dropout masks. Training computes in the config's precision
-(float32 by default); predictions are returned as float64.
+per-iteration dropout masks. Training computes in float32; predictions
+are returned as float64.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ __all__ = [
     "gradient_check",
 ]
 
+# the dtype every network trains in; forward and backward compute in the
+# weights' dtype, so float64 weights (older model files, gradient_check)
+# still run through the same functions
+TRAIN_DTYPE = np.dtype(np.float32)
+
 
 @dataclass(frozen=True)
 class FfnnConfig:
@@ -37,8 +42,7 @@ class FfnnConfig:
     Defaults follow the reference setup: two 128-unit hidden layers,
     0.2 dropout on hidden outputs, 10,000 full-batch iterations, and the
     standard adaptive-moment settings (step 1e-3, decays 0.9/0.999,
-    epsilon 1e-8). precision is the dtype training computes in,
-    "float32" or "float64"; the step and epsilon must hold in it.
+    epsilon 1e-8). The step and epsilon must hold in the training dtype.
     """
 
     hidden_sizes: tuple[int, ...] = (128, 128)
@@ -49,7 +53,6 @@ class FfnnConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
     seed: int = 0
-    precision: str = "float32"
 
     def __post_init__(self):
         sizes = tuple(_count("hidden_sizes entry", h) for h in self.hidden_sizes)
@@ -59,22 +62,18 @@ class FfnnConfig:
             raise ValidationError("hidden_sizes must not be empty")
         if not 0.0 <= self.dropout_hidden < 1.0:
             raise ValidationError(f"dropout must lie in [0, 1), got {self.dropout_hidden!r}")
-        if self.precision not in ("float32", "float64"):
-            raise ValidationError(
-                f"precision must be 'float32' or 'float64', got {self.precision!r}"
-            )
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValidationError("moment decays must lie in [0, 1)")
         # values in (tiny, huge] round to a positive finite number in the
-        # precision; as Python floats the bounds compare with a huge JSON
-        # integer without overflow
-        info = np.finfo(self.precision)
+        # training dtype; as Python floats the bounds compare with a huge
+        # JSON integer without overflow
+        info = np.finfo(TRAIN_DTYPE)
         tiny, huge = float(info.smallest_subnormal) / 2, float(info.max)
         for name in ("learning_rate", "epsilon"):
             value = getattr(self, name)
             if not tiny < value <= huge:
                 raise ValidationError(
-                    f"{name} must be positive and finite in {self.precision}, got {value!r}"
+                    f"{name} must be positive and finite in {TRAIN_DTYPE}, got {value!r}"
                 )
 
 
@@ -108,30 +107,13 @@ class FfnnModel(MappingModel):
         return None if self.weights is None else self.weights[0].shape[1]
 
     def fit_arrays(self, S, T) -> "FfnnModel":
-        """Train in place from a fresh seeded initialization.
-
-        A diverging run overflows to inf and nan; the finite-loss check
-        ends it in a DivergenceError, so those float warnings are muted.
-        """
+        """Train in place, in float32, from a fresh seeded initialization."""
         cfg = self.config
-        dt = np.dtype(cfg.precision)
-        S, T = (a.astype(dt, copy=False) for a in self._training(S, T))
+        S, T = (a.astype(TRAIN_DTYPE, copy=False) for a in self._training(S, T))
         rng = np.random.default_rng(cfg.seed)
         sizes = [S.shape[1], *cfg.hidden_sizes, T.shape[1]]
-        self.weights, self.biases = _init_layers(sizes, rng, dt)
-        params = [*self.weights, *self.biases]
-        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
-        trace = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for it in range(1, cfg.iterations + 1):
-                out, cache = ffnn_forward(self, S, mode="train", rng=rng)
-                loss = ffnn_loss(out, T)
-                if not math.isfinite(loss):
-                    raise DivergenceError("training loss is not finite", iteration=it)
-                trace.append(loss)
-                grads_w, grads_b = ffnn_backward(self, cache, T)
-                _adam_step(cfg, it, params, (*grads_w, *grads_b), moments)
-        self.loss_trace = trace
+        self.weights, self.biases = _init_layers(sizes, rng, TRAIN_DTYPE)
+        self.loss_trace = _train(self, S, T, rng)
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -145,8 +127,8 @@ class FfnnModel(MappingModel):
 def _init_layers(sizes, rng, dtype=np.float64):
     """Uniform draws in +-sqrt(6/(fan_in+fan_out)) per layer, zero biases.
 
-    The draws are float64 whatever the dtype, then cast, so every
-    precision starts from the same generator stream.
+    The draws are float64 whatever the dtype, then cast, so every dtype
+    starts from the same generator stream.
     """
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -154,6 +136,28 @@ def _init_layers(sizes, rng, dtype=np.float64):
         weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(dtype))
         biases.append(np.zeros(fan_out, dtype))
     return weights, biases
+
+
+def _train(m: FfnnModel, S, T, rng) -> list[float]:
+    """Run m.config.iterations full-batch steps on m's parameters in place,
+    in their dtype; returns the loss trace. S and T are in that dtype too.
+
+    A diverging run overflows to inf and nan; the finite-loss check ends
+    it in a DivergenceError, so those float warnings are muted.
+    """
+    params = [*m.weights, *m.biases]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    trace = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, m.config.iterations + 1):
+            out, cache = ffnn_forward(m, S, mode="train", rng=rng)
+            loss = ffnn_loss(out, T)
+            if not math.isfinite(loss):
+                raise DivergenceError("training loss is not finite", iteration=it)
+            trace.append(loss)
+            grads_w, grads_b = ffnn_backward(m, cache, T)
+            _adam_step(m.config, it, params, (*grads_w, *grads_b), moments)
+    return trace
 
 
 def _adam_step(cfg: FfnnConfig, it: int, params, grads, moments) -> None:
@@ -178,7 +182,7 @@ def init_ffnn(cfg: FfnnConfig, source_format, target_format) -> FfnnModel:
     """Fresh untrained model: the initialization fit_arrays starts from."""
     rng = np.random.default_rng(cfg.seed)
     sizes = [source_format.size, *cfg.hidden_sizes, target_format.size]
-    weights, biases = _init_layers(sizes, rng, np.dtype(cfg.precision))
+    weights, biases = _init_layers(sizes, rng, TRAIN_DTYPE)
     return FfnnModel(
         cfg,
         weights=weights,

@@ -4,9 +4,10 @@ Layout: 8-byte magic "AFMAP001", little-endian uint32 header length, a
 UTF-8 JSON header (kind, formats, scalar metadata, array manifest), then
 the arrays as raw little-endian float64 bytes, row-major, in manifest
 order. Save -> load -> predict round-trips bit-identically because the
-parameters themselves round-trip bit-identically: a network config records
-its training precision, and float32 weights, stored exactly as float64,
-are cast back to it. Files that predate the precision key load as float64.
+parameters themselves round-trip bit-identically: ffnn and boosted meta
+record the networks' dtype, and float32 weights, stored exactly as
+float64, are cast back to it. Files without a dtype hold networks trained
+in float64 and load as float64.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _collect(model):
         meta = {"k": model.k}
         return "knn", meta, [("source", model.source), ("target", model.target)]
     if isinstance(model, FfnnModel):
-        meta = {"config": asdict(model.config)}
+        meta = {"config": asdict(model.config), "dtype": model.weights[0].dtype.name}
         arrays = _net_arrays("", model)
         arrays.append(("loss_trace", np.asarray(model.loss_trace, dtype=np.float64)))
         return "ffnn", meta, arrays
@@ -81,6 +82,7 @@ def _collect(model):
         "n_features": model.n_features,
         "stage_counts": [len(nets) for nets in model.stages],
         "stage_seeds": [[net.config.seed for net in nets] for nets in model.stages],
+        "dtype": model.stages[0][0].weights[0].dtype.name,
     }
     arrays = []
     for vi, (nets, weights) in enumerate(zip(model.stages, model.stage_weights)):
@@ -214,17 +216,18 @@ def _check_net(arrays, prefix, hidden_sizes, d, t) -> None:
         _expect(arrays, f"{prefix}b{i}", (fan_out,))
 
 
-def _net_config(d) -> FfnnConfig:
-    """A saved network config; files without a precision trained in float64."""
-    return FfnnConfig(**{"precision": "float64", **d})
+def _net_dtype(meta) -> str:
+    """The dtype the networks were saved in; files without one trained in float64."""
+    dtype = meta.get("dtype", "float64")
+    if dtype not in ("float32", "float64"):
+        raise ParseError(f"network dtype must be 'float32' or 'float64', got {dtype!r}")
+    return dtype
 
 
-def _layers(arrays, prefix, cfg) -> tuple[list, list]:
-    """A network's weights and biases, cast to its config's precision."""
-    n_layers = len(cfg.hidden_sizes) + 1
+def _layers(arrays, prefix, n_layers, dtype) -> tuple[list, list]:
+    """A network's weights and biases, cast back to the dtype it was saved in."""
     return tuple(
-        [arrays[f"{prefix}{kind}{i}"].astype(cfg.precision) for i in range(n_layers)]
-        for kind in "Wb"
+        [arrays[f"{prefix}{kind}{i}"].astype(dtype) for i in range(n_layers)] for kind in "Wb"
     )
 
 
@@ -261,12 +264,13 @@ def _build(kind, meta, arrays, formats):
         model.target = np.ascontiguousarray(arrays["target"])
         return model
     if kind == "ffnn":
-        cfg = _net_config(meta["config"])
+        cfg = FfnnConfig(**meta["config"])
+        n_layers = len(cfg.hidden_sizes) + 1
         d = _matrix(arrays, "W0")[1]
-        t = _matrix(arrays, f"W{len(cfg.hidden_sizes)}")[0]
+        t = _matrix(arrays, f"W{n_layers - 1}")[0]
         _check_net(arrays, "", cfg.hidden_sizes, d, t)
         _check_formats(d, t, *formats)
-        weights, biases = _layers(arrays, "", cfg)
+        weights, biases = _layers(arrays, "", n_layers, _net_dtype(meta))
         return FfnnModel(
             cfg,
             weights=weights,
@@ -274,7 +278,8 @@ def _build(kind, meta, arrays, formats):
             loss_trace=arrays["loss_trace"].tolist(),
         )
     if kind == "boosted":
-        base = _net_config(meta["base_config"])
+        base = FfnnConfig(**meta["base_config"])
+        dtype = _net_dtype(meta)
         n_features = meta["n_features"]
         counts = meta["stage_counts"]
         variables = meta["variables"]
@@ -292,6 +297,7 @@ def _build(kind, meta, arrays, formats):
         )
         model.variables = tuple(variables) if variables else None
         model.n_features = n_features
+        n_net_layers = len(base.hidden_sizes) + 1
         model.stages = []
         model.stage_weights = []
         for vi, count in enumerate(counts):
@@ -301,7 +307,7 @@ def _build(kind, meta, arrays, formats):
             for si in range(count):
                 prefix = f"v{vi}s{si}_"
                 _check_net(arrays, prefix, base.hidden_sizes, n_features, 1)
-                weights, biases = _layers(arrays, prefix, base)
+                weights, biases = _layers(arrays, prefix, n_net_layers, dtype)
                 cfg = replace(base, seed=meta["stage_seeds"][vi][si])
                 nets.append(FfnnModel(cfg, weights=weights, biases=biases))
             model.stages.append(nets)

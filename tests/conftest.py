@@ -31,6 +31,7 @@ from affectmap.models import (
     LinearModel,
     save_model,
 )
+from affectmap.models import ffnn as ffnn_module
 
 
 def reference_parse(data, fmt, column_map, *, language="", source_id="", lowercase=False,
@@ -141,6 +142,24 @@ def make_affine_arrays(n=200, s=3, t=5, seed=0, noise=0.0, mscale=0.15, offset=3
     return S, T
 
 
+def init_float64(cfg, n_in, n_out):
+    """FfnnModel.fit_arrays's seeded initialization with float64 weights,
+    and the generator positioned where its training loop takes over."""
+    rng = np.random.default_rng(cfg.seed)
+    weights, biases = ffnn_module._init_layers([n_in, *cfg.hidden_sizes, n_out], rng)
+    return FfnnModel(cfg, weights=weights, biases=biases), rng
+
+
+def fit_float64(cfg, S, T):
+    """FfnnModel.fit_arrays run through the same training loop on float64
+    weights: the float64 arithmetic of ffnn_forward, ffnn_backward and the
+    adaptive-moment step, which older model files and gradient_check use."""
+    S, T = (np.ascontiguousarray(a, dtype=np.float64) for a in (S, T))
+    m, rng = init_float64(cfg, S.shape[1], T.shape[1])
+    m.loss_trace = ffnn_module._train(m, S, T, rng)
+    return m
+
+
 def make_vshape_arrays(n=300, seed=0):
     """Targets depend on |source - 5|, which is uncorrelated with the
     source itself; linear models see nothing, networks see everything."""
@@ -223,10 +242,16 @@ def malformed_model_files():
 
     negative = json.loads(json.dumps(header))
     negative["arrays"][0]["shape"] = [-1, 2]
+    net = FfnnModel(FfnnConfig(hidden_sizes=(2,), iterations=1))
+    net_raw, net_header, net_payload = _split_model(
+        net.fit_arrays(np.ones((4, 3)), np.ones((4, 5)))
+    )
+    net_header["meta"]["dtype"] = "float16"
     return {
         "no-arrays": frame({k: v for k, v in header.items() if k != "arrays"}),
         "list-header": frame([header]),
         "negative-shape": frame(negative),
         "knn-empty-meta": frame({**header, "meta": {}}),
         "trailing-bytes": raw + bytes(8),
+        "ffnn-dtype-float16": _frame(net_raw, net_header, net_payload),
     }

@@ -2,9 +2,9 @@
 
     PYTHONPATH=src python tests/data/float64_models/make.py OUT_DIR
 
-The committed files were written by commit 51f4f7a, the last one whose
-network configs had no precision and trained in float64; run on a later
-checkout this script writes float32 models instead. tests/test_serialize.py
+The committed files were written by commit 51f4f7a, the last one that
+trained networks in float64 and saved no dtype; run on a later checkout
+this script writes float32 models instead. tests/test_serialize.py
 checks that the committed files still load and predict these numbers.
 """
 import json
@@ -32,7 +32,9 @@ assert any(len(nets) > 1 for nets in boosted.stages)
 
 # one nonzero per row: every dot product in predict is a single rounded
 # product, so the expected bits do not depend on the BLAS kernel
-queries = [[v if c == col else 0.0 for c in range(3)] for v in (1.0, 2.5, 5.0, 9.0) for col in range(3)]
+queries = [
+    [v if c == col else 0.0 for c in range(3)] for v in (1.0, 2.5, 5.0, 9.0) for col in range(3)
+]
 doc = {"queries": queries}
 for name, model in (("ffnn", ffnn), ("boosted", boosted)):
     save_model(model, out / f"{name}.afm")

@@ -211,6 +211,16 @@ class TestValidate:
         assert code == 2
         assert "error" in capsys.readouterr().out
 
+    def test_missing_dataset_reported_once(self, tmp_path, capsys):
+        # the ablation check sees only the datasets that loaded
+        manifest = write_manifest(tmp_path, ablation={"direction": "dim2cat"})
+        code = main(["validate", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[1] for line in lines if line.startswith("error")] == [
+            "dataset syn"
+        ]
+
     def test_lexicon_job_listed(self, tmp_path, capsys):
         write_dataset(tmp_path)
         rng = np.random.default_rng(3)
@@ -358,8 +368,7 @@ class TestRunMonolingual:
                 {
                     "name": "blowup",
                     "kind": "ffnn",
-                    "params": {"hidden_sizes": [8], "iterations": 50, "learning_rate": 1e150,
-                               "precision": "float64"},
+                    "params": {"hidden_sizes": [8], "iterations": 50, "learning_rate": 1e30},
                 }
             ],
         )
@@ -613,8 +622,6 @@ class TestManifestShape:
         (_net(epsilon=float("inf"), iterations=1), "model 'net': epsilon", ("monolingual",)),
         (_net(learning_rate=10**400, iterations=1), "model 'net': learning_rate",
          ("monolingual",)),
-        (_net(precision="float16", iterations=1), "model 'net': precision must be",
-         ("monolingual",)),
         ({"models": [{"name": "lr", "kind": "lr"}, {"name": "lr", "kind": "knn"}],
           **_job_source()}, "duplicate model name 'lr'", ("monolingual", "build-lexicon")),
         ({"ablation": {"direction": "bogus"}}, "ablation: 'direction'", ("ablation",)),
@@ -631,7 +638,7 @@ class TestManifestShape:
             "job-training_direction-list", "reliability-int", "features_path-int", "kind-list",
             "name-list", "ablation-direction-list", "ablation-direction-int",
             "dataset-id-duplicate", "ffnn-learning_rate-Infinity", "ffnn-epsilon-Infinity",
-            "ffnn-learning_rate-huge-int", "ffnn-precision-float16", "models-name-duplicate", "ablation-direction-bogus",
+            "ffnn-learning_rate-huge-int", "models-name-duplicate", "ablation-direction-bogus",
             "n_star-zero"])
     def test_exit_2_naming_the_fault(self, overrides, named, tasks, workspace, capsys):
         root, _ = workspace

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_affine_arrays, make_aligned
+from conftest import fit_float64, make_affine_arrays, make_aligned
 from affectmap.errors import ContractError, DivergenceError, ValidationError
 from affectmap.lexicon import BE5, VAD
 from affectmap.models import (
@@ -57,24 +57,13 @@ class TestConfig:
         with pytest.raises(ValidationError):
             FfnnConfig(epsilon=0.0)
 
-    def test_precision_defaults_to_float32(self):
-        assert FfnnConfig().precision == "float32"
-        assert FfnnConfig(precision="float64").precision == "float64"
-        for bad in ("float16", "f4", np.float32, None):
-            with pytest.raises(ValidationError, match="precision"):
-                FfnnConfig(precision=bad)
-
     @pytest.mark.parametrize("name", ["learning_rate", "epsilon"])
-    def test_refuses_steps_the_precision_cannot_hold(self, name):
-        for bad in (math.inf, -math.inf, math.nan, -1e-3, 10**400):
-            for precision in ("float32", "float64"):
-                with pytest.raises(ValidationError, match=name):
-                    FfnnConfig(**{name: bad, "precision": precision})
-        # past float32's range, or below half its least subnormal
-        for value in (1e39, 1e-46):
+    def test_refuses_steps_float32_cannot_hold(self, name):
+        # non-finite, negative, past float32's range (a huge JSON integer
+        # too), or below half its least subnormal, so rounding to 0
+        for bad in (math.inf, -math.inf, math.nan, -1e-3, 10**400, 1e39, 1e-46):
             with pytest.raises(ValidationError, match=f"{name}.*float32"):
-                FfnnConfig(**{name: value})
-            assert getattr(FfnnConfig(**{name: value, "precision": "float64"}), name) == value
+                FfnnConfig(**{name: bad})
         assert getattr(FfnnConfig(**{name: 1e-45}), name) == 1e-45
 
 
@@ -235,7 +224,7 @@ class TestBackward:
     def test_masked_paths_carry_no_gradient(self):
         # a unit whose dropout mask is zero is dead for the step, so the
         # weights feeding it get exactly zero gradient
-        cfg = FfnnConfig(hidden_sizes=(8,), dropout_hidden=0.5, seed=0, precision="float64")
+        cfg = FfnnConfig(hidden_sizes=(32,), dropout_hidden=0.5, seed=0)
         m = init_ffnn(cfg, VAD, BE5)
         X = np.random.default_rng(6).uniform(1, 9, size=(1, 3))
         rng = np.random.default_rng(7)
@@ -327,16 +316,7 @@ class TestTraining:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises_with_iteration(self):
-        S, T = make_affine_arrays(n=30, seed=6)
-        cfg = FfnnConfig(
-            hidden_sizes=(8,), iterations=500, learning_rate=1e150, seed=0, precision="float64"
-        )
-        with pytest.raises(DivergenceError) as exc:
-            FfnnModel(cfg).fit_arrays(S, T)
-        assert exc.value.iteration >= 1
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_divergence_in_float32_raises_with_iteration(self):
+        # the overflow ends in DivergenceError alone, with no float warning
         S, T = make_affine_arrays(n=30, seed=6)
         cfg = FfnnConfig(hidden_sizes=(8,), iterations=500, learning_rate=1e30, seed=0)
         with pytest.raises(DivergenceError) as exc:
@@ -359,14 +339,14 @@ class TestTraining:
             FfnnModel(FfnnConfig()).predict(np.ones((1, 3)))
 
 
-def _reference_train(cfg, S, T):
+def _reference_train(cfg, S, T, dtype):
     """Train with the original elementwise expressions, kept as a bit-level
     reference: np.where relu/dropout chains forward and backward, and the
     Adam step in its original expression order. Everything but the loss is
-    computed in cfg.precision, each scalar rounded once from float64; the
-    loss is the float64 mean of the squared errors. Uses the same BLAS as
-    the code under test, so equality does not depend on the machine."""
-    dt = np.dtype(cfg.precision).type
+    computed in dtype, each scalar rounded once from float64; the loss is
+    the float64 mean of the squared errors. Uses the same BLAS as the code
+    under test, so equality does not depend on the machine."""
+    dt = np.dtype(dtype).type
     S = np.ascontiguousarray(S, dtype=dt)
     T = np.ascontiguousarray(T, dtype=dt)
     rng = np.random.default_rng(cfg.seed)
@@ -429,46 +409,45 @@ def _reference_train(cfg, S, T):
 
 
 class TestReferenceBits:
-    """Training matches the reference expressions bit for bit, in float64
-    and in float32."""
+    """Training matches the reference expressions bit for bit: fit_arrays
+    in float32, and the same training loop on float64 weights."""
 
     @pytest.mark.parametrize("hidden", [(128, 128), (8,)], ids=["128x128", "8"])
     @pytest.mark.parametrize("dropout", [0.2, 0.0])
     def test_matches_reference_trainer(self, hidden, dropout):
         S, T = make_affine_arrays(n=60, seed=11)
-        cfg = FfnnConfig(
-            hidden_sizes=hidden, dropout_hidden=dropout, iterations=25, seed=4,
-            precision="float64",
-        )
-        self._assert_same_bits(cfg, S, T)
+        cfg = FfnnConfig(hidden_sizes=hidden, dropout_hidden=dropout, iterations=25, seed=4)
+        self._assert_same_bits(cfg, S, T, np.float64)
 
     @pytest.mark.parametrize("hidden", [(128, 128), (8,)], ids=["128x128", "8"])
     @pytest.mark.parametrize("dropout", [0.2, 0.0])
     def test_matches_reference_trainer_float32(self, hidden, dropout):
         S, T = make_affine_arrays(n=60, seed=11)
         cfg = FfnnConfig(hidden_sizes=hidden, dropout_hidden=dropout, iterations=25, seed=4)
-        assert cfg.precision == "float32"
-        self._assert_same_bits(cfg, S, T)
+        self._assert_same_bits(cfg, S, T, np.float32)
 
     def test_zero_preactivation_takes_the_strict_gate(self):
         # all-zero input rows meet zero initial biases: the first step
         # sees pre-activations that are exactly 0.0 in every hidden layer
         S, T = make_affine_arrays(n=40, seed=12)
         S[::4] = 0.0
-        for precision in ("float64", "float32"):
-            cfg = FfnnConfig(hidden_sizes=(16, 16), iterations=25, seed=5, precision=precision)
-            model = init_ffnn(cfg, VAD, BE5)
-            rng = np.random.default_rng(cfg.seed)
-            _, cache = ffnn_forward(model, S, mode="train", rng=rng)
-            assert all(np.any(z == 0.0) for _, z, _ in cache.layers)
-            self._assert_same_bits(cfg, S, T)
+        cfg = FfnnConfig(hidden_sizes=(16, 16), iterations=25, seed=5)
+        model = init_ffnn(cfg, VAD, BE5)
+        rng = np.random.default_rng(cfg.seed)
+        _, cache = ffnn_forward(model, S, mode="train", rng=rng)
+        assert all(np.any(z == 0.0) for _, z, _ in cache.layers)
+        for dtype in (np.float64, np.float32):
+            self._assert_same_bits(cfg, S, T, dtype)
 
     @staticmethod
-    def _assert_same_bits(cfg, S, T):
-        got = FfnnModel(cfg).fit_arrays(S, T)
-        weights, biases, trace = _reference_train(cfg, S, T)
+    def _assert_same_bits(cfg, S, T, dtype):
+        if dtype is np.float32:
+            got = FfnnModel(cfg).fit_arrays(S, T)
+        else:
+            got = fit_float64(cfg, S, T)
+        weights, biases, trace = _reference_train(cfg, S, T, dtype)
         for a, b in zip((*got.weights, *got.biases), (*weights, *biases)):
-            assert a.dtype == b.dtype == np.dtype(cfg.precision)
+            assert a.dtype == b.dtype == dtype
             assert np.array_equal(a, b)
         assert np.array_equal(got.loss_trace, trace)
 

@@ -3,21 +3,20 @@
 The relu/dropout forward and backward and the adaptive-moment step live
 inline in ``models/ffnn.py``; these tests check them through the public
 forward, backward and training entry points against straightforward
-reference math.
+reference math. The adaptive-moment tests run the training loop on
+float64 weights, so the float64 reference math holds to its tolerances.
 """
 
 from dataclasses import replace
 
 import numpy as np
-from conftest import make_affine_arrays
+from conftest import fit_float64, init_float64, make_affine_arrays
 
-from affectmap.lexicon import BE5, VAD
 from affectmap.models.ffnn import (
     FfnnConfig,
     FfnnModel,
     ffnn_backward,
     ffnn_forward,
-    init_ffnn,
 )
 
 
@@ -110,26 +109,23 @@ class TestNumpySemantics:
         # with bias correction the very first step is lr * sign(g) for eps ~ 0
         S, T = make_affine_arrays(n=30, seed=3)
         cfg = FfnnConfig(
-            hidden_sizes=(6,), dropout_hidden=0.0, iterations=1, epsilon=1e-12, seed=3,
-            precision="float64",
+            hidden_sizes=(6,), dropout_hidden=0.0, iterations=1, epsilon=1e-12, seed=3
         )
-        start = init_ffnn(cfg, VAD, BE5)
+        start, _ = init_float64(cfg, 3, 5)
         grads = grads_at(start, S, T)
-        stepped = FfnnModel(cfg).fit_arrays(S, T)
+        stepped = fit_float64(cfg, S, T)
         for p0, p1, g in zip(params_of(start), params_of(stepped), grads):
             assert np.allclose(p1 - p0, -cfg.learning_rate * np.sign(g))
 
     def test_adam_moment_recursions(self):
         # the second step is fixed by the moments carried over from the first
         S, T = make_affine_arrays(n=30, seed=4)
-        cfg = FfnnConfig(
-            hidden_sizes=(6,), dropout_hidden=0.0, iterations=1, seed=4, precision="float64"
-        )
+        cfg = FfnnConfig(hidden_sizes=(6,), dropout_hidden=0.0, iterations=1, seed=4)
         lr, b1, b2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
-        g1 = grads_at(init_ffnn(cfg, VAD, BE5), S, T)
-        one = FfnnModel(cfg).fit_arrays(S, T)
+        g1 = grads_at(init_float64(cfg, 3, 5)[0], S, T)
+        one = fit_float64(cfg, S, T)
         g2 = grads_at(one, S, T)
-        two = FfnnModel(replace(cfg, iterations=2)).fit_arrays(S, T)
+        two = fit_float64(replace(cfg, iterations=2), S, T)
         bc1, bc2 = 1.0 - b1**2, 1.0 - b2**2
         for p1, p2, a, b in zip(params_of(one), params_of(two), g1, g2):
             m = b1 * ((1.0 - b1) * a) + (1.0 - b1) * b

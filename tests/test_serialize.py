@@ -170,13 +170,13 @@ class TestFileFormat:
 FLOAT64_MODELS = Path(__file__).parent / "data" / "float64_models"
 
 
-class TestPrecision:
+class TestNetworkDtype:
     def test_float32_ffnn_round_trip(self, tmp_path):
         m = FfnnModel(FfnnConfig(hidden_sizes=(16,), iterations=40, seed=5)).fit(
             make_aligned(n=40, seed=3)
         )
         back, path = round_trip(m, tmp_path, "ffnn32")
-        assert b'"precision":"float32"' in path.read_bytes()
+        assert b'"dtype":"float32"' in path.read_bytes()
         assert back.config == m.config
         for a in (*back.weights, *back.biases):
             assert a.dtype == np.float32
@@ -197,17 +197,16 @@ class TestPrecision:
         assert np.array_equal(back.predict(QUERIES), m.predict(QUERIES))
 
     @pytest.mark.parametrize("kind", ["ffnn", "boosted"])
-    def test_files_without_precision_load_as_float64(self, kind):
-        """Files written before configs had a precision were trained in
-        float64; they predict the numbers they were saved with. Each query
+    def test_files_without_dtype_load_as_float64(self, kind):
+        """Files written before training moved to float32 hold float64
+        networks; they predict the numbers they were saved with. Each query
         row has one nonzero, so every dot product is a single rounded
         product and the expected bits hold on any BLAS kernel."""
         raw = (FLOAT64_MODELS / f"{kind}.afm").read_bytes()
-        assert b"precision" not in raw
+        assert b'"dtype"' not in raw
         expected = json.loads((FLOAT64_MODELS / "predictions.json").read_text())
         model = load_model(io.BytesIO(raw))
         nets = [model] if kind == "ffnn" else [n for stage in model.stages for n in stage]
-        assert {n.config.precision for n in nets} == {"float64"}
         assert {a.dtype for n in nets for a in (*n.weights, *n.biases)} == {np.dtype(np.float64)}
         got = model.predict(np.array(expected["queries"]))
         assert [[float(x).hex() for x in row] for row in got] == expected[kind]
