@@ -426,6 +426,15 @@ class TestReferenceBits:
         cfg = FfnnConfig(hidden_sizes=hidden, dropout_hidden=dropout, iterations=25, seed=4)
         self._assert_same_bits(cfg, S, T, np.float32)
 
+    @pytest.mark.parametrize("hidden", [(7,), (7, 5)], ids=["7", "7x5"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_odd_cell_count(self, hidden, dtype):
+        # 61x7 and 61x5 dropout cells per layer: float32 draws leave a
+        # half-word pending across layers and iterations
+        S, T = make_affine_arrays(n=61, seed=13)
+        cfg = FfnnConfig(hidden_sizes=hidden, iterations=25, seed=6)
+        self._assert_same_bits(cfg, S, T, dtype)
+
     def test_zero_preactivation_takes_the_strict_gate(self):
         # all-zero input rows meet zero initial biases: the first step
         # sees pre-activations that are exactly 0.0 in every hidden layer
@@ -480,3 +489,51 @@ def test_float32_fit_stays_float32(monkeypatch):
     assert {a.dtype for a in (*m.weights, *m.biases)} == {np.dtype(np.float32)}
     assert m.predict(S).dtype == np.float64
     assert all(type(v) is float for v in m.loss_trace)
+
+
+def _same_state(a, b):
+    """Bit-generator states equal, arrays (Philox keys) compared by value."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+ACCEPTED_BIT_GENERATORS = [
+    np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64
+]
+
+
+class TestDropoutMasks:
+    """Train-mode dropout keeps exactly the cells where
+    rng.random(size=z.shape, dtype) < keep, and leaves the generator where
+    those draws leave it, for every accepted bit generator."""
+
+    @pytest.mark.parametrize(
+        "bitgen", ACCEPTED_BIT_GENERATORS, ids=lambda g: g.__name__
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "n, hidden", [(61, (7, 5)), (60, (8,)), (1, (1,))], ids=["61x7x5", "60x8", "1x1"]
+    )
+    @pytest.mark.parametrize("pending", [0, 3], ids=["even", "half-word-pending"])
+    def test_masks_equal_uniform_draws(self, bitgen, dtype, n, hidden, pending):
+        cfg = FfnnConfig(hidden_sizes=hidden, dropout_hidden=0.3, iterations=1)
+        weights, biases = ffnn_module._init_layers(
+            [3, *hidden, 5], np.random.default_rng(2), dtype
+        )
+        model = FfnnModel(cfg, weights=weights, biases=biases)
+        X = np.random.default_rng(3).uniform(1.0, 9.0, size=(n, 3))
+        got, want = np.random.Generator(bitgen(9)), np.random.Generator(bitgen(9))
+        for rng in (got, want):
+            # an odd float32 draw leaves half of a raw word buffered
+            rng.random(pending, dtype=np.float32)
+        keep = dtype(1.0 - cfg.dropout_hidden)
+        for _ in range(2):
+            _, cache = ffnn_forward(model, X, mode="train", rng=got)
+            for _, z, mask in cache.layers:
+                assert np.array_equal(mask != 0.0, want.random(size=z.shape, dtype=dtype) < keep)
+        assert _same_state(got.bit_generator.state, want.bit_generator.state)
+        assert np.array_equal(got.random(5, dtype=np.float32), want.random(5, dtype=np.float32))
+        assert np.array_equal(got.random(5), want.random(5))
