@@ -28,12 +28,14 @@ class MappingModel:
 
     Subclasses define fit_arrays and predict, pass their inputs through
     _training and _query first, and report their input width as
-    n_features, None until fitted.
+    n_features, None until fitted. A fitted model that computes in another
+    dtype than float64 names it as input_dtype, which _query casts to.
     """
 
     source_format = None
     target_format = None
     n_features = None
+    input_dtype = np.dtype(np.float64)
 
     @property
     def fitted(self) -> bool:
@@ -45,10 +47,10 @@ class MappingModel:
         return self.fit_arrays(train.source_matrix, train.target_matrix)
 
     @staticmethod
-    def _training(S, T) -> tuple[np.ndarray, np.ndarray]:
-        """S and T as float64 C arrays, one row per training item."""
-        S = np.ascontiguousarray(S, dtype=np.float64)
-        T = np.ascontiguousarray(T, dtype=np.float64)
+    def _training(S, T, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+        """S and T as C arrays of dtype, one row per training item."""
+        S = np.ascontiguousarray(S, dtype=dtype)
+        T = np.ascontiguousarray(T, dtype=dtype)
         if S.ndim != 2 or T.ndim != 2 or S.shape[0] != T.shape[0]:
             raise ContractError(f"incompatible training shapes {S.shape} and {T.shape}")
         if S.shape[0] == 0:
@@ -56,10 +58,10 @@ class MappingModel:
         return S, T
 
     def _query(self, X) -> np.ndarray:
-        """X as a float64 C array of n_features columns."""
+        """X as a C array of input_dtype with n_features columns."""
         if not self.fitted:
             raise ContractError("predict called before fit")
-        X = np.ascontiguousarray(X, dtype=np.float64)
+        X = np.ascontiguousarray(X, dtype=self.input_dtype)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ContractError(f"expected (n, {self.n_features}) input, got {X.shape}")
         return X

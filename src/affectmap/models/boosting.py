@@ -20,7 +20,7 @@ import numpy as np
 from ..errors import ContractError, ParseError
 from ..lexicon import AlignedLexicon, Lexicon, _decode, canonical_word
 from .base import MappingModel, _count
-from .ffnn import FfnnConfig, FfnnModel
+from .ffnn import TRAIN_DTYPE, FfnnConfig, FfnnModel
 
 __all__ = [
     "BoostedEnsemble",
@@ -55,8 +55,16 @@ class BoostedEnsemble(MappingModel):
         self.variables = train.target_format.variables
         return super().fit(train)
 
+    @property
+    def input_dtype(self):
+        """The dtype its networks compute in, which they all share."""
+        return self.stages[0][0].input_dtype if self.stages else TRAIN_DTYPE
+
     def fit_arrays(self, F, T) -> "BoostedEnsemble":
         F, T = self._training(F, T)
+        # cast once: every base net gathers its rows from F in the dtype it
+        # trains in; the targets and the boosting error stay float64
+        F = F.astype(TRAIN_DTYPE)
         rng = np.random.default_rng(self.seed)
         self.n_features = F.shape[1]
         self.stages = []

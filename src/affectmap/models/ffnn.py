@@ -106,10 +106,15 @@ class FfnnModel(MappingModel):
     def n_features(self):
         return None if self.weights is None else self.weights[0].shape[1]
 
+    @property
+    def input_dtype(self):
+        """The dtype the network computes in: its weights'."""
+        return self.weights[0].dtype
+
     def fit_arrays(self, S, T) -> "FfnnModel":
         """Train in place, in float32, from a fresh seeded initialization."""
         cfg = self.config
-        S, T = (a.astype(TRAIN_DTYPE, copy=False) for a in self._training(S, T))
+        S, T = self._training(S, T, TRAIN_DTYPE)
         rng = np.random.default_rng(cfg.seed)
         sizes = [S.shape[1], *cfg.hidden_sizes, T.shape[1]]
         self.weights, self.biases = _init_layers(sizes, rng, TRAIN_DTYPE)
@@ -235,7 +240,7 @@ def ffnn_forward(m: FfnnModel, X, mode: str = "eval", rng=None):
         mask = None
         if dropping:
             # dtype= keeps a bool * scalar product in dt under numpy 1.x too
-            mask = np.multiply(rng.random(size=z.shape, dtype=dt) < keep, inv, dtype=dt)
+            mask = np.multiply(_keep_mask(rng, z.shape, keep), inv, dtype=dt)
             h *= mask
         cache.layers.append((a, z, mask))
         a = h
@@ -243,6 +248,50 @@ def ffnn_forward(m: FfnnModel, X, mode: str = "eval", rng=None):
     cache.last_input = a
     cache.output = out
     return out, cache
+
+
+def _keep_mask(rng, shape, keep) -> np.ndarray:
+    """The cells of ``rng.random(size=shape, dtype=keep.dtype) < keep``,
+    found from the generator's raw 64-bit words without making the floats.
+
+    numpy makes a float64 uniform as (w >> 11) * 2**-53 from one word w,
+    and a float32 one as (u >> 8) * 2**-24 from one 32-bit half u: the low
+    half of a word first, the high half kept in the state (``has_uint32``,
+    ``uinteger``) for the next float32 draw. So a cell is kept when its
+    integer lies below ceil(keep * 2**53) << 11, or ceil(keep * 2**24) << 8.
+    The buffered half is read first and the last unread half written back,
+    so the generator ends as rng.random would leave it. Only bit generators
+    that buffer a half-word this way are accepted: PCG64 (default_rng),
+    PCG64DXSM, Philox and SFC64.
+    """
+    bitgen = getattr(rng, "bit_generator", None)
+    state = bitgen.state if bitgen is not None else {}
+    if "has_uint32" not in state:
+        raise ContractError(
+            "dropout needs a PCG64, PCG64DXSM, Philox or SFC64 generator, "
+            f"got {state.get('bit_generator', type(rng).__name__)}"
+        )
+    n = math.prod(shape)
+    if keep.dtype == np.float64:
+        limit = np.uint64((math.ceil(float(keep) * 2**53) << 11) - 1)
+        return (bitgen.random_raw(n) <= limit).reshape(shape)
+    if n == 0:
+        return np.zeros(shape, dtype=bool)
+    limit = np.uint32((math.ceil(float(keep) * 2**24) << 8) - 1)
+    pending = state["has_uint32"]
+    words = bitgen.random_raw((n - pending + 1) // 2)
+    # halves by value, low then high, whatever the native byte order
+    lanes = words.astype("<u8", copy=False).view("<u4")
+    mask = np.empty(n, dtype=bool)
+    if pending:
+        mask[0] = state["uinteger"] <= limit
+    np.less_equal(lanes[: n - pending], limit, out=mask[pending:])
+    state = bitgen.state
+    state["has_uint32"] = (n - pending) % 2
+    if words.size:
+        state["uinteger"] = int(lanes[-1])
+    bitgen.state = state
+    return mask.reshape(shape)
 
 
 def ffnn_loss(pred, gold) -> float:

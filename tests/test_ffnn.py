@@ -519,12 +519,8 @@ class TestDropoutMasks:
     )
     @pytest.mark.parametrize("pending", [0, 3], ids=["even", "half-word-pending"])
     def test_masks_equal_uniform_draws(self, bitgen, dtype, n, hidden, pending):
-        cfg = FfnnConfig(hidden_sizes=hidden, dropout_hidden=0.3, iterations=1)
-        weights, biases = ffnn_module._init_layers(
-            [3, *hidden, 5], np.random.default_rng(2), dtype
-        )
-        model = FfnnModel(cfg, weights=weights, biases=biases)
-        X = np.random.default_rng(3).uniform(1.0, 9.0, size=(n, 3))
+        model, X = self._net(hidden, dtype, n)
+        cfg = model.config
         got, want = np.random.Generator(bitgen(9)), np.random.Generator(bitgen(9))
         for rng in (got, want):
             # an odd float32 draw leaves half of a raw word buffered
@@ -537,3 +533,18 @@ class TestDropoutMasks:
         assert _same_state(got.bit_generator.state, want.bit_generator.state)
         assert np.array_equal(got.random(5, dtype=np.float32), want.random(5, dtype=np.float32))
         assert np.array_equal(got.random(5), want.random(5))
+
+    def test_refuses_a_generator_without_a_buffered_half_word(self):
+        model, X = self._net((4,), np.float32, 6)
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(ContractError, match="MT19937"):
+            ffnn_forward(model, X, mode="train", rng=rng)
+
+    @staticmethod
+    def _net(hidden, dtype, n):
+        cfg = FfnnConfig(hidden_sizes=hidden, dropout_hidden=0.3, iterations=1)
+        weights, biases = ffnn_module._init_layers(
+            [3, *hidden, 5], np.random.default_rng(2), dtype
+        )
+        X = np.random.default_rng(3).uniform(1.0, 9.0, size=(n, 3))
+        return FfnnModel(cfg, weights=weights, biases=biases), X
