@@ -163,19 +163,22 @@ class Manifest:
         return entries
 
     def load_dataset(self, entry: dict, diagnostics=None) -> AlignedLexicon:
+        """The aligned dataset, loaded once; a failed load is named, not repeated, later."""
         ds_id = entry["id"]
         if ds_id in self._dataset_cache:
+            if self._dataset_cache[ds_id] is None:
+                raise ConfigurationError(f"dataset {ds_id!r} did not load")
             return self._dataset_cache[ds_id]
+        self._dataset_cache[ds_id] = None  # until it has loaded
         owner = f"dataset {ds_id!r}"
         sides = _objects(entry, "sides", 2, f"{owner}: ")
         language = entry.get("language", "")
         a, b = (self._load_side({**s, "language": language}, owner, diagnostics) for s in sides)
-        aligned = align(a, b)
-        self._dataset_cache[ds_id] = aligned
-        return aligned
+        self._dataset_cache[ds_id] = align(a, b)
+        return self._dataset_cache[ds_id]
 
-    def load_datasets(self, diagnostics=None) -> dict[str, AlignedLexicon]:
-        return {e["id"]: self.load_dataset(e, diagnostics) for e in self.dataset_entries()}
+    def load_datasets(self) -> dict[str, AlignedLexicon]:
+        return {e["id"]: self.load_dataset(e) for e in self.dataset_entries()}
 
     def load_models(self) -> list[ModelSpec]:
         if self._models is not None:
@@ -230,7 +233,13 @@ class Manifest:
     # ---- lexicon build jobs --------------------------------------------
 
     def lexicon_job_entries(self) -> list[dict]:
-        return _objects(self.raw, "lexicon_jobs")
+        """The lexicon job entries, no two writing the same output file."""
+        entries = _objects(self.raw, "lexicon_jobs")
+        outputs = [Path(e["output"]) for e in entries if _is_str(e.get("output"))]
+        for n, output in enumerate(outputs):
+            if output in outputs[:n]:
+                raise ConfigurationError(f"duplicate lexicon job output {str(output)!r}")
+        return entries
 
     def build_job(self, entry: dict, diagnostics=None) -> LexiconBuildJob:
         job = f"lexicon job {entry.get('output')!r}"
@@ -241,16 +250,19 @@ class Manifest:
         if model not in specs:
             raise ConfigurationError(f"{owner}model {model!r} is not a defined model")
         direction = _field(entry, "training_direction", _is_str, "a string", "dim2cat", owner)
-        datasets = self.load_datasets(diagnostics)
         if mode == "monolingual":
-            ds_id = _field(entry, "training_id", _is_str, "a dataset id", owner=owner)
-            training = _orient(datasets, ds_id, direction)
+            ids = [_field(entry, "training_id", _is_str, "a dataset id", owner=owner)]
         elif mode == "crosslingual":
             ids = _field(entry, "training_ids", lambda v: bool(v) and _list_of(_is_str)(v),
                          "a non-empty list of dataset ids", owner=owner)
-            training = concat([_without_dominance(_orient(datasets, i, direction)) for i in ids])
         else:
             raise ConfigurationError(f"{owner}unknown mode {mode!r}")
+        # only the datasets the job trains on: another's failure is not its own
+        entries = {e["id"]: e for e in self.dataset_entries() if e["id"] in ids}
+        datasets = {i: self.load_dataset(e, diagnostics) for i, e in entries.items()}
+        oriented = [_orient(datasets, i, direction) for i in ids]
+        training = oriented[0] if mode == "monolingual" else concat(
+            [_without_dominance(d) for d in oriented])
 
         source = self._load_side(entry.get("source"), f"{job} source", diagnostics)
         exclusions = [

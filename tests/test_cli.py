@@ -221,6 +221,35 @@ class TestValidate:
             "dataset syn"
         ]
 
+    def test_missing_dataset_reported_once_under_lexicon_jobs(self, tmp_path, capsys):
+        # syn's files are missing; a job on the healthy dataset is unaffected
+        # and a job on syn names it without repeating its error
+        write_dataset(tmp_path, prefix="v")
+        good = {"id": "good", "language": "en", "sides": [
+            {"path": "v_vad.tsv", "format": "VAD"}, {"path": "v_be5.tsv", "format": "BE5"}]}
+        job = {"mode": "monolingual", "model": "lr", "training_direction": "dim2cat",
+               "source": {"path": "v_vad.tsv", "format": "VAD"}}
+        manifest = write_manifest(
+            tmp_path,
+            datasets=[*_sides()["datasets"], good],
+            lexicon_jobs=[
+                {**job, "output": "good.tsv", "training_id": "good"},
+                {**job, "output": "syn.tsv", "training_id": "syn"},
+                {**job, "output": "both.tsv", "mode": "crosslingual",
+                 "training_ids": ["good", "syn"]},
+            ],
+        )
+        code = main(["validate", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == 2
+        lines = capsys.readouterr().out.splitlines()
+        errors = [line.split("\t") for line in lines if line.startswith("error")]
+        assert [label for _, label, _ in errors] == [
+            "dataset syn", "lexicon job syn.tsv", "lexicon job both.tsv"
+        ]
+        assert sum("w_vad.tsv" in line for line in lines) == 1
+        assert errors[1][2] == errors[2][2] == "dataset 'syn' did not load"
+        assert "ok\tlexicon job good.tsv\t40 source words" in lines
+
     def test_lexicon_job_listed(self, tmp_path, capsys):
         write_dataset(tmp_path)
         rng = np.random.default_rng(3)
@@ -626,6 +655,11 @@ class TestManifestShape:
           **_job_source()}, "duplicate model name 'lr'", ("monolingual", "build-lexicon")),
         ({"ablation": {"direction": "bogus"}}, "ablation: 'direction'", ("ablation",)),
         ({"n_star": 0}, "'n_star'", ("monolingual",)),
+        ({"lexicon_jobs": _job_source()["lexicon_jobs"] * 2},
+         "duplicate lexicon job output 'new.tsv'", ("build-lexicon",)),
+        ({"lexicon_jobs": [*_job_source()["lexicon_jobs"], *_job_source(
+            {"output": "./new.tsv", "model": "knn"})["lexicon_jobs"]]},
+         "duplicate lexicon job output 'new.tsv'", ("build-lexicon",)),
     ], ids=["k_folds-string", "seed-float", "lexicon_jobs-int", "datasets-object",
             "models-string", "ffnn-hidden_sizes", "ffnn-iterations-string", "knn-k",
             "ffnn-unknown-param", "params-string", "sides-ints", "scale-string",
@@ -639,7 +673,7 @@ class TestManifestShape:
             "name-list", "ablation-direction-list", "ablation-direction-int",
             "dataset-id-duplicate", "ffnn-learning_rate-Infinity", "ffnn-epsilon-Infinity",
             "ffnn-learning_rate-huge-int", "models-name-duplicate", "ablation-direction-bogus",
-            "n_star-zero"])
+            "n_star-zero", "job-output-duplicate", "job-output-same-path"])
     def test_exit_2_naming_the_fault(self, overrides, named, tasks, workspace, capsys):
         root, _ = workspace
         manifest = write_manifest(root, **overrides)
