@@ -272,6 +272,8 @@ def _keep_mask(rng, shape, keep) -> np.ndarray:
             f"got {state.get('bit_generator', type(rng).__name__)}"
         )
     n = math.prod(shape)
+    # limit is the largest kept integer, one below the bound: at keep == 1
+    # the bound is 2**64 (2**32), which the word type cannot hold
     if keep.dtype == np.float64:
         limit = np.uint64((math.ceil(float(keep) * 2**53) << 11) - 1)
         return (bitgen.random_raw(n) <= limit).reshape(shape)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -520,12 +521,11 @@ class TestDropoutMasks:
     @pytest.mark.parametrize("pending", [0, 3], ids=["even", "half-word-pending"])
     def test_masks_equal_uniform_draws(self, bitgen, dtype, n, hidden, pending):
         model, X = self._net(hidden, dtype, n)
-        cfg = model.config
         got, want = np.random.Generator(bitgen(9)), np.random.Generator(bitgen(9))
         for rng in (got, want):
             # an odd float32 draw leaves half of a raw word buffered
             rng.random(pending, dtype=np.float32)
-        keep = dtype(1.0 - cfg.dropout_hidden)
+        keep = dtype(1.0 - model.config.dropout_hidden)
         for _ in range(2):
             _, cache = ffnn_forward(model, X, mode="train", rng=got)
             for _, z, mask in cache.layers:
@@ -533,6 +533,31 @@ class TestDropoutMasks:
         assert _same_state(got.bit_generator.state, want.bit_generator.state)
         assert np.array_equal(got.random(5, dtype=np.float32), want.random(5, dtype=np.float32))
         assert np.array_equal(got.random(5), want.random(5))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("keep", [0.8, 0.7, 0.5, 0.1, 0.001, 1.0 - 1e-9, 1.0])
+    def test_words_at_the_threshold(self, dtype, keep):
+        # random draws almost never land next to the threshold: feed words
+        # on both sides of it and at both ends, and hold the mask to numpy's
+        # uniform formula, (u >> 8) * 2**-24 or (w >> 11) * 2**-53, < keep
+        keep = dtype(keep)
+        bits, drop, top = (24, 8, 2**32 - 1) if dtype is np.float32 else (53, 11, 2**64 - 1)
+        bound = math.ceil(float(keep) * 2**bits) << drop
+        cells = sorted({min(max(bound + d, 0), top) for d in (-257, -256, -1, 0, 1, 255, 256)}
+                       | {0, top})
+        cells = np.array(cells + cells[:1] * (len(cells) % 2), dtype=np.uint64)
+        words = cells if dtype is np.float64 else cells[0::2] | (cells[1::2] << np.uint64(32))
+
+        class Words:  # hands out the given raw words, with no half-word buffered
+            state = {"has_uint32": 0, "uinteger": 0}
+
+            def random_raw(self, size):
+                return words[:size]
+
+        uniform = (cells >> np.uint64(drop)).astype(dtype) * dtype(2.0**-bits)
+        rng = SimpleNamespace(bit_generator=Words())
+        got = ffnn_module._keep_mask(rng, cells.shape, keep)
+        assert np.array_equal(got, uniform < keep)
 
     def test_refuses_a_generator_without_a_buffered_half_word(self):
         model, X = self._net((4,), np.float32, 6)
