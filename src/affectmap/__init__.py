@@ -59,9 +59,9 @@ from .stats import (
     paired_t_test,
     pearson,
     read_reliability_records,
+    render_reliability_records,
     sba_adjust,
     split_half_reliability,
-    write_reliability_records,
 )
 from .experiments import (
     AblationReport,
@@ -72,17 +72,16 @@ from .experiments import (
     derive_seed,
     directions_for,
     make_folds,
+    render_report_json,
+    render_report_table,
     run_ablation,
     run_crosslingual,
     run_monolingual,
-    write_report_json,
-    write_report_table,
 )
 from .lexgen import (
     LexiconBuildJob,
     build_lexicons,
     format_rating,
     render_lexicon,
-    write_lexicon_bytes,
 )
 from .manifest import Manifest, load_manifest

@@ -11,32 +11,31 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+import tempfile
+from contextlib import suppress
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    AffectMapError,
-    ConfigurationError,
-    DivergenceError,
-)
+from .errors import AffectMapError, ConfigurationError, DivergenceError
 from .experiments import (
+    _orient,
     derive_seed,
     directions_for,
+    render_report_json,
+    render_report_table,
     run_ablation,
     run_crosslingual,
     run_monolingual,
-    write_report_json,
-    write_report_table,
 )
-from .lexgen import build_lexicons, write_build_manifest, write_lexicon_bytes
+from .lexgen import build_lexicons
 from .manifest import load_manifest
 from .models import gradient_check, load_model, save_model
-from .stats import write_reliability_records
-
-TASKS = ("monolingual", "crosslingual", "ablation", "shr-normalize", "build-lexicon")
+from .stats import render_reliability_records
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -81,17 +80,98 @@ def _load(args):
     return load_manifest(args.manifest, _manifest_overrides(args))
 
 
-def _write_run_meta(manifest, task: str) -> None:
-    digest = hashlib.sha256(Path(manifest.source_path).read_bytes()).hexdigest()
-    meta = {
-        "version": __version__,
-        "task": task,
-        "seed": manifest.seed,
-        "k_folds": manifest.k_folds,
-        "manifest_digest": digest,
-    }
-    path = manifest.output_dir / "run_meta.json"
-    path.write_bytes(json.dumps(meta, sort_keys=True, indent=2).encode("utf-8") + b"\n")
+def _json_bytes(doc) -> bytes:
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False).encode("utf-8") + b"\n"
+
+
+def _write_outputs(out: Path, files) -> None:
+    """Write each (name, bytes) pair of files to out/name.
+
+    Each file goes to a temp file in out as it comes, and only once files
+    is exhausted are they renamed into place, in order. So an exception
+    raised by files or by a write leaves every name in out as it was, and
+    no temp file outlives the call.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    umask = os.umask(0)  # mkstemp makes 0600 files; give each the mode open() would
+    os.umask(umask)
+    staged = []
+    try:
+        for name, data in files:
+            path = out / name
+            try:
+                fd, tmp = tempfile.mkstemp(prefix=".affectmap-", suffix=".tmp", dir=out)
+                staged.append((tmp, path))
+                with os.fdopen(fd, "wb") as f:
+                    os.fchmod(f.fileno(), 0o666 & ~umask)
+                    f.write(data)
+            except OSError as e:
+                raise OSError(f"cannot write {path}: {e}") from e
+        for tmp, path in staged:
+            os.replace(tmp, path)  # its error names both paths
+    except BaseException:  # interrupts too: no temp file outlives the call
+        for tmp, _ in staged:
+            with suppress(FileNotFoundError):  # renamed already
+                os.unlink(tmp)
+        raise
+
+
+def _monolingual(manifest, jobs: int):
+    reports = run_monolingual(manifest.load_datasets(), manifest.load_models(), manifest.seed,
+                              k_folds=manifest.k_folds, reliability=manifest.load_reliability(),
+                              jobs=jobs)
+    meta = {"task": "monolingual", "seed": manifest.seed, "k_folds": manifest.k_folds}
+    yield "monolingual_report.json", render_report_json(reports, meta=meta)
+    yield "monolingual_table.tsv", render_report_table(reports)
+
+
+def _crosslingual(manifest, jobs: int):
+    datasets = manifest.load_datasets()
+    spec = manifest.crosslingual_spec(manifest.load_models())
+    reports = run_crosslingual(datasets, spec, manifest.seed, jobs=jobs)
+    meta = {"task": "crosslingual", "seed": manifest.seed, "model": spec.name}
+    yield "crosslingual_report.json", render_report_json(reports, meta=meta)
+    yield "crosslingual_table.tsv", render_report_table(reports)
+
+
+def _ablation(manifest, jobs: int):
+    datasets = manifest.load_datasets()
+    direction = manifest.ablation_direction(datasets)
+    report = run_ablation(datasets, direction, manifest.seed, k_folds=manifest.k_folds, jobs=jobs)
+    yield "ablation_report.json", _json_bytes(report.to_dict())
+    rows = ["variable\tdrop", *(f"{v}\t{report.drops[v]:.3f}" for v in report.source_variables)]
+    yield "ablation_table.tsv", ("\n".join(rows) + "\n").encode("utf-8")
+
+
+def _shr_normalize(manifest, jobs: int):
+    records = manifest.load_reliability()
+    if records is None:
+        raise ConfigurationError("manifest declares no reliability records path")
+    yield "reliability_normalized.tsv", render_reliability_records(records)
+
+
+def _build_lexicon(manifest, jobs: int):
+    entries = manifest.lexicon_job_entries()
+    if not entries:
+        raise ConfigurationError("manifest declares no lexicon_jobs")
+    # a job holds its whole source lexicon: load only as many as run at once
+    for start in range(0, len(entries), jobs):
+        batch = entries[start : start + jobs]
+        built = build_lexicons([manifest.build_job(e) for e in batch], manifest.seed, jobs=jobs)
+        for entry, (_, build_manifest, rendered) in zip(batch, built):
+            name = Path(entry["output"]).name  # the plan has checked it is a bare file name
+            yield name, rendered
+            yield name + ".manifest.json", _json_bytes(build_manifest)
+
+
+# each task yields the (file name, bytes) pairs it puts in output_dir
+TASKS = {
+    "monolingual": _monolingual,
+    "crosslingual": _crosslingual,
+    "ablation": _ablation,
+    "shr-normalize": _shr_normalize,
+    "build-lexicon": _build_lexicon,
+}
 
 
 def cmd_validate(args) -> int:
@@ -136,71 +216,19 @@ def cmd_validate(args) -> int:
             note(f"ok\t{label}\t{len(job.source_lexicon)} source words")
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
-    manifest.output_dir.mkdir(parents=True, exist_ok=True)
-    (manifest.output_dir / "validation.txt").write_text(report, encoding="utf-8")
+    _write_outputs(manifest.output_dir, [("validation.txt", report.encode("utf-8"))])
     return EXIT_VALIDATION if errors else EXIT_OK
 
 
 def cmd_run(args) -> int:
     manifest = _load(args)
-    out = manifest.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    task = args.task
-    if task == "monolingual":
-        datasets = manifest.load_datasets()
-        specs = manifest.load_models()
-        reliability = manifest.load_reliability()
-        reports = run_monolingual(
-            datasets,
-            specs,
-            manifest.seed,
-            k_folds=manifest.k_folds,
-            reliability=reliability,
-            jobs=args.jobs,
-        )
-        meta = {"task": task, "seed": manifest.seed, "k_folds": manifest.k_folds}
-        write_report_json(reports, out / "monolingual_report.json", meta=meta)
-        write_report_table(reports, out / "monolingual_table.tsv")
-    elif task == "crosslingual":
-        datasets = manifest.load_datasets()
-        specs = manifest.load_models()
-        spec = manifest.crosslingual_spec(specs)
-        reports = run_crosslingual(datasets, spec, manifest.seed, jobs=args.jobs)
-        meta = {"task": task, "seed": manifest.seed, "model": spec.name}
-        write_report_json(reports, out / "crosslingual_report.json", meta=meta)
-        write_report_table(reports, out / "crosslingual_table.tsv")
-    elif task == "ablation":
-        datasets = manifest.load_datasets()
-        direction = manifest.ablation_direction(datasets)
-        report = run_ablation(
-            datasets, direction, manifest.seed, k_folds=manifest.k_folds, jobs=args.jobs
-        )
-        doc = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
-        (out / "ablation_report.json").write_bytes(doc.encode("utf-8") + b"\n")
-        rows = ["variable\tdrop"]
-        rows += [f"{v}\t{report.drops[v]:.3f}" for v in report.source_variables]
-        (out / "ablation_table.tsv").write_bytes(("\n".join(rows) + "\n").encode("utf-8"))
-    elif task == "shr-normalize":
-        records = manifest.load_reliability(normalized=True)
-        if records is None:
-            raise ConfigurationError("manifest declares no reliability records path")
-        write_reliability_records(out / "reliability_normalized.tsv", records)
-    elif task == "build-lexicon":
-        entries = manifest.lexicon_job_entries()
-        if not entries:
-            raise ConfigurationError("manifest declares no lexicon_jobs")
-        # a job holds its whole source lexicon: load only as many as run at once
-        for start in range(0, len(entries), args.jobs):
-            batch = entries[start : start + args.jobs]
-            built = build_lexicons(
-                [manifest.build_job(e) for e in batch], manifest.seed, jobs=args.jobs
-            )
-            for entry, (_, build_manifest, rendered) in zip(batch, built):
-                write_lexicon_bytes(rendered, out / entry["output"])
-                write_build_manifest(build_manifest, out / (entry["output"] + ".manifest.json"))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigurationError(f"unknown task {task!r}")
-    _write_run_meta(manifest, task)
+    digest = hashlib.sha256(manifest.source_path.read_bytes()).hexdigest()
+    meta = {"version": __version__, "task": args.task, "seed": manifest.seed,
+            "k_folds": manifest.k_folds, "manifest_digest": digest}
+    # from here until the run's files are all in place, output_dir holds no run_meta.json
+    (manifest.output_dir / "run_meta.json").unlink(missing_ok=True)
+    files = chain(TASKS[args.task](manifest, args.jobs), [("run_meta.json", _json_bytes(meta))])
+    _write_outputs(manifest.output_dir, files)
     return EXIT_OK
 
 
@@ -219,41 +247,26 @@ def cmd_gradient_check(args) -> int:
     return EXIT_OK
 
 
-def _pick_direction(data, wanted):
-    options = dict(directions_for(data))
-    if wanted:
-        if wanted not in options:
-            raise ConfigurationError(
-                f"direction {wanted!r} not available; options: {sorted(options)}"
-            )
-        return wanted, options[wanted]
-    label = "dim2cat" if "dim2cat" in options else sorted(options)[0]
-    return label, options[label]
-
-
 def cmd_model_save(args) -> int:
     manifest = _load(args)
     overrides = _parse_set(args.set)
-    dataset_id = overrides.get("dataset")
-    model_name = overrides.get("model")
+    dataset_id, model_name = overrides.get("dataset"), overrides.get("model")
     if not dataset_id or not model_name:
-        raise ConfigurationError(
-            "model save needs --set dataset=ID and --set model=NAME"
-        )
+        raise ConfigurationError("model save needs --set dataset=ID and --set model=NAME")
     datasets = manifest.load_datasets()
-    if dataset_id not in datasets:
-        raise ConfigurationError(f"unknown dataset {dataset_id!r}")
+    direction = overrides.get("direction")
+    if not direction and dataset_id in datasets:  # dim2cat, else the first label
+        labels = [label for label, _ in directions_for(datasets[dataset_id])]
+        direction = "dim2cat" if "dim2cat" in labels else labels[0]
+    data = _orient(datasets, dataset_id, direction)
     specs = {s.name: s for s in manifest.load_models()}
     if model_name not in specs:
         raise ConfigurationError(f"unknown model {model_name!r}")
-    direction, data = _pick_direction(datasets[dataset_id], overrides.get("direction"))
     spec = specs[model_name]
-    seed = derive_seed(manifest.seed, dataset_id, direction, spec.name, "save")
-    model = spec.build(seed)
     if spec.features is not None:
         raise ConfigurationError("model save does not support feature-input specs")
-    model.fit(data)
-    save_model(model, args.path)
+    seed = derive_seed(manifest.seed, dataset_id, direction, spec.name, "save")
+    save_model(spec.build(seed).fit(data), args.path)
     print(f"saved {spec.kind} model for {dataset_id} {direction} to {args.path}")
     return EXIT_OK
 

@@ -24,7 +24,7 @@ from .errors import (
     ContractError,
     DegenerateInputError,
 )
-from .lexicon import AlignedLexicon, _emit, concat, project
+from .lexicon import AlignedLexicon, concat, project
 from .models import (
     BoostedEnsemble,
     FfnnConfig,
@@ -49,8 +49,8 @@ __all__ = [
     "run_ablation",
     "run_crosslingual",
     "compare_to_shr",
-    "write_report_json",
-    "write_report_table",
+    "render_report_json",
+    "render_report_table",
 ]
 
 _DIMENSIONAL = frozenset(("valence", "arousal", "dominance"))
@@ -620,13 +620,10 @@ def compare_to_shr(
     return replace(report, shr_flags=flags)
 
 
-def write_report_json(reports: Sequence[EvalReport], dest, *, meta: dict | None = None) -> None:
+def render_report_json(reports: Sequence[EvalReport], *, meta: dict | None = None) -> bytes:
     """One structured document per run; byte-reproducible for fixed inputs."""
-    doc = {
-        "meta": meta or {},
-        "reports": [r.to_dict() for r in reports],
-    }
-    _emit(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False).encode("utf-8"), dest)
+    doc = {"meta": meta or {}, "reports": [r.to_dict() for r in reports]}
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False).encode("utf-8")
 
 
 def _table_cell(report: EvalReport) -> str:
@@ -643,7 +640,7 @@ def _table_cell(report: EvalReport) -> str:
     return cell
 
 
-def write_report_table(reports: Sequence[EvalReport], dest) -> None:
+def render_report_table(reports: Sequence[EvalReport]) -> bytes:
     """Human-readable TSV: one row per dataset x direction, one column
     per model, best cell bracketed, stars appended."""
     models = list(dict.fromkeys(r.model for r in reports))
@@ -655,4 +652,4 @@ def write_report_table(reports: Sequence[EvalReport], dest) -> None:
         n_items = next(iter(row.values())).n_items
         cells = [_table_cell(row[m]) if m in row else "" for m in models]
         lines.append("\t".join([ds, direction, str(n_items), *cells]))
-    _emit(("\n".join(lines) + "\n").encode("utf-8"), dest)
+    return ("\n".join(lines) + "\n").encode("utf-8")

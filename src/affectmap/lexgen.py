@@ -10,10 +10,8 @@ a sorted, byte-deterministic TSV plus a JSON build manifest.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from pathlib import Path
 
 import numpy as np
 
@@ -25,8 +23,6 @@ __all__ = [
     "LexiconBuildJob",
     "build_lexicons",
     "render_lexicon",
-    "write_lexicon_bytes",
-    "write_build_manifest",
     "format_rating",
 ]
 
@@ -94,15 +90,6 @@ def render_lexicon(lex: Lexicon) -> bytes:
         else:
             lines.append("\t".join((lex.words[i], *map(format_rating, row))))
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def write_lexicon_bytes(data: bytes, path) -> None:
-    """Write a lexicon already rendered by render_lexicon."""
-    path = Path(path)
-    try:
-        path.write_bytes(data)
-    except OSError as e:
-        raise OSError(f"cannot write lexicon to {path}: {e}") from e
 
 
 def _digest(words, *matrices) -> str:
@@ -191,9 +178,3 @@ def _describe_build(job: LexiconBuildJob, seed: int, unit: WorkUnit, pred: np.nd
         "output_digest": hashlib.sha256(rendered).hexdigest(),
     }
     return out, manifest, rendered
-
-
-def write_build_manifest(manifest: dict, path) -> None:
-    Path(path).write_bytes(
-        json.dumps(manifest, sort_keys=True, indent=2).encode("utf-8") + b"\n"
-    )

@@ -268,14 +268,6 @@ def _decode(data) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _emit(payload: bytes, dest) -> None:
-    """Write bytes to a binary stream or a path."""
-    if hasattr(dest, "write"):
-        dest.write(payload)
-    else:
-        Path(dest).write_bytes(payload)
-
-
 def parse_lexicon(
     data: str | Path | bytes | IO[bytes],
     fmt: EmotionFormat,

@@ -93,6 +93,21 @@ def _is_str(v) -> bool:
     return isinstance(v, str)
 
 
+def _is_path(v) -> bool:  # a NUL byte ends every system call on the path
+    return _is_str(v) and "\0" not in v
+
+
+_PATH = "a string without NUL bytes"
+
+
+def _is_json(v) -> bool:  # JSON has no NaN or infinity
+    try:
+        json.dumps(v, allow_nan=False)
+    except ValueError:
+        return False
+    return True
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -138,7 +153,7 @@ class Manifest:
             raise ConfigurationError(f"{owner}: a side needs path and format, got {side!r}")
         owner += ": "
         fmt = _format_from(side["format"], owner)
-        path = _field(side, "path", _is_str, "a string", owner=owner)
+        path = _field(side, "path", _is_path, _PATH, owner=owner)
         columns = _field(side, "columns", lambda v: v is None or isinstance(v, dict) and all(
             type(c) is str for c in v.values()), "an object of strings", owner=owner)
         if columns is None:
@@ -191,23 +206,23 @@ class Manifest:
             owner = f"model {name!r}: "
             kind = _field(entry, "kind", _is_str, "a string", owner=owner)
             params = _field(entry, "params", lambda v: isinstance(v, dict), "an object", {}, owner)
-            path = _field(entry, "features_path", lambda v: v is None or _is_str(v), "a string",
+            path = _field(entry, "features_path", lambda v: v is None or _is_path(v), _PATH,
                           owner=owner)
             features = read_feature_vectors(self._resolve(path)) if path else None
             spec = ModelSpec(name=name, kind=kind, params=dict(params), features=features)
             spec.build(0)  # bad params fail here, before any run starts
+            # a param the model ignores, such as a seed, is still recorded in build manifests
+            _field(entry, "params", _is_json, "free of NaN and infinity", {}, owner)
             specs.append(spec)
         self._models = specs
         return list(specs)
 
-    def load_reliability(self, normalized: bool = True) -> list[ReliabilityRecord] | None:
-        rel = _field(self.raw, "reliability", lambda v: v is None or _is_str(v), "a string")
+    def load_reliability(self) -> list[ReliabilityRecord] | None:
+        """The reliability records, normalized to n_star participants."""
+        rel = _field(self.raw, "reliability", lambda v: v is None or _is_path(v), _PATH)
         if not rel:
             return None
-        records = read_reliability_records(self._resolve(rel))
-        if normalized:
-            records = [normalize_shr(r, self.n_star) for r in records]
-        return records
+        return [normalize_shr(r, self.n_star) for r in read_reliability_records(self._resolve(rel))]
 
     def crosslingual_spec(self, specs: list[ModelSpec]) -> ModelSpec:
         name = self.raw.get("crosslingual_model")
@@ -233,12 +248,20 @@ class Manifest:
     # ---- lexicon build jobs --------------------------------------------
 
     def lexicon_job_entries(self) -> list[dict]:
-        """The lexicon job entries, no two writing the same output file."""
+        """The lexicon job entries. Each output names a file directly in
+        output_dir, and no two files a run writes there share a name."""
         entries = _objects(self.raw, "lexicon_jobs")
-        outputs = [Path(e["output"]) for e in entries if _is_str(e.get("output"))]
-        for n, output in enumerate(outputs):
-            if output in outputs[:n]:
-                raise ConfigurationError(f"duplicate lexicon job output {str(output)!r}")
+        planned = {"run_meta.json": "the run metadata", "validation.txt": "the validation report"}
+        for output in (e["output"] for e in entries if _is_str(e.get("output"))):
+            job, name = f"lexicon job {output!r}", Path(output).name
+            if not _is_path(output) or name in ("", "..") or Path(output) != Path(name):
+                raise ConfigurationError(f"{job}: 'output' must name a file directly in "
+                                         f"output_dir, without a NUL byte, got {output!r}")
+            for file, what in ((name, job), (name + ".manifest.json", f"{job} build manifest")):
+                if file in planned:
+                    raise ConfigurationError(
+                        f"duplicate lexicon job output {file!r} ({planned[file]} and {what})")
+                planned[file] = what
         return entries
 
     def build_job(self, entry: dict, diagnostics=None) -> LexiconBuildJob:
@@ -313,7 +336,7 @@ def load_manifest(path, overrides: dict | None = None) -> Manifest:
     ablation = _field(raw, "ablation", lambda v: isinstance(v, dict), "a JSON object", {})
     _field(ablation, "direction", _is_str, "a string", "dim2cat", "ablation: ")
     base_dir = path.resolve().parent
-    out = Path(raw.get("output_dir", "out"))
+    out = Path(_field(raw, "output_dir", _is_path, _PATH, "out"))
     output_dir = out if out.is_absolute() else base_dir / out
     return Manifest(
         seed=seed,

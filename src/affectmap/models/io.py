@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ContractError, ParseError
-from ..lexicon import EmotionFormat, _emit
+from ..lexicon import EmotionFormat
 from .boosting import BoostedEnsemble
 from .ffnn import FfnnConfig, FfnnModel
 from .knn import KnnModel
@@ -108,7 +108,10 @@ def save_model(model, dest) -> None:
     out += blob
     for _, a in arrays:
         out += np.ascontiguousarray(a, dtype="<f8").tobytes()
-    _emit(bytes(out), dest)
+    if hasattr(dest, "write"):  # a binary stream, else a path
+        dest.write(bytes(out))
+    else:
+        Path(dest).write_bytes(bytes(out))
 
 
 def _read_all(source) -> bytes:

@@ -16,7 +16,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, ParseError, ValidationError
-from .lexicon import _decode, _emit
+from .lexicon import _decode
 
 __all__ = [
     "pearson",
@@ -28,7 +28,7 @@ __all__ = [
     "paired_t_test",
     "format_stars",
     "read_reliability_records",
-    "write_reliability_records",
+    "render_reliability_records",
 ]
 
 
@@ -321,21 +321,12 @@ def read_reliability_records(source: str | Path | IO[bytes]) -> list[Reliability
     return records
 
 
-def write_reliability_records(dest: str | Path | IO[bytes], records: Sequence[ReliabilityRecord]) -> None:
-    """Write records as TSV, appending normalized_r at 3 decimals."""
+def render_reliability_records(records: Sequence[ReliabilityRecord]) -> bytes:
+    """Records as TSV bytes, with normalized_r appended at 3 decimals."""
     lines = ["\t".join(_RELIABILITY_COLUMNS + ("normalized_r",))]
     for rec in records:
         normalized = "" if rec.normalized_r is None else f"{rec.normalized_r:.3f}"
-        lines.append(
-            "\t".join(
-                (
-                    rec.dataset_id,
-                    rec.variable,
-                    repr(rec.reported_r),
-                    str(rec.n_participants),
-                    "true" if rec.sba_already_applied else "false",
-                    normalized,
-                )
-            )
-        )
-    _emit(("\n".join(lines) + "\n").encode("utf-8"), dest)
+        sba = "true" if rec.sba_already_applied else "false"
+        lines.append("\t".join((rec.dataset_id, rec.variable, repr(rec.reported_r),
+                                 str(rec.n_participants), sba, normalized)))
+    return ("\n".join(lines) + "\n").encode("utf-8")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_aligned
-from affectmap import experiments, lexgen, models
+from affectmap import cli, experiments, lexgen, lexicon, models, stats
 from affectmap.errors import ContractError
 from affectmap.models import (
     BoostedEnsemble,
@@ -23,17 +23,19 @@ from affectmap.models import (
 )
 import affectmap
 
-# functional wrappers that duplicated the kept paths; see README "Python API"
+# functional wrappers that duplicated the kept paths, and the file writers
+# that the CLI's one output writer replaced; see README "Python API"
 REMOVED = (
     "fit_linear", "predict_linear", "fit_knn", "predict_knn", "train_ffnn",
     "train_ffnn_arrays", "predict_boosted", "cross_validate", "build_lexicon",
-    "write_lexicon",
+    "write_lexicon", "write_report_json", "write_report_table", "write_reliability_records",
+    "write_lexicon_bytes", "write_build_manifest", "_write_run_meta", "_pick_direction", "_emit",
 )
 
 
 def test_one_way_to_fit():
     assert [n for n in models.__all__ if not hasattr(models, n)] == []
-    for module in (affectmap, models, experiments, lexgen):
+    for module in (affectmap, models, experiments, lexgen, lexicon, stats, cli):
         assert [n for n in REMOVED if hasattr(module, n)] == [], module.__name__
 
 

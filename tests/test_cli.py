@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 
 from conftest import malformed_model_files, misshaped_model_files
 from affectmap import __version__, experiments, lexgen
-from affectmap.cli import main
+from affectmap.cli import _write_outputs, main
 from affectmap.models import load_model
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -660,6 +661,28 @@ class TestManifestShape:
         ({"lexicon_jobs": [*_job_source()["lexicon_jobs"], *_job_source(
             {"output": "./new.tsv", "model": "knn"})["lexicon_jobs"]]},
          "duplicate lexicon job output 'new.tsv'", ("build-lexicon",)),
+        (_job_source({"output": "/abs/x.tsv"}), "lexicon job '/abs/x.tsv': 'output'",
+         ("build-lexicon",)),
+        (_job_source({"output": "../../x.tsv"}), "lexicon job '../../x.tsv': 'output'",
+         ("build-lexicon",)),
+        (_job_source({"output": "sub/x.tsv"}), "lexicon job 'sub/x.tsv': 'output'",
+         ("build-lexicon",)),
+        (_job_source({"output": "a\u0000b.tsv"}), "lexicon job 'a\\x00b.tsv': 'output'",
+         ("build-lexicon",)),
+        (_job_source({"output": "run_meta.json"}),
+         "duplicate lexicon job output 'run_meta.json' (the run metadata and lexicon job "
+         "'run_meta.json')", ("build-lexicon",)),
+        ({"lexicon_jobs": [*_job_source({"output": "a.tsv"})["lexicon_jobs"],
+                           *_job_source({"output": "a.tsv.manifest.json"})["lexicon_jobs"]]},
+         "duplicate lexicon job output 'a.tsv.manifest.json' (lexicon job 'a.tsv' build manifest "
+         "and lexicon job 'a.tsv.manifest.json')", ("build-lexicon",)),
+        ({"output_dir": "o\u0000ut"}, "'output_dir'", ("monolingual",)),
+        (_sides(path="w_vad\u0000.tsv"), "dataset 'syn': 'path'", ("monolingual",)),
+        ({"models": [{"name": "net", "kind": "lr", "features_path": "e\u0000.tsv"}]},
+         "model 'net': 'features_path'", ("monolingual",)),
+        ({"models": [{"name": "net", "kind": "knn", "params": {"seed": float("nan")}}],
+          **_job_source({"model": "net"})}, "model 'net': 'params'",
+         ("monolingual", "build-lexicon")),
     ], ids=["k_folds-string", "seed-float", "lexicon_jobs-int", "datasets-object",
             "models-string", "ffnn-hidden_sizes", "ffnn-iterations-string", "knn-k",
             "ffnn-unknown-param", "params-string", "sides-ints", "scale-string",
@@ -673,15 +696,97 @@ class TestManifestShape:
             "name-list", "ablation-direction-list", "ablation-direction-int",
             "dataset-id-duplicate", "ffnn-learning_rate-Infinity", "ffnn-epsilon-Infinity",
             "ffnn-learning_rate-huge-int", "models-name-duplicate", "ablation-direction-bogus",
-            "n_star-zero", "job-output-duplicate", "job-output-same-path"])
+            "n_star-zero", "job-output-duplicate", "job-output-same-path",
+            "job-output-absolute", "job-output-parent", "job-output-subdirectory", "job-output-nul",
+            "job-output-run-meta", "job-output-manifest-sibling", "output_dir-nul", "path-nul",
+            "features_path-nul", "params-NaN"])
     def test_exit_2_naming_the_fault(self, overrides, named, tasks, workspace, capsys):
         root, _ = workspace
         manifest = write_manifest(root, **overrides)
+        out_flag = [] if "output_dir" in overrides else ["--out", str(root / "o")]
         for argv in (["validate"], *(["run", task] for task in tasks)):
-            assert main([*argv, "--manifest", str(manifest), "--out", str(root / "o")]) == 2
+            assert main([*argv, "--manifest", str(manifest), *out_flag]) == 2
             out, err = capsys.readouterr()
             assert named in out + err, argv
             assert "Traceback" not in err
+
+
+def _files(root):
+    """Every file under root, hidden ones included, by relative path."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestOutputPlan:
+    """A run puts its files directly in output_dir, and only once the
+    whole task has succeeded."""
+
+    @pytest.mark.parametrize("output", ["{root}/abs.tsv", "../x.tsv", "../../x.tsv", "sub/x.tsv"])
+    def test_refused_output_writes_nothing(self, output, workspace):
+        root, _ = workspace
+        out = root / "o" / "run"
+        (out / "sub").mkdir(parents=True)
+        manifest = write_manifest(root, **_job_source({"output": output.format(root=root)}))
+        before = _files(root)
+        for argv in (["validate"], ["run", "build-lexicon"]):
+            assert main([*argv, "--manifest", str(manifest), "--out", str(out)]) == 2
+        after = _files(root)
+        assert after.pop("o/run/validation.txt")
+        assert after == before
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("fault", ["every-word-excluded", "injected"])
+    def test_failed_job_leaves_no_partial_output(self, fault, jobs, workspace, monkeypatch):
+        """Job 2 fails after job 1 was built: none of the build's files and
+        no temp file remain, an earlier run's report stays, and its
+        run_meta.json is gone."""
+        root, manifest = workspace
+        out = root / "o"
+        assert main(["run", "monolingual", "--manifest", str(manifest), "--out", str(out)]) == 0
+        before = _files(out)
+        del before["run_meta.json"]
+        job = _job_source()["lexicon_jobs"][0]
+        second = {**job, "output": "second.tsv"}
+        if fault == "every-word-excluded":
+            second["exclusions"] = [{"path": "w_be5.tsv", "format": "BE5"}]
+        else:
+            render, renders = lexgen.render_lexicon, []
+
+            def render_once(lex):
+                renders.append(lex)
+                if len(renders) == 2:
+                    raise RuntimeError("job 2")
+                return render(lex)
+
+            monkeypatch.setattr(lexgen, "render_lexicon", render_once)
+        manifest = write_manifest(root, lexicon_jobs=[job, second])
+        argv = ["run", "build-lexicon", "--manifest", str(manifest), "--out", str(out), "--jobs", jobs]
+        if fault == "injected":
+            with pytest.raises(RuntimeError, match="job 2"):
+                main(argv)
+        else:
+            assert main(argv) == 2
+        assert _files(out) == before
+
+
+class TestWriteOutputs:
+    def test_write_failure_carries_path(self, tmp_path, monkeypatch):
+        def disk_full(**kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(tempfile, "mkstemp", disk_full)
+        with pytest.raises(OSError, match="no/such/dir.tsv: .*No space left"):
+            _write_outputs(tmp_path / "no" / "such", [("dir.tsv", b"x")])
+
+    def test_failed_rename_names_the_file_and_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "b.tsv").mkdir()
+        with pytest.raises(OSError, match="b.tsv"):
+            _write_outputs(tmp_path, [("a.tsv", b"a"), ("b.tsv", b"b")])
+        assert _files(tmp_path) == {"a.tsv": b"a"}
+
+    def test_files_get_the_mode_a_plain_write_gives(self, tmp_path):
+        (tmp_path / "plain").write_bytes(b"")
+        _write_outputs(tmp_path, [("a.tsv", b"a")])
+        assert (tmp_path / "a.tsv").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
 def test_feature_file_read_once_per_process(tmp_path, monkeypatch):
@@ -760,6 +865,38 @@ class TestModelCommands:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("second, direction", [
+        ({"path": "w_be5.tsv", "format": "BE5"}, "dim2cat"),
+        ({"path": "w_vad.tsv", "format": _INLINE_VAD}, "src2tgt"),
+    ])
+    def test_save_default_direction(self, second, direction, workspace, tmp_path, capsys):
+        """dim2cat when the dataset offers it, else the first direction."""
+        root, _ = workspace
+        manifest = write_manifest(root, **_sides({"path": "w_vad.tsv", "format": "VAD"}, second))
+        argv = ["model", "save", str(tmp_path / "m.afm"), "--manifest", str(manifest),
+                "--set", "dataset=syn", "--set", "model=lr"]
+        assert main(argv) == 0
+        assert f"for syn {direction} to" in capsys.readouterr().out
+
+    def test_save_unknown_direction(self, workspace, tmp_path, capsys):
+        _, manifest = workspace
+        path = tmp_path / "m.afm"
+        code = main(["model", "save", str(path), "--manifest", str(manifest),
+                     "--set", "dataset=syn", "--set", "model=lr", "--set", "direction=bogus"])
+        assert code == 2
+        assert "no direction 'bogus'" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_save_refuses_feature_input_model(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        (root / "emb.tsv").write_bytes(b"w000\t0.5\nw001\t1.5\n")
+        manifest = write_manifest(root, models=[
+            {"name": "wei", "kind": "boosted", "features_path": "emb.tsv"}])
+        code = main(["model", "save", str(tmp_path / "m.afm"), "--manifest", str(manifest),
+                     "--set", "dataset=syn", "--set", "model=wei"])
+        assert code == 2
+        assert "feature-input" in capsys.readouterr().err
 
     def test_save_needs_dataset_and_model(self, workspace, tmp_path):
         _, manifest = workspace

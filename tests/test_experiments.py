@@ -1,4 +1,3 @@
-import io
 import json
 import sys
 from dataclasses import replace
@@ -20,8 +19,8 @@ from affectmap.experiments import (
     run_crosslingual,
     run_monolingual,
     run_units,
-    write_report_json,
-    write_report_table,
+    render_report_json,
+    render_report_table,
 )
 from affectmap.lexicon import BE5, VAD, AlignedLexicon, EmotionFormat, project
 from affectmap.stats import ReliabilityRecord, normalize_shr
@@ -558,16 +557,11 @@ class TestReportOutput:
         )
 
     def test_json_reproducible_bytes(self):
-        reports = self._reports()
-        a, b = io.BytesIO(), io.BytesIO()
-        write_report_json(reports, a, meta={"seed": 2})
-        write_report_json(self._reports(), b, meta={"seed": 2})
-        assert a.getvalue() == b.getvalue()
+        a = render_report_json(self._reports(), meta={"seed": 2})
+        assert a == render_report_json(self._reports(), meta={"seed": 2})
 
     def test_json_structure(self):
-        buf = io.BytesIO()
-        write_report_json(self._reports(), buf, meta={"seed": 2})
-        doc = json.loads(buf.getvalue())
+        doc = json.loads(render_report_json(self._reports(), meta={"seed": 2}))
         assert doc["meta"] == {"seed": 2}
         assert len(doc["reports"]) == 4
         first = doc["reports"][0]
@@ -577,16 +571,12 @@ class TestReportOutput:
     def test_json_nan_becomes_null(self):
         al = make_aligned(n=40, seed=12)
         reports = run_monolingual({"d": al}, [_ConstantSpec()], seed=0, k_folds=4)
-        buf = io.BytesIO()
-        write_report_json(reports, buf)
-        doc = json.loads(buf.getvalue())
+        doc = json.loads(render_report_json(reports))
         assert doc["reports"][0]["format_average_r"] is None
         assert doc["reports"][0]["fold_r"][0][0] is None
 
     def test_table_layout(self):
-        buf = io.BytesIO()
-        write_report_table(self._reports(), buf)
-        lines = buf.getvalue().decode("utf-8").strip().split("\n")
+        lines = render_report_table(self._reports()).decode("utf-8").strip().split("\n")
         assert lines[0].split("\t") == ["dataset", "direction", "items", "lr", "knn"]
         assert len(lines) == 3  # header + 2 directions
         for line in lines[1:]:
@@ -601,7 +591,5 @@ class TestReportOutput:
         reports = run_monolingual(
             {"d": al}, [ModelSpec("a", "lr"), ModelSpec("b", "lr")], seed=0, k_folds=5
         )
-        buf = io.BytesIO()
-        write_report_table(reports, buf)
-        text = buf.getvalue().decode("utf-8")
+        text = render_report_table(reports).decode("utf-8")
         assert " n.s." in text

@@ -243,3 +243,50 @@ def test_unparsable_manifest(name, tmp_path, capsys):
     (tmp_path / "manifest.json").write_bytes(_UNPARSABLE_JSON[name])
     assert main(["validate", "--manifest", str(tmp_path / "manifest.json")]) == 2
     assert "is not valid JSON" in capsys.readouterr().err
+
+
+# ---- lexicon job outputs -------------------------------------------------
+
+# "{root}" becomes the example's temp directory, so an absolute output
+# would land where the workspace snapshot sees it
+_output = st.lists(st.sampled_from(
+    ["a", "b.tsv", ".", "..", "/", "\0", "{root}", "run_meta.json", "validation.txt",
+     ".manifest.json"]), max_size=4).map("".join)
+
+
+@FUZZ
+@given(st.lists(_output, min_size=1, max_size=2))
+def test_lexicon_job_outputs_stay_planned(outputs):
+    """validate and run build-lexicon agree on every set of job outputs:
+    both exit 0 or both exit 2. On exit 0 the workspace gains exactly the
+    planned files inside output_dir, and on exit 2 nothing but the
+    validation report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        work = root / "work"
+        work.mkdir()
+        for fname in ("vad.tsv", "be5.tsv"):
+            (work / fname).write_text(FILES[fname], encoding="utf-8")
+        outputs = [o.replace("{root}", str(root)) for o in outputs]
+        job = {"mode": "monolingual", "model": "knn", "training_id": "syn",
+               "source": {"path": "vad.tsv", "format": "VAD"}}
+        manifest = {
+            "seed": 1, "output_dir": "out",
+            "datasets": [{"id": "syn", "language": "en", "sides": [
+                {"path": "vad.tsv", "format": "VAD"}, {"path": "be5.tsv", "format": "BE5"}]}],
+            "models": [{"name": "knn", "kind": "knn", "params": {"k": 1}}],
+            "lexicon_jobs": [{**job, "output": o} for o in outputs],
+        }
+        (work / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        def files():
+            return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+        before = files()
+        argv = ["--manifest", str(work / "manifest.json")]
+        codes = {main(["validate", *argv]), main(["run", "build-lexicon", *argv])}
+        assert codes in ({0}, {2})
+        planned = {"validation.txt"}
+        if codes == {0}:
+            planned |= {"run_meta.json", *(n for o in outputs for n in (
+                Path(o).name, Path(o).name + ".manifest.json"))}
+        assert files() - before == {f"work/out/{name}" for name in planned}

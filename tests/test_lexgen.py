@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affectmap.cli import _json_bytes
 from affectmap.errors import ConfigurationError, EmptyOutputError
 from affectmap.experiments import ModelSpec
 from affectmap.lexgen import (
@@ -14,8 +15,6 @@ from affectmap.lexgen import (
     build_lexicons,
     format_rating,
     render_lexicon,
-    write_build_manifest,
-    write_lexicon_bytes,
 )
 from affectmap.lexicon import BE5, VA, VAD, AlignedLexicon, EmotionFormat, Lexicon, parse_lexicon
 
@@ -91,19 +90,13 @@ class TestRenderLexicon:
     def test_byte_determinism(self):
         assert render_lexicon(self._lex()) == render_lexicon(self._lex())
 
-    def test_write_then_parse_round_trip(self, tmp_path):
+    def test_write_then_parse_round_trip(self):
         lex = self._lex()
-        path = tmp_path / "out.tsv"
-        write_lexicon_bytes(render_lexicon(lex), path)
         columns = {"word": "word", **{v: v for v in BE5.variables}}
-        back = parse_lexicon(path, BE5, columns)
+        back = parse_lexicon(render_lexicon(lex), BE5, columns)
         assert set(back.words) == set(lex.words)
         for w in lex.words:
             assert np.all(np.abs(back.vector(w) - lex.vector(w)) <= 5e-4)
-
-    def test_write_failure_carries_path(self, tmp_path):
-        with pytest.raises(OSError, match="no/such"):
-            write_lexicon_bytes(render_lexicon(self._lex()), tmp_path / "no" / "such" / "dir.tsv")
 
 
 def reference_render(lex):
@@ -272,11 +265,8 @@ class TestBuildLexicon:
         assert m1["input_digests"]["source_lexicon"] != m2["input_digests"]["source_lexicon"]
         assert m1["input_digests"]["training"] == m2["input_digests"]["training"]
 
-    def test_manifest_is_json_ready(self, tmp_path):
+    def test_manifest_is_json_ready(self):
         _, manifest, _ = build_lexicons([make_job()], seed=0)[0]
-        path = tmp_path / "m.json"
-        write_build_manifest(manifest, path)
-        doc = json.loads(path.read_bytes())
-        assert doc == json.loads(json.dumps(manifest))
-        write_build_manifest(manifest, tmp_path / "m2.json")
-        assert path.read_bytes() == (tmp_path / "m2.json").read_bytes()
+        written = _json_bytes(manifest)
+        assert json.loads(written) == json.loads(json.dumps(manifest))
+        assert written == _json_bytes(build_lexicons([make_job()], seed=0)[0][1])

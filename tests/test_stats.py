@@ -16,9 +16,9 @@ from affectmap.stats import (
     paired_t_test,
     pearson,
     read_reliability_records,
+    render_reliability_records,
     sba_adjust,
     split_half_reliability,
-    write_reliability_records,
 )
 
 
@@ -359,11 +359,9 @@ class TestReliabilityIo:
         ReliabilityRecord("es_1", "joy", 0.7, 10, False),
     ]
 
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "rel.tsv"
+    def test_round_trip(self):
         recs = [normalize_shr(r) for r in self.RECORDS]
-        write_reliability_records(path, recs)
-        back = read_reliability_records(path)
+        back = read_reliability_records(io.BytesIO(render_reliability_records(recs)))
         assert len(back) == 2
         assert back[0].dataset_id == "en_1"
         assert back[0].reported_r == 0.952
@@ -373,9 +371,7 @@ class TestReliabilityIo:
         assert back[1].normalized_r == pytest.approx(recs[1].normalized_r, abs=5e-4)
 
     def test_normalized_column_formatting(self):
-        buf = io.BytesIO()
-        write_reliability_records(buf, [normalize_shr(self.RECORDS[1])])
-        text = buf.getvalue().decode("utf-8")
+        text = render_reliability_records([normalize_shr(self.RECORDS[1])]).decode("utf-8")
         lines = text.strip().split("\n")
         assert lines[0].split("\t") == [
             "dataset",
