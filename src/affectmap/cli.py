@@ -138,8 +138,10 @@ def _ablation(manifest, jobs: int):
     datasets = manifest.load_datasets()
     direction = manifest.ablation_direction(datasets)
     report = run_ablation(datasets, direction, manifest.seed, k_folds=manifest.k_folds, jobs=jobs)
-    yield "ablation_report.json", _json_bytes(report.to_dict())
-    rows = ["variable\tdrop", *(f"{v}\t{report.drops[v]:.3f}" for v in report.source_variables)]
+    doc = report.to_dict()  # a NaN drop (a constant target variable) is None here
+    yield "ablation_report.json", _json_bytes(doc)
+    rows = ["variable\tdrop", *(f"{v}\t{'n/a' if d is None else format(d, '.3f')}"
+                                 for v, d in doc["drops"].items())]
     yield "ablation_table.tsv", ("\n".join(rows) + "\n").encode("utf-8")
 
 

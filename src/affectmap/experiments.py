@@ -41,7 +41,6 @@ __all__ = [
     "ModelSpec",
     "WorkUnit",
     "run_units",
-    "CvResult",
     "EvalReport",
     "AblationReport",
     "directions_for",
@@ -176,20 +175,45 @@ def _inputs(spec: ModelSpec, data: AlignedLexicon, memo: dict) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """One fit -> predict -> score step, the grain every protocol is
-    scheduled at: a (dataset, direction, spec, fold) CV fold, a
-    cross-lingual evaluation or a lexicon build. Row selections apply when
-    the unit runs (None: every row), so queued units share matrices
-    instead of holding copies; without test_T the unit predicts only."""
+    """One fit -> predict step, the grain every protocol is scheduled at:
+    a (dataset, direction, spec, fold) CV fold, a cross-lingual evaluation
+    or a lexicon build. Row selections apply when the unit runs (None:
+    every row), so queued units share matrices instead of holding copies."""
 
     spec: ModelSpec
     seed: int
     train_X: np.ndarray
     train_T: np.ndarray
     test_X: np.ndarray
-    test_T: np.ndarray | None = None
     train_rows: np.ndarray | None = None
     test_rows: np.ndarray | None = None
+
+
+def _rows(a: np.ndarray, idx) -> np.ndarray:
+    return a if idx is None else a[idx]
+
+
+def _run_unit(unit: WorkUnit) -> np.ndarray:
+    model = unit.spec.build(unit.seed)
+    model.fit_arrays(_rows(unit.train_X, unit.train_rows), _rows(unit.train_T, unit.train_rows))
+    return model.predict(_rows(unit.test_X, unit.test_rows))
+
+
+def run_units(units: Sequence[WorkUnit], jobs: int = 1) -> list[np.ndarray]:
+    """The predictions of each unit, in submission order. Units run
+    serially at jobs == 1, otherwise on min(jobs, len(units)) threads;
+    seeds travel with the units, so results cannot depend on the schedule.
+    The first failure in submission order is raised and queued units are
+    cancelled."""
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1 or len(units) < 2:
+        return [_run_unit(u) for u in units]
+    pool = ThreadPoolExecutor(max_workers=min(jobs, len(units)))
+    try:
+        return list(pool.map(_run_unit, units))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _correlate(pred: np.ndarray, gold: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -204,51 +228,32 @@ def _correlate(pred: np.ndarray, gold: np.ndarray) -> tuple[np.ndarray, list[int
     return r, degenerate
 
 
-def _run_unit(unit: WorkUnit) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
-    def rows(a, idx):
-        return a if idx is None else a[idx]
-
-    model = unit.spec.build(unit.seed)
-    model.fit_arrays(rows(unit.train_X, unit.train_rows), rows(unit.train_T, unit.train_rows))
-    pred = model.predict(rows(unit.test_X, unit.test_rows))
-    if unit.test_T is None:
-        return pred, None, []
-    return (pred, *_correlate(pred, rows(unit.test_T, unit.test_rows)))
-
-
-def run_units(units: Sequence[WorkUnit], jobs: int = 1) -> list[tuple]:
-    """(predictions, per-variable r or None, degenerate variables) per unit,
-    in submission order. Units run serially at jobs == 1, otherwise on
-    min(jobs, len(units)) threads; seeds travel with the units, so results
-    cannot depend on the schedule. The first failure in submission order
-    is raised and queued units are cancelled."""
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
-    if jobs == 1 or len(units) < 2:
-        return [_run_unit(u) for u in units]
-    pool = ThreadPoolExecutor(max_workers=min(jobs, len(units)))
-    try:
-        return list(pool.map(_run_unit, units))
-    finally:
-        pool.shutdown(cancel_futures=True)
+def _evaluate(cells, jobs: int) -> list[tuple[np.ndarray, list[tuple[int, int]], np.ndarray]]:
+    """Score (units, gold) cells whose units' test rows partition gold's
+    rows, running the units of all cells as one batch. Per cell: the
+    (n_units, n_variables) r of each unit against gold at its test rows,
+    the degenerate (unit, variable) pairs, and the per-variable r of the
+    pooled predictions; r is NaN where undefined."""
+    preds = iter(run_units([u for units, _ in cells for u in units], jobs))
+    scored = []
+    for units, gold in cells:
+        pooled = np.empty_like(gold)
+        unit_r, degenerate = [], []
+        for i, unit in enumerate(units):
+            pred = next(preds)
+            rows = slice(None) if unit.test_rows is None else unit.test_rows
+            pooled[rows] = pred
+            r, bad = _correlate(pred, gold[rows])
+            unit_r.append(r)
+            degenerate += [(i, v) for v in bad]
+        scored.append((np.array(unit_r), degenerate, _correlate(pooled, gold)[0]))
+    return scored
 
 
-@dataclass
-class CvResult:
-    """Per-fold per-variable correlations plus pooled-prediction ones."""
-
-    fold_r: np.ndarray  # (k_folds, n_variables), NaN where degenerate
-    degenerate_cells: list[tuple[int, int]]
-    pooled_r: np.ndarray  # (n_variables,), NaN where degenerate
-
-    def per_variable_mean(self) -> np.ndarray:
-        out = np.full(self.fold_r.shape[1], np.nan)
-        for v in range(self.fold_r.shape[1]):
-            col = self.fold_r[:, v]
-            good = col[~np.isnan(col)]
-            if good.size:
-                out[v] = good.mean()
-        return out
+def _per_variable_mean(fold_r: np.ndarray) -> np.ndarray:
+    """Mean r over folds per variable, skipping NaN; NaN where every fold is."""
+    good = [col[~np.isnan(col)] for col in fold_r.T]
+    return np.array([g.mean() if g.size else np.nan for g in good])
 
 
 def _fold_rows(data: AlignedLexicon, k_folds: int, seed: int) -> list:
@@ -258,31 +263,26 @@ def _fold_rows(data: AlignedLexicon, k_folds: int, seed: int) -> list:
     return [(folds.train_indices(f), folds.test_indices(f)) for f in range(k_folds)]
 
 
-def _cross_validate_cells(cells, jobs: int) -> list[CvResult]:
-    """Cross-validate (spec, X, T, fold_rows, base_seed, dataset_id,
-    direction) cells, scheduling the folds of all of them as one batch."""
+def _cv_cell(spec, X, T, fold_rows, seed, dataset_id, direction) -> tuple[list, np.ndarray]:
+    """A cross-validation cell for _evaluate: one unit per fold."""
     units = [
-        WorkUnit(spec, derive_seed(base_seed, ds_id, direction, spec.name, fold),
-                 X, T, X, T, train, test)
-        for spec, X, T, fold_rows, base_seed, ds_id, direction in cells
+        WorkUnit(spec, derive_seed(seed, dataset_id, direction, spec.name, fold),
+                 X, T, X, train, test)
         for fold, (train, test) in enumerate(fold_rows)
     ]
-    results = iter(run_units(units, jobs))
-    out = []
-    for _, _, T, fold_rows, *_ in cells:
-        per_fold = [next(results) for _ in fold_rows]
-        pooled_pred = np.empty_like(T)
-        for (_, test), (pred, _, _) in zip(fold_rows, per_fold):
-            pooled_pred[test] = pred
-        degenerate = [(fold, v) for fold, (_, _, bad) in enumerate(per_fold) for v in bad]
-        fold_r = np.array([r for _, r, _ in per_fold])
-        out.append(CvResult(fold_r, degenerate, _correlate(pooled_pred, T)[0]))
-    return out
+    return units, T
 
 
 def _nan_to_none(x):
-    v = float(x)
-    return None if np.isnan(v) else v
+    """x, nested dicts, lists and arrays included, with every NaN as None:
+    the reports are strict JSON."""
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    if isinstance(x, dict):
+        return {k: _nan_to_none(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_nan_to_none(v) for v in x]
+    return None if isinstance(x, float) and np.isnan(x) else x
 
 
 @dataclass
@@ -308,39 +308,34 @@ class EvalReport:
     shr_flags: dict[str, str] | None = None
 
     def to_dict(self) -> dict:
-        def by_variable(values):
-            return {v: _nan_to_none(x) for v, x in zip(self.variables, values)}
-
-        return {
+        return _nan_to_none({
             **asdict(self),
-            "variables": list(self.variables),
-            "fold_r": [[_nan_to_none(x) for x in row] for row in self.fold_r],
-            "per_variable_r": by_variable(self.per_variable_r),
-            "format_average_r": _nan_to_none(self.format_average_r),
-            "pooled_per_variable_r": by_variable(self.pooled_per_variable_r),
-            "pooled_format_average_r": _nan_to_none(self.pooled_format_average_r),
-            "degenerate_cells": [list(c) for c in self.degenerate_cells],
-        }
+            "per_variable_r": dict(zip(self.variables, self.per_variable_r.tolist())),
+            "pooled_per_variable_r": dict(zip(self.variables, self.pooled_per_variable_r.tolist())),
+        })
 
 
-def _report_from_cv(spec, dataset_id, direction, data, cv: CvResult, seed, k_folds) -> EvalReport:
-    per_var = cv.per_variable_mean()
+def _report(spec, dataset_id, direction, data, scored, seed, k_folds, n_train=None) -> EvalReport:
+    """An EvalReport from one _evaluate cell's scores."""
+    fold_r, degenerate, pooled_r = scored
+    per_var = _per_variable_mean(fold_r)
     fmt_avg = float(per_var.mean()) if per_var.size else float("nan")
-    pooled_avg = float(cv.pooled_r.mean()) if cv.pooled_r.size else float("nan")
+    pooled_avg = float(pooled_r.mean()) if pooled_r.size else float("nan")
     return EvalReport(
         dataset_id=dataset_id,
         direction=direction,
         model=spec.name,
         variables=data.target_format.variables,
-        fold_r=cv.fold_r,
+        fold_r=fold_r,
         per_variable_r=per_var,
         format_average_r=fmt_avg,
-        pooled_per_variable_r=cv.pooled_r,
+        pooled_per_variable_r=pooled_r,
         pooled_format_average_r=pooled_avg,
-        degenerate_cells=cv.degenerate_cells,
+        degenerate_cells=degenerate,
         n_items=len(data),
         k_folds=k_folds,
         seed=seed,
+        n_train=n_train,
     )
 
 
@@ -451,11 +446,12 @@ def run_monolingual(
         for direction, oriented in directions_for(data):
             for spec in specs:
                 X = _inputs(spec, oriented, memo)
-                cells.append((spec, X, oriented.target_matrix, fold_rows, seed, ds_id, direction))
+                cells.append(_cv_cell(spec, X, oriented.target_matrix, fold_rows, seed, ds_id,
+                                      direction))
                 labels.append((spec, ds_id, direction, oriented))
     reports = [
-        _report_from_cv(*label, cv, seed, k_folds)
-        for label, cv in zip(labels, _cross_validate_cells(cells, jobs))
+        _report(*label, scored, seed, k_folds)
+        for label, scored in zip(labels, _evaluate(cells, jobs))
     ]
 
     by_cell: dict[tuple[str, str], list[EvalReport]] = {}
@@ -481,7 +477,7 @@ class AblationReport:
     k_folds: int
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "source_variables": list(self.source_variables)}
+        return _nan_to_none(asdict(self))
 
 
 def run_ablation(
@@ -514,8 +510,9 @@ def run_ablation(
             for var in source_vars
         ]
         for label, lex in variants:
-            cells.append((spec, lex.source_matrix, lex.target_matrix, rows, seed, ds_id, label))
-    means = iter(float(cv.per_variable_mean().mean()) for cv in _cross_validate_cells(cells, jobs))
+            cells.append(_cv_cell(spec, lex.source_matrix, lex.target_matrix, rows, seed, ds_id,
+                                  label))
+    means = iter(float(_per_variable_mean(r).mean()) for r, _, _ in _evaluate(cells, jobs))
     per_dataset: dict[str, dict[str, float]] = {}
     full_scores: dict[str, float] = {}
     for ds_id in oriented_map:
@@ -537,12 +534,16 @@ def run_ablation(
 
 
 def _without_dominance(data: AlignedLexicon) -> AlignedLexicon:
-    for side in ("source", "target"):
-        fmt = data.source_format if side == "source" else data.target_format
+    for side, fmt in (("source", data.source_format), ("target", data.target_format)):
         if "dominance" in fmt.variables:
-            keep = [v for v in fmt.variables if v != "dominance"]
-            data = project(data, keep, side=side)
+            data = project(data, [v for v in fmt.variables if v != "dominance"], side=side)
     return data
+
+
+def _crosslingual_training(datasets: Mapping, ids, direction: str) -> AlignedLexicon:
+    """Datasets ids in direction, without dominance, stacked: the training
+    set of a cross-lingual evaluation or lexicon build."""
+    return concat([_without_dominance(_orient(datasets, i, direction)) for i in ids])
 
 
 def run_crosslingual(datasets, spec: ModelSpec, seed: int, *, jobs: int = 1) -> list[EvalReport]:
@@ -559,7 +560,7 @@ def run_crosslingual(datasets, spec: ModelSpec, seed: int, *, jobs: int = 1) -> 
         raise ConfigurationError(
             f"cross-lingual transfer needs at least 2 languages, got {sorted(languages)}"
         )
-    units, labels, memo = [], [], {}
+    cells, labels, memo = [], [], {}
     for ds_id, data in data_map.items():
         others = {
             other_id: other
@@ -572,24 +573,21 @@ def run_crosslingual(datasets, spec: ModelSpec, seed: int, *, jobs: int = 1) -> 
             )
         for direction, oriented in directions_for(data):
             eval_data = _without_dominance(oriented)
-            train = concat([_without_dominance(_orient(others, other_id, direction))
-                            for other_id in others])
+            train = _crosslingual_training(others, others, direction)
             if any(lang == data.language for lang in train.row_languages):
                 raise ContractError(
                     "training rows leaked from the evaluation language "
                     f"{data.language!r}"
                 )
-            units.append(WorkUnit(spec, derive_seed(seed, ds_id, direction, spec.name, 0),
-                                  _inputs(spec, train, memo), train.target_matrix,
-                                  _inputs(spec, eval_data, memo), eval_data.target_matrix))
+            unit = WorkUnit(spec, derive_seed(seed, ds_id, direction, spec.name, 0),
+                            _inputs(spec, train, memo), train.target_matrix,
+                            _inputs(spec, eval_data, memo))
+            cells.append(([unit], eval_data.target_matrix))
             labels.append((ds_id, direction, eval_data, len(train)))
-    reports = []
-    for (ds_id, direction, eval_data, n_train), (_, r, bad) in zip(labels, run_units(units, jobs)):
-        cv = CvResult(fold_r=r[None, :], degenerate_cells=[(0, v) for v in bad], pooled_r=r.copy())
-        report = _report_from_cv(spec, ds_id, direction, eval_data, cv, seed, 0)
-        report.n_train = n_train
-        reports.append(report)
-    return reports
+    return [
+        _report(spec, ds_id, direction, eval_data, scored, seed, 0, n_train)
+        for (ds_id, direction, eval_data, n_train), scored in zip(labels, _evaluate(cells, jobs))
+    ]
 
 
 def compare_to_shr(

@@ -126,7 +126,7 @@ def build_lexicons(build_jobs, seed: int, *, jobs: int = 1) -> list[tuple[Lexico
                               test_rows=keep_idx))
     return [
         _describe_build(job, seed, unit, pred)
-        for job, unit, (pred, _, _) in zip(build_jobs, units, run_units(units, jobs))
+        for job, unit, pred in zip(build_jobs, units, run_units(units, jobs))
     ]
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigurationError, ParseError
-from .experiments import ModelSpec, _orient, _without_dominance
+from .experiments import ModelSpec, _crosslingual_training, _orient
 from .lexgen import LexiconBuildJob
 from .lexicon import (
     BUILTIN_FORMATS,
@@ -58,7 +58,6 @@ from .lexicon import (
     EmotionFormat,
     Lexicon,
     align,
-    concat,
     parse_lexicon,
 )
 from .models.boosting import read_feature_vectors
@@ -283,9 +282,8 @@ class Manifest:
         # only the datasets the job trains on: another's failure is not its own
         entries = {e["id"]: e for e in self.dataset_entries() if e["id"] in ids}
         datasets = {i: self.load_dataset(e, diagnostics) for i, e in entries.items()}
-        oriented = [_orient(datasets, i, direction) for i in ids]
-        training = oriented[0] if mode == "monolingual" else concat(
-            [_without_dominance(d) for d in oriented])
+        training = (_orient(datasets, ids[0], direction) if mode == "monolingual"
+                    else _crosslingual_training(datasets, ids, direction))
 
         source = self._load_side(entry.get("source"), f"{job} source", diagnostics)
         exclusions = [

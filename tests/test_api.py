@@ -30,6 +30,7 @@ REMOVED = (
     "train_ffnn_arrays", "predict_boosted", "cross_validate", "build_lexicon",
     "write_lexicon", "write_report_json", "write_report_table", "write_reliability_records",
     "write_lexicon_bytes", "write_build_manifest", "_write_run_meta", "_pick_direction", "_emit",
+    "CvResult", "_cross_validate_cells",
 )
 
 

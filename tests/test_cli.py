@@ -446,6 +446,24 @@ class TestRunOtherTasks:
         assert table[0] == "variable\tdrop"
         assert len(table) == 4
 
+    def test_ablation_on_a_constant_target_variable(self, tmp_path):
+        words, vad, be5 = write_dataset(tmp_path)
+        be5[:, 0] = 3.0  # joy: no fold has a defined r for it
+        (tmp_path / "w_be5.tsv").write_bytes(_render_tsv(
+            ["word", "joy", "anger", "sadness", "fear", "disgust"],
+            [[w, *(repr(float(v)) for v in row)] for w, row in zip(words, be5)],
+        ))
+        manifest = write_manifest(tmp_path)
+        out = tmp_path / "o"
+        code = main(["run", "ablation", "--manifest", str(manifest), "--out", str(out)])
+        assert code == 0
+        doc = json.loads((out / "ablation_report.json").read_bytes())
+        assert doc["drops"] == {"valence": None, "arousal": None, "dominance": None}
+        assert doc["per_dataset_drops"] == {"syn": doc["drops"]}
+        assert doc["full_average_r"] == {"syn": None}
+        table = (out / "ablation_table.tsv").read_text().strip().split("\n")
+        assert table[1:] == ["valence\tn/a", "arousal\tn/a", "dominance\tn/a"]
+
     def test_crosslingual(self, tmp_path):
         write_dataset(tmp_path, prefix="w", seed=0)
         write_dataset(tmp_path, prefix="x", seed=1)

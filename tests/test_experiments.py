@@ -198,37 +198,39 @@ class TestDirections:
 
 
 def _cv_cell(spec, data, k_folds):
-    """One cross-validation cell, run the way run_monolingual and
-    run_ablation run theirs."""
+    """(fold r, degenerate cells, pooled r) of one cross-validation cell,
+    built and scored the way run_monolingual and run_ablation do theirs."""
     rows = experiments._fold_rows(data, k_folds, 0)
-    cell = (spec, data.source_matrix, data.target_matrix, rows, 0, "ds", "dim2cat")
-    return experiments._cross_validate_cells([cell], jobs=1)[0]
+    cell = experiments._cv_cell(spec, data.source_matrix, data.target_matrix, rows, 0, "ds",
+                                "dim2cat")
+    return experiments._evaluate([cell], jobs=1)[0]
 
 
 class TestCrossValidate:
     def test_oracle_predictor_r_one(self):
         al = make_aligned(n=50, seed=1)
-        cv = _cv_cell(_OracleSpec("oracle", al), al, 5)
-        assert np.allclose(cv.fold_r, 1.0)
-        assert np.allclose(cv.pooled_r, 1.0)
-        assert cv.degenerate_cells == []
+        fold_r, degenerate, pooled_r = _cv_cell(_OracleSpec("oracle", al), al, 5)
+        assert np.allclose(fold_r, 1.0)
+        assert np.allclose(pooled_r, 1.0)
+        assert degenerate == []
 
     def test_negated_oracle_r_minus_one(self):
         al = make_aligned(n=50, seed=2)
-        cv = _cv_cell(_OracleSpec("neg", al, flip=True), al, 5)
-        assert np.allclose(cv.fold_r, -1.0)
+        fold_r, _, pooled_r = _cv_cell(_OracleSpec("neg", al, flip=True), al, 5)
+        assert np.allclose(fold_r, -1.0)
+        assert np.allclose(pooled_r, -1.0)
 
     def test_constant_predictor_flags_all_cells(self):
         al = make_aligned(n=40, seed=3)
-        cv = _cv_cell(_ConstantSpec(), al, 4)
-        assert np.all(np.isnan(cv.fold_r))
-        assert len(cv.degenerate_cells) == 4 * 5
-        assert np.all(np.isnan(cv.per_variable_mean()))
+        fold_r, degenerate, _ = _cv_cell(_ConstantSpec(), al, 4)
+        assert np.all(np.isnan(fold_r))
+        assert len(degenerate) == 4 * 5
+        assert np.all(np.isnan(experiments._per_variable_mean(fold_r)))
 
     def test_linear_on_affine_data(self):
         al = make_aligned(n=120, seed=4, noise=0.0)
-        cv = _cv_cell(ModelSpec("lr", "lr"), al, 10)
-        assert np.all(cv.per_variable_mean() > 0.999)
+        fold_r, _, _ = _cv_cell(ModelSpec("lr", "lr"), al, 10)
+        assert np.all(experiments._per_variable_mean(fold_r) > 0.999)
 
 
 class TestRunMonolingual:
@@ -335,7 +337,7 @@ class TestWorkUnits:
         folds = make_folds(len(al), n_units, seed=0)
         S, T = al.source_matrix, al.target_matrix
         return [
-            WorkUnit(ModelSpec("lr", "lr"), fold, S, T, S, T,
+            WorkUnit(ModelSpec("lr", "lr"), fold, S, T, S,
                      folds.train_indices(fold), folds.test_indices(fold))
             for fold in range(n_units)
         ]
@@ -343,9 +345,20 @@ class TestWorkUnits:
     def test_submission_order_at_any_jobs(self):
         units = self._units()
         serial = run_units(units, jobs=1)
-        for jobs in (2, 3, 100):
-            for (p1, r1, d1), (p2, r2, d2) in zip(serial, run_units(units, jobs=jobs)):
-                assert np.array_equal(p1, p2) and np.array_equal(r1, r2) and d1 == d2
+        # two cells, the second with gold constant on unit 1's test rows of variable 2
+        gold = units[0].train_T.copy()
+        gold[units[1].test_rows, 2] = 3.0
+        cells = [(units, units[0].train_T), (units, gold)]
+        scored = experiments._evaluate(cells, jobs=1)
+        assert scored[0][1] == [] and scored[1][1] == [(1, 2)]
+        assert np.isnan(scored[1][0][1, 2]) and not np.isnan(scored[1][2]).any()
+        for jobs in (2, 3, 8, 100):
+            for p1, p2 in zip(serial, run_units(units, jobs=jobs), strict=True):
+                assert np.array_equal(p1, p2)
+            for (r1, d1, p1), (r2, d2, p2) in zip(scored, experiments._evaluate(cells, jobs=jobs),
+                                                  strict=True):
+                assert np.array_equal(r1, r2, equal_nan=True) and d1 == d2
+                assert np.array_equal(p1, p2, equal_nan=True)
 
     def test_more_threads_than_cores_with_a_short_switch_interval(self):
         units = self._units(8) * 4
@@ -356,13 +369,16 @@ class TestWorkUnits:
             parallel = run_units(units, jobs=8)
         finally:
             sys.setswitchinterval(old)
-        for (p1, r1, d1), (p2, r2, d2) in zip(serial, parallel, strict=True):
-            assert np.array_equal(p1, p2) and np.array_equal(r1, r2) and d1 == d2
+        for p1, p2 in zip(serial, parallel, strict=True):
+            assert np.array_equal(p1, p2)
 
-    def test_predict_only_unit_is_unscored(self):
-        unit = self._units()[0]
-        (pred, r, bad), = run_units([replace(unit, test_T=None)])
-        assert pred.shape == (len(unit.test_rows), 5) and r is None and bad == []
+    def test_predictions_equal_a_direct_fit(self):
+        for unit in self._units():
+            pred, = run_units([unit])
+            S, T, train, test = unit.train_X, unit.train_T, unit.train_rows, unit.test_rows
+            direct = unit.spec.build(unit.seed).fit_arrays(S[train], T[train]).predict(S[test])
+            assert pred.shape == (len(test), T.shape[1])
+            assert np.array_equal(pred, direct)
 
     def test_first_failure_in_submission_order_is_raised(self):
         units = [replace(u, spec=_FailingSpec({2, 4})) for u in self._units()]
@@ -499,6 +515,18 @@ class TestRunCrosslingual:
         )
         with pytest.raises(ContractError, match="leak"):
             run_crosslingual(data, ModelSpec("lr", "lr"), seed=0)
+
+    def test_constant_eval_variable_is_degenerate(self):
+        data = self._languages()
+        de = data["de"]
+        T = de.target_matrix.copy()
+        T[:, 0] = 3.0  # joy
+        data["de"] = AlignedLexicon(de.words, VAD, BE5, de.source_matrix, T, language="de")
+        reports = run_crosslingual(data, ModelSpec("knn", "knn", params={"k": 5}), seed=0)
+        r = next(r for r in reports if (r.dataset_id, r.direction) == ("de", "dim2cat"))
+        assert r.degenerate_cells == [(0, 0)]
+        assert np.isnan(r.per_variable_r[0]) and not np.isnan(r.per_variable_r[1:]).any()
+        assert np.array_equal(r.pooled_per_variable_r, r.per_variable_r, equal_nan=True)
 
     def test_no_folds_single_evaluation(self):
         data = self._languages()
