@@ -203,6 +203,8 @@ class Manifest:
             if any(spec.name == name for spec in specs):
                 raise ConfigurationError(f"duplicate model name {name!r}")
             owner = f"model {name!r}: "
+            for key in sorted(entry.keys() - {"name", "kind", "params", "features_path"}):
+                raise ConfigurationError(f"{owner}unknown key {key!r}")
             kind = _field(entry, "kind", _is_str, "a string", owner=owner)
             params = _field(entry, "params", lambda v: isinstance(v, dict), "an object", {}, owner)
             path = _field(entry, "features_path", lambda v: v is None or _is_path(v), _PATH,
@@ -271,6 +273,9 @@ class Manifest:
         specs = {s.name: s for s in self.load_models()}
         if model not in specs:
             raise ConfigurationError(f"{owner}model {model!r} is not a defined model")
+        if specs[model].features is not None:  # a job predicts from the source's ratings
+            raise ConfigurationError(f"{owner}model {model!r} reads features_path, "
+                                     "which lexicon jobs do not support")
         direction = _field(entry, "training_direction", _is_str, "a string", "dim2cat", owner)
         if mode == "monolingual":
             ids = [_field(entry, "training_id", _is_str, "a dataset id", owner=owner)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ContractError, DivergenceError, ValidationError
+from ..errors import ConfigurationError, ContractError, DivergenceError, ValidationError
 from ..lexicon import AlignedLexicon
 from .base import MappingModel, _count
 
@@ -117,8 +117,13 @@ class FfnnModel(MappingModel):
         S, T = self._training(S, T, TRAIN_DTYPE)
         rng = np.random.default_rng(cfg.seed)
         sizes = [S.shape[1], *cfg.hidden_sizes, T.shape[1]]
-        self.weights, self.biases = _init_layers(sizes, rng, TRAIN_DTYPE)
-        self.loss_trace = _train(self, S, T, rng)
+        try:
+            self.weights, self.biases = _init_layers(sizes, rng, TRAIN_DTYPE)
+            ws = _Workspace(self, S, T)
+        except (MemoryError, ValueError) as e:  # numpy refuses a size past its limit
+            raise ConfigurationError(
+                f"cannot allocate a network of layer sizes {sizes}: {e}") from None
+        self.loss_trace = _train(self, ws, rng)
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -143,44 +148,78 @@ def _init_layers(sizes, rng, dtype=np.float64):
     return weights, biases
 
 
-def _train(m: FfnnModel, S, T, rng) -> list[float]:
+class _Workspace:
+    """Every buffer one fit writes, allocated once and reused by each iteration.
+
+    The model's weights and biases become views into one flat parameter
+    vector, and the gradients into one laid out the same way, so the
+    elementwise Adam step runs once over the whole vector. Per hidden layer:
+    pre-activation, activation, bool mask and float dropout mask (None
+    without dropout). The loss runs in float64 against targets copied once.
+    """
+
+    def __init__(self, m: FfnnModel, S, T):
+        dt = m.input_dtype
+        arrays = (*m.weights, *m.biases)
+        self.params = np.concatenate([a.reshape(-1) for a in arrays])
+        self.grads, self.m1, self.m2, self.s1, self.s2 = (
+            np.zeros_like(self.params) for _ in range(5))
+        n_layers, at = len(m.weights), np.cumsum([0, *(a.size for a in arrays)])
+        params, grads = ([flat[i:j].reshape(a.shape) for i, j, a in zip(at, at[1:], arrays)]
+                         for flat in (self.params, self.grads))
+        m.weights, m.biases = params[:n_layers], params[n_layers:]
+        self.grads_w, self.grads_b = grads[:n_layers], grads[n_layers:]
+        dropping = m.config.dropout_hidden > 0.0
+        self.hidden = [
+            (np.empty(shape, dt), np.empty(shape, dt), np.empty(shape, bool),
+             np.empty(shape, dt) if dropping else None)
+            for shape in ((S.shape[0], w.shape[0]) for w in m.weights[:-1])
+        ]
+        self.out, self.delta = np.empty(T.shape, dt), np.empty(T.shape, dt)
+        self.loss = np.empty(T.shape, np.float64)
+        self.S, self.T, self.gold64 = S, T, T.astype(np.float64)
+
+
+def _train(m: FfnnModel, ws: _Workspace, rng) -> list[float]:
     """Run m.config.iterations full-batch steps on m's parameters in place,
-    in their dtype; returns the loss trace. S and T are in that dtype too.
+    in their dtype, through the buffers of ws; returns the loss trace.
 
     A diverging run overflows to inf and nan; the finite-loss check ends
     it in a DivergenceError, so those float warnings are muted.
     """
-    params = [*m.weights, *m.biases]
-    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     trace = []
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, m.config.iterations + 1):
-            out, cache = ffnn_forward(m, S, mode="train", rng=rng)
-            loss = ffnn_loss(out, T)
+            out, cache = ffnn_forward(m, ws.S, "train", rng, ws)
+            loss = ffnn_loss(out, ws.gold64, ws.loss)
             if not math.isfinite(loss):
                 raise DivergenceError("training loss is not finite", iteration=it)
             trace.append(loss)
-            grads_w, grads_b = ffnn_backward(m, cache, T)
-            _adam_step(m.config, it, params, (*grads_w, *grads_b), moments)
+            ffnn_backward(m, cache, ws.T, ws)
+            _adam_step(m.config, it, ws)
     return trace
 
 
-def _adam_step(cfg: FfnnConfig, it: int, params, grads, moments) -> None:
-    """One adaptive-moment update of params in place at iteration it.
+def _adam_step(cfg: FfnnConfig, it: int, ws: _Workspace) -> None:
+    """One adaptive-moment update of the flat parameter vector in place at
+    iteration it, in the expression order of m1 = b1*m1 + c1*g,
+    m2 = b2*m2 + c2*(g*g) and p -= (lr*(m1/bc1)) / (sqrt(m2/bc2) + eps).
 
     Every scalar is cast to the parameters' dtype first: a float64 scalar
     would promote float32 arithmetic to float64 under NEP 50.
     """
-    dt = params[0].dtype.type
+    p, g, m1, m2, s1, s2 = ws.params, ws.grads, ws.m1, ws.m2, ws.s1, ws.s2
+    dt = p.dtype.type
     b1, b2 = cfg.beta1, cfg.beta2
     c1, c2 = dt(1.0 - b1), dt(1.0 - b2)
     bc1, bc2 = dt(1.0 - b1**it), dt(1.0 - b2**it)
     b1, b2 = dt(b1), dt(b2)
     lr, eps = dt(cfg.learning_rate), dt(cfg.epsilon)
-    for p, g, (m1, m2) in zip(params, grads, moments):
-        m1[:] = b1 * m1 + c1 * g
-        m2[:] = b2 * m2 + c2 * (g * g)
-        p -= (lr * (m1 / bc1)) / (np.sqrt(m2 / bc2) + eps)
+    np.add(np.multiply(b1, m1, out=m1), np.multiply(c1, g, out=s1), out=m1)
+    np.add(np.multiply(b2, m2, out=m2), np.multiply(c2, np.multiply(g, g, out=s2), out=s2), out=m2)
+    np.multiply(lr, np.divide(m1, bc1, out=s1), out=s1)
+    np.add(np.sqrt(np.divide(m2, bc2, out=s2), out=s2), eps, out=s2)
+    np.subtract(p, np.divide(s1, s2, out=s1), out=p)
 
 
 def init_ffnn(cfg: FfnnConfig, source_format, target_format) -> FfnnModel:
@@ -207,13 +246,14 @@ class _ForwardCache:
     output: np.ndarray | None = None
 
 
-def ffnn_forward(m: FfnnModel, X, mode: str = "eval", rng=None):
+def ffnn_forward(m: FfnnModel, X, mode: str = "eval", rng=None, ws=None):
     """Run the network; returns (output, cache for the backward pass).
 
     In train mode each hidden layer's output gets an inverted dropout
     mask drawn from ``rng`` (scaled by 1/keep); eval mode applies neither
     masks nor scaling. The output layer is always affine and unbounded.
-    Everything is computed in the weights' dtype.
+    Everything is computed in the weights' dtype, into the buffers of the
+    training workspace ``ws`` when one is given, else into new arrays.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -233,26 +273,29 @@ def ffnn_forward(m: FfnnModel, X, mode: str = "eval", rng=None):
     inv = dt.type(1.0 / (1.0 - p))
     cache = _ForwardCache(model=m, mode=mode)
     a = X
-    for W, b in zip(m.weights[:-1], m.biases[:-1]):
-        z = a @ W.T
+    for l, (W, b) in enumerate(zip(m.weights[:-1], m.biases[:-1])):
+        z, h, keep_mask, mask = ws.hidden[l] if ws is not None else (None,) * 4
+        z = np.matmul(a, W.T, out=z)
         z += b
-        h = np.maximum(z, 0.0)
-        mask = None
+        h = np.maximum(z, 0.0, out=h)
         if dropping:
             # dtype= keeps a bool * scalar product in dt under numpy 1.x too
-            mask = np.multiply(_keep_mask(rng, z.shape, keep), inv, dtype=dt)
+            keep_mask = _keep_mask(rng, z.shape, keep, keep_mask)
+            mask = np.multiply(keep_mask, inv, dtype=dt, out=mask)
             h *= mask
-        cache.layers.append((a, z, mask))
+        cache.layers.append((a, z, mask if dropping else None))
         a = h
-    out = a @ m.weights[-1].T + m.biases[-1]
+    out = np.matmul(a, m.weights[-1].T, out=None if ws is None else ws.out)
+    out += m.biases[-1]
     cache.last_input = a
     cache.output = out
     return out, cache
 
 
-def _keep_mask(rng, shape, keep) -> np.ndarray:
+def _keep_mask(rng, shape, keep, out=None) -> np.ndarray:
     """The cells of ``rng.random(size=shape, dtype=keep.dtype) < keep``,
-    found from the generator's raw 64-bit words without making the floats.
+    found from the generator's raw 64-bit words without making the floats,
+    written into the bool array ``out`` when one is given.
 
     numpy makes a float64 uniform as (w >> 11) * 2**-53 from one word w,
     and a float32 one as (u >> 8) * 2**-24 from one 32-bit half u: the low
@@ -272,19 +315,21 @@ def _keep_mask(rng, shape, keep) -> np.ndarray:
             f"got {state.get('bit_generator', type(rng).__name__)}"
         )
     n = math.prod(shape)
+    out = np.empty(shape, dtype=bool) if out is None else out
+    mask = out.reshape(n)
     # limit is the largest kept integer, one below the bound: at keep == 1
     # the bound is 2**64 (2**32), which the word type cannot hold
     if keep.dtype == np.float64:
         limit = np.uint64((math.ceil(float(keep) * 2**53) << 11) - 1)
-        return (bitgen.random_raw(n) <= limit).reshape(shape)
+        np.less_equal(bitgen.random_raw(n), limit, out=mask)
+        return out
     if n == 0:
-        return np.zeros(shape, dtype=bool)
+        return out
     limit = np.uint32((math.ceil(float(keep) * 2**24) << 8) - 1)
     pending = state["has_uint32"]
     words = bitgen.random_raw((n - pending + 1) // 2)
     # halves by value, low then high, whatever the native byte order
     lanes = words.astype("<u8", copy=False).view("<u4")
-    mask = np.empty(n, dtype=bool)
     if pending:
         mask[0] = state["uinteger"] <= limit
     np.less_equal(lanes[: n - pending], limit, out=mask[pending:])
@@ -293,25 +338,28 @@ def _keep_mask(rng, shape, keep) -> np.ndarray:
     if words.size:
         state["uinteger"] = int(lanes[-1])
     bitgen.state = state
-    return mask.reshape(shape)
+    return out
 
 
-def ffnn_loss(pred, gold) -> float:
-    """Mean squared error over every output cell."""
-    pred = np.asarray(pred, dtype=np.float64)
+def ffnn_loss(pred, gold, out=None) -> float:
+    """Mean squared error over every output cell, in float64; the squared
+    errors go into ``out`` when it is given."""
+    pred = np.asarray(pred)
     gold = np.asarray(gold, dtype=np.float64)
     if pred.shape != gold.shape:
         raise ContractError(f"shape mismatch: {pred.shape} vs {gold.shape}")
     if pred.size == 0:
         raise ContractError("loss of empty matrices is undefined")
-    d = pred - gold
-    return float(np.mean(d * d))
+    d = np.subtract(pred, gold, out=out, dtype=np.float64)
+    return float(np.mean(np.multiply(d, d, out=d)))
 
 
-def ffnn_backward(m: FfnnModel, cache: _ForwardCache, gold):
+def ffnn_backward(m: FfnnModel, cache: _ForwardCache, gold, ws=None):
     """Exact gradients of ffnn_loss through the cached forward pass.
 
-    Returns (weight gradients, bias gradients), one entry per layer.
+    Returns (weight gradients, bias gradients), one entry per layer. With
+    the training workspace ``ws`` they are its gradient views, and the
+    cache's buffers are overwritten on the way down.
     """
     if cache.model is not m:
         raise ContractError("cache was produced by a different model")
@@ -323,24 +371,25 @@ def ffnn_backward(m: FfnnModel, cache: _ForwardCache, gold):
             f"{cache.output.shape}"
         )
     n_layers = len(m.weights)
-    grads_w = [None] * n_layers
-    grads_b = [None] * n_layers
-    delta = (cache.output - gold) * dt.type(2.0 / cache.output.size)
-    grads_w[-1] = np.ascontiguousarray(delta.T @ cache.last_input)
-    grads_b[-1] = delta.sum(axis=0)
-    if n_layers == 1:
-        return grads_w, grads_b
-    back = delta @ m.weights[-1]
+    grads_w = [None] * n_layers if ws is None else ws.grads_w
+    grads_b = [None] * n_layers if ws is None else ws.grads_b
+    delta = np.subtract(cache.output, gold, out=None if ws is None else ws.delta)
+    delta *= dt.type(2.0 / cache.output.size)
+    grads_w[-1] = np.matmul(delta.T, cache.last_input, out=grads_w[-1])
+    grads_b[-1] = np.sum(delta, axis=0, out=grads_b[-1])
     for l in range(n_layers - 2, -1, -1):
         a_prev, z, mask = cache.layers[l]
-        gate = z > 0.0
+        # the layer's own buffers are free once z is gated: its activation
+        # was the input of the layer above, whose gradient is already made
+        z_buf, h_buf, gate, mask_buf = ws.hidden[l] if ws is not None else (None,) * 4
+        gate = np.greater(z, 0.0, out=gate)
+        W = m.weights[l + 1]  # with one unit, each cell of delta @ W is a single product
+        back = (np.multiply if W.shape[0] == 1 else np.matmul)(delta, W, out=z_buf)
         if mask is not None:
-            gate = gate * mask
-        dz = back * gate
-        grads_w[l] = np.ascontiguousarray(dz.T @ a_prev)
-        grads_b[l] = dz.sum(axis=0)
-        if l > 0:
-            back = dz @ m.weights[l]
+            gate = np.multiply(gate, mask, out=mask_buf)
+        delta = np.multiply(back, gate, out=h_buf)
+        grads_w[l] = np.matmul(delta.T, a_prev, out=grads_w[l])
+        grads_b[l] = np.sum(delta, axis=0, out=grads_b[l])
     return grads_w, grads_b
 
 

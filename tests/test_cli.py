@@ -74,8 +74,9 @@ def write_manifest(dirpath, name="manifest.json", **overrides):
 
 
 def write_every_task_manifest(root):
-    """Two languages, rating and boosted feature-input models, ablation
-    and three lexicon jobs: one manifest that every run task accepts."""
+    """Two languages, rating models (boosted too), a boosted feature-input
+    model, ablation and three lexicon jobs: one manifest that every run task
+    accepts."""
     words_en, *_ = write_dataset(root, n=40, seed=0, prefix="w")
     words_de, *_ = write_dataset(root, n=36, seed=1, prefix="x")
     rng = np.random.default_rng(3)
@@ -89,6 +90,7 @@ def write_every_task_manifest(root):
     job = {"mode": "monolingual", "training_id": "en", "training_direction": "dim2cat",
            "source": {"path": "query.tsv", "format": "VAD"}}
     side = lambda p, fmt: {"path": f"{p}_{fmt.lower()}.tsv", "format": fmt}  # noqa: E731
+    boost = {"stages": 2, "base": {"hidden_sizes": [4], "iterations": 3}}
     return write_manifest(
         root,
         datasets=[
@@ -98,13 +100,13 @@ def write_every_task_manifest(root):
         models=[
             {"name": "lr", "kind": "lr"},
             {"name": "knn", "kind": "knn", "params": {"k": 5}},
-            {"name": "wei", "kind": "boosted", "features_path": "emb.tsv",
-             "params": {"stages": 2, "base": {"hidden_sizes": [4], "iterations": 3}}},
+            {"name": "wei", "kind": "boosted", "features_path": "emb.tsv", "params": boost},
+            {"name": "boost", "kind": "boosted", "params": boost},
         ],
         crosslingual_model="wei",
         lexicon_jobs=[
             {**job, "output": "lr.tsv", "model": "lr"},
-            {**job, "output": "wei.tsv", "model": "wei"},
+            {**job, "output": "boost.tsv", "model": "boost"},
             {**job, "output": "knn.tsv", "model": "knn", "mode": "crosslingual",
              "training_ids": ["en", "de"], "source": {**job["source"], "format": "VA"}},
         ],
@@ -337,8 +339,8 @@ class TestRunMonolingual:
             "monolingual": ("monolingual_report.json", "monolingual_table.tsv"),
             "crosslingual": ("crosslingual_report.json", "crosslingual_table.tsv"),
             "ablation": ("ablation_report.json", "ablation_table.tsv"),
-            "build-lexicon": ("lr.tsv", "lr.tsv.manifest.json", "wei.tsv", "wei.tsv.manifest.json",
-                              "knn.tsv", "knn.tsv.manifest.json"),
+            "build-lexicon": ("lr.tsv", "lr.tsv.manifest.json", "boost.tsv",
+                              "boost.tsv.manifest.json", "knn.tsv", "knn.tsv.manifest.json"),
         }
         for task, names in outputs.items():
             runs = []
@@ -406,6 +408,17 @@ class TestRunMonolingual:
             argv = ["run", "monolingual", "--manifest", str(manifest), "--out", str(tmp_path / "o")]
             assert main([*argv, "--jobs", jobs]) == 3, jobs
             assert "divergence" in capsys.readouterr().err
+
+    def test_network_too_large_to_allocate(self, workspace, tmp_path, capsys):
+        # numpy refuses 2**62 rows before it asks for memory
+        root, _ = workspace
+        manifest = write_manifest(root, **_net(hidden_sizes=[2**62], iterations=1))
+        argv = ["run", "monolingual", "--manifest", str(manifest), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "cannot allocate a network of layer sizes [" in err
+        assert f", {2**62}, " in err
+        assert "Traceback" not in err
 
 
 class TestRunOtherTasks:
@@ -701,6 +714,10 @@ class TestManifestShape:
         ({"models": [{"name": "net", "kind": "knn", "params": {"seed": float("nan")}}],
           **_job_source({"model": "net"})}, "model 'net': 'params'",
          ("monolingual", "build-lexicon")),
+        ({"models": [{"name": "net", "kind": "lr", "paramz": {}}]},
+         "model 'net': unknown key 'paramz'", ("monolingual",)),
+        ({"models": [{"name": "net", "kind": "boosted", "feature_path": "emb.tsv"}]},
+         "model 'net': unknown key 'feature_path'", ("monolingual",)),
     ], ids=["k_folds-string", "seed-float", "lexicon_jobs-int", "datasets-object",
             "models-string", "ffnn-hidden_sizes", "ffnn-iterations-string", "knn-k",
             "ffnn-unknown-param", "params-string", "sides-ints", "scale-string",
@@ -717,7 +734,8 @@ class TestManifestShape:
             "n_star-zero", "job-output-duplicate", "job-output-same-path",
             "job-output-absolute", "job-output-parent", "job-output-subdirectory", "job-output-nul",
             "job-output-run-meta", "job-output-manifest-sibling", "output_dir-nul", "path-nul",
-            "features_path-nul", "params-NaN"])
+            "features_path-nul", "params-NaN", "model-unknown-key",
+            "model-misspelt-features_path"])
     def test_exit_2_naming_the_fault(self, overrides, named, tasks, workspace, capsys):
         root, _ = workspace
         manifest = write_manifest(root, **overrides)
@@ -727,6 +745,20 @@ class TestManifestShape:
             out, err = capsys.readouterr()
             assert named in out + err, argv
             assert "Traceback" not in err
+
+
+    def test_lexicon_job_refuses_a_feature_model(self, workspace, capsys):
+        # a job feeds the source lexicon's ratings, never a feature file
+        root, _ = workspace
+        (root / "emb.tsv").write_bytes(b"w000\t0.5\nw001\t1.5\n")
+        manifest = write_manifest(root, models=[
+            {"name": "wei", "kind": "boosted", "features_path": "emb.tsv"}],
+            **_job_source({"model": "wei"}))
+        for argv in (["validate"], ["run", "build-lexicon"]):
+            assert main([*argv, "--manifest", str(manifest), "--out", str(root / "o")]) == 2
+            out, err = capsys.readouterr()
+            assert "lexicon job 'new.tsv': model 'wei' reads features_path" in out + err, argv
+        assert not (root / "o" / "new.tsv").exists()
 
 
 def _files(root):

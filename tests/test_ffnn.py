@@ -8,6 +8,7 @@ from conftest import fit_float64, make_affine_arrays, make_aligned
 from affectmap.errors import ContractError, DivergenceError, ValidationError
 from affectmap.lexicon import BE5, VAD
 from affectmap.models import (
+    BoostedEnsemble,
     FfnnConfig,
     FfnnModel,
     ffnn_backward,
@@ -436,6 +437,16 @@ class TestReferenceBits:
         cfg = FfnnConfig(hidden_sizes=hidden, iterations=25, seed=6)
         self._assert_same_bits(cfg, S, T, dtype)
 
+    @pytest.mark.parametrize("hidden", [(7,), (7, 5)], ids=["7", "7x5"])
+    @pytest.mark.parametrize("n", [60, 61])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_single_output(self, hidden, n, dtype):
+        # the boosted base-net shape: back-propagation through a one-unit
+        # output layer is an outer product, not a GEMM
+        S, T = make_affine_arrays(n=n, seed=14)
+        cfg = FfnnConfig(hidden_sizes=hidden, iterations=25, seed=7)
+        self._assert_same_bits(cfg, S, T[:, :1], dtype)
+
     def test_zero_preactivation_takes_the_strict_gate(self):
         # all-zero input rows meet zero initial biases: the first step
         # sees pre-activations that are exactly 0.0 in every hidden layer
@@ -463,33 +474,65 @@ class TestReferenceBits:
 
 
 def test_float32_fit_stays_float32(monkeypatch):
-    """Every weight, bias, gradient, moment and forward-cache array of a
-    float32 fit is float32. A float64 array, or a float64 scalar that NEP 50
-    lets promote an expression, would show here as a float64 result; one
-    whose result is written back into a float32 array is left to the
-    reference-bits tests. Predictions come back as float64."""
+    """Every weight, bias, gradient, moment, scratch and forward buffer of a
+    float32 fit is float32: the flat vectors, the views into them, and the
+    workspace's per-layer, output and delta buffers. A float64 array, or a
+    float64 scalar that NEP 50 lets promote an expression into a new array,
+    would show here as a float64 result; one whose result is written back
+    into a float32 array is left to the reference-bits tests. Predictions
+    come back as float64."""
     seen = []
     forward, adam = ffnn_module.ffnn_forward, ffnn_module._adam_step
 
-    def spy_forward(m, X, mode="eval", rng=None):
-        out, cache = forward(m, X, mode, rng)
-        seen.extend([out, cache.last_input, cache.output])
+    def spy_forward(m, X, mode="eval", rng=None, ws=None):
+        out, cache = forward(m, X, mode, rng, ws)
+        seen.extend([out, cache.last_input, cache.output, *m.weights, *m.biases])
         seen.extend(a for layer in cache.layers for a in layer)
         return out, cache
 
-    def spy_adam(cfg, it, params, grads, moments):
-        seen.extend([*params, *grads, *(m for pair in moments for m in pair)])
-        adam(cfg, it, params, grads, moments)
+    def spy_adam(cfg, it, ws):
+        seen.extend([ws.params, ws.grads, ws.m1, ws.m2, ws.s1, ws.s2, ws.out, ws.delta])
+        seen.extend([*ws.grads_w, *ws.grads_b])
+        seen.extend(a for layer in ws.hidden for a in layer if a.dtype != bool)
+        adam(cfg, it, ws)
 
     monkeypatch.setattr(ffnn_module, "ffnn_forward", spy_forward)
     monkeypatch.setattr(ffnn_module, "_adam_step", spy_adam)
     S, T = make_affine_arrays(n=30, seed=2)
     m = FfnnModel(FfnnConfig(hidden_sizes=(8, 8), iterations=3, seed=1)).fit_arrays(S, T)
-    assert len(seen) == 3 * (3 + 3 * 2) + 3 * (4 * 6)
+    # per iteration: forward 3 + 6 parameters + 2 layers x 3; Adam 8 + 6
+    # gradient views + 2 layers x 3 float buffers
+    assert len(seen) == 3 * ((3 + 6 + 2 * 3) + (8 + 6 + 2 * 3))
     assert {a.dtype for a in seen} == {np.dtype(np.float32)}
     assert {a.dtype for a in (*m.weights, *m.biases)} == {np.dtype(np.float32)}
     assert m.predict(S).dtype == np.float64
     assert all(type(v) is float for v in m.loss_trace)
+
+
+def _parameters(model):
+    return [*model.weights, *model.biases]
+
+
+def test_fits_share_no_parameter_memory():
+    """Each fit owns its parameter vector: a refit, another model's fit and
+    the base nets of one boosted ensemble leave earlier parameters alone."""
+    rng = np.random.default_rng(2)
+    S = rng.normal(size=(60, 4))
+    T = np.tanh(S @ rng.normal(size=(4, 2)))
+    cfg = FfnnConfig(hidden_sizes=(16,), dropout_hidden=0.0, iterations=20, seed=1)
+    m = FfnnModel(cfg).fit_arrays(S, T)
+    first = [a.copy() for a in _parameters(m)]
+    kept = _parameters(m)
+    m.fit_arrays(S, T[:, ::-1])
+    other = FfnnModel(cfg).fit_arrays(S, T)
+    ensemble = BoostedEnsemble(stages=3, base_config=cfg, seed=1).fit_arrays(S, T)
+    assert [len(nets) for nets in ensemble.stages] == [3, 3]
+    nets = [m, other, *(net for nets in ensemble.stages for net in nets)]
+    arrays = [kept, *map(_parameters, nets)]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not any(np.shares_memory(x, y) for x in a for y in b)
+    assert all(np.array_equal(a, b) for a, b in zip(first, kept))
 
 
 def _same_state(a, b):
