@@ -41,8 +41,6 @@ from .models import (
     FfnnModel,
     KnnModel,
     LinearModel,
-    ffnn_backward,
-    ffnn_forward,
     ffnn_loss,
     fit_boosted,
     gradient_check,

@@ -162,7 +162,8 @@ class Manifest:
         flags = {key: _field(side, key, lambda v: isinstance(v, bool), "true or false", False,
                              owner) for key in ("lowercase", "clamp")}
         return parse_lexicon(
-            self._resolve(path), fmt, columns, language=side.get("language", ""),
+            self._resolve(path), fmt, columns,
+            language=_field(side, "language", _is_str, "a string", "", owner),
             source_id=path, scale=None if scale is None else (float(scale[0]), float(scale[1])),
             diagnostics=diagnostics, **flags,
         )

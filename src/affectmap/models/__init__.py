@@ -9,8 +9,6 @@ from .boosting import (
 from .ffnn import (
     FfnnConfig,
     FfnnModel,
-    ffnn_backward,
-    ffnn_forward,
     ffnn_loss,
     gradient_check,
     init_ffnn,
@@ -25,9 +23,7 @@ __all__ = [
     "FfnnConfig",
     "FfnnModel",
     "init_ffnn",
-    "ffnn_forward",
     "ffnn_loss",
-    "ffnn_backward",
     "gradient_check",
     "BoostedEnsemble",
     "DEFAULT_BASE_CONFIG",

@@ -11,7 +11,7 @@ are returned as float64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +19,7 @@ from ..errors import ConfigurationError, ContractError, DivergenceError, Validat
 from ..lexicon import AlignedLexicon
 from .base import MappingModel, _count
 
-__all__ = [
-    "FfnnConfig",
-    "FfnnModel",
-    "init_ffnn",
-    "ffnn_forward",
-    "ffnn_loss",
-    "ffnn_backward",
-    "gradient_check",
-]
+__all__ = ["FfnnConfig", "FfnnModel", "init_ffnn", "ffnn_loss", "gradient_check"]
 
 # the dtype every network trains in; forward and backward compute in the
 # weights' dtype, so float64 weights (older model files, gradient_check)
@@ -60,6 +52,12 @@ class FfnnConfig:
         object.__setattr__(self, "iterations", _count("iterations", self.iterations))
         if not self.hidden_sizes:
             raise ValidationError("hidden_sizes must not be empty")
+        # numpy allocates no array of more bytes than intp holds; each width
+        # is at most its product with the next, the last one at most itself
+        limit = np.iinfo(np.intp).max // TRAIN_DTYPE.itemsize
+        if max(a * b for a, b in zip(sizes, (*sizes[1:], 1))) > limit:
+            raise ValidationError(
+                f"hidden_sizes {list(sizes)} make a layer of more than {limit} cells")
         if not 0.0 <= self.dropout_hidden < 1.0:
             raise ValidationError(f"dropout must lie in [0, 1), got {self.dropout_hidden!r}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -119,16 +117,16 @@ class FfnnModel(MappingModel):
         sizes = [S.shape[1], *cfg.hidden_sizes, T.shape[1]]
         try:
             self.weights, self.biases = _init_layers(sizes, rng, TRAIN_DTYPE)
-            ws = _Workspace(self, S, T)
+            ws = _Workspace(self, S, T, rng)
         except (MemoryError, ValueError) as e:  # numpy refuses a size past its limit
             raise ConfigurationError(
                 f"cannot allocate a network of layer sizes {sizes}: {e}") from None
-        self.loss_trace = _train(self, ws, rng)
+        self.loss_trace = _train(self, ws)
         return self
 
     def predict(self, X) -> np.ndarray:
-        out, _ = ffnn_forward(self, self._query(X), mode="eval")
-        return out.astype(np.float64, copy=False)
+        X = self._query(X)
+        return ffnn_forward(self, X, _Workspace(self, X)).astype(np.float64, copy=False)
 
     def parameter_count(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
@@ -149,17 +147,27 @@ def _init_layers(sizes, rng, dtype=np.float64):
 
 
 class _Workspace:
-    """Every buffer one fit writes, allocated once and reused by each iteration.
+    """The buffers of the network passes over one input matrix X, allocated
+    once and reused by every pass.
 
-    The model's weights and biases become views into one flat parameter
-    vector, and the gradients into one laid out the same way, so the
-    elementwise Adam step runs once over the whole vector. Per hidden layer:
-    pre-activation, activation, bool mask and float dropout mask (None
-    without dropout). The loss runs in float64 against targets copied once.
+    Built from X alone, it holds what a prediction needs: per hidden layer
+    a pre-activation and an activation, and the output. Built with targets
+    T, it is a training workspace. The model's weights and biases become
+    views into one flat parameter vector, and the gradients into one laid
+    out the same way, so the elementwise Adam step runs once over the whole
+    vector. Each hidden layer adds a bool mask and, when the config drops
+    units and a generator rng is given, a float dropout mask drawn from rng
+    on every forward pass. The loss runs in float64 against targets copied
+    once.
     """
 
-    def __init__(self, m: FfnnModel, S, T):
-        dt = m.input_dtype
+    def __init__(self, m: FfnnModel, X, T=None, rng=None):
+        dt, shapes = m.input_dtype, [(len(X), w.shape[0]) for w in m.weights]
+        self.X, self.T, self.rng = X, T, rng
+        self.hidden = [(np.empty(s, dt), np.empty(s, dt), None, None) for s in shapes[:-1]]
+        self.out = np.empty(shapes[-1], dt)
+        if T is None:
+            return
         arrays = (*m.weights, *m.biases)
         self.params = np.concatenate([a.reshape(-1) for a in arrays])
         self.grads, self.m1, self.m2, self.s1, self.s2 = (
@@ -169,20 +177,16 @@ class _Workspace:
                          for flat in (self.params, self.grads))
         m.weights, m.biases = params[:n_layers], params[n_layers:]
         self.grads_w, self.grads_b = grads[:n_layers], grads[n_layers:]
-        dropping = m.config.dropout_hidden > 0.0
-        self.hidden = [
-            (np.empty(shape, dt), np.empty(shape, dt), np.empty(shape, bool),
-             np.empty(shape, dt) if dropping else None)
-            for shape in ((S.shape[0], w.shape[0]) for w in m.weights[:-1])
-        ]
-        self.out, self.delta = np.empty(T.shape, dt), np.empty(T.shape, dt)
-        self.loss = np.empty(T.shape, np.float64)
-        self.S, self.T, self.gold64 = S, T, T.astype(np.float64)
+        dropping = rng is not None and m.config.dropout_hidden > 0.0
+        self.hidden = [(z, h, np.empty(z.shape, bool), np.empty(z.shape, dt) if dropping else None)
+                       for z, h, _, _ in self.hidden]
+        self.delta, self.loss = np.empty(T.shape, dt), np.empty(T.shape, np.float64)
+        self.gold64 = T.astype(np.float64)
 
 
-def _train(m: FfnnModel, ws: _Workspace, rng) -> list[float]:
+def _train(m: FfnnModel, ws: _Workspace) -> list[float]:
     """Run m.config.iterations full-batch steps on m's parameters in place,
-    in their dtype, through the buffers of ws; returns the loss trace.
+    in their dtype, through the training workspace ws; returns the loss trace.
 
     A diverging run overflows to inf and nan; the finite-loss check ends
     it in a DivergenceError, so those float warnings are muted.
@@ -190,12 +194,11 @@ def _train(m: FfnnModel, ws: _Workspace, rng) -> list[float]:
     trace = []
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, m.config.iterations + 1):
-            out, cache = ffnn_forward(m, ws.S, "train", rng, ws)
-            loss = ffnn_loss(out, ws.gold64, ws.loss)
+            loss = ffnn_loss(ffnn_forward(m, ws.X, ws), ws.gold64, ws.loss)
             if not math.isfinite(loss):
                 raise DivergenceError("training loss is not finite", iteration=it)
             trace.append(loss)
-            ffnn_backward(m, cache, ws.T, ws)
+            ffnn_backward(m, ws.X, ws.T, ws)
             _adam_step(m.config, it, ws)
     return trace
 
@@ -236,66 +239,35 @@ def init_ffnn(cfg: FfnnConfig, source_format, target_format) -> FfnnModel:
     )
 
 
-@dataclass
-class _ForwardCache:
-    model: FfnnModel
-    mode: str
-    # per hidden layer: (layer input, pre-activation z, scaled dropout mask or None)
-    layers: list = field(default_factory=list)
-    last_input: np.ndarray | None = None
-    output: np.ndarray | None = None
+def ffnn_forward(m: FfnnModel, X, ws: _Workspace) -> np.ndarray:
+    """Run the network on the rows of X, in the weights' dtype, through the
+    buffers of ws; returns ws.out.
 
-
-def ffnn_forward(m: FfnnModel, X, mode: str = "eval", rng=None, ws=None):
-    """Run the network; returns (output, cache for the backward pass).
-
-    In train mode each hidden layer's output gets an inverted dropout
-    mask drawn from ``rng`` (scaled by 1/keep); eval mode applies neither
-    masks nor scaling. The output layer is always affine and unbounded.
-    Everything is computed in the weights' dtype, into the buffers of the
-    training workspace ``ws`` when one is given, else into new arrays.
+    When ws holds dropout masks, each hidden layer's output is multiplied
+    by an inverted dropout mask drawn from ws.rng (scaled by 1/keep);
+    otherwise neither masks nor scaling apply. The output layer is always
+    affine and unbounded.
     """
-    if mode not in ("train", "eval"):
-        raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if m.weights is None:
-        raise ContractError("forward pass on an uninitialized model")
-    dt = m.weights[0].dtype
-    X = np.ascontiguousarray(X, dtype=dt)
-    if X.ndim != 2 or X.shape[1] != m.weights[0].shape[1]:
-        raise ContractError(
-            f"expected (n, {m.weights[0].shape[1]}) input, got {X.shape}"
-        )
-    p = m.config.dropout_hidden if m.config is not None else 0.0
-    dropping = mode == "train" and p > 0.0
-    if dropping and rng is None:
-        raise ContractError("train-mode forward with dropout needs a generator")
-    keep = dt.type(1.0 - p)
-    inv = dt.type(1.0 / (1.0 - p))
-    cache = _ForwardCache(model=m, mode=mode)
+    dt, keep = m.input_dtype, 1.0 - m.config.dropout_hidden
     a = X
-    for l, (W, b) in enumerate(zip(m.weights[:-1], m.biases[:-1])):
-        z, h, keep_mask, mask = ws.hidden[l] if ws is not None else (None,) * 4
-        z = np.matmul(a, W.T, out=z)
+    for W, b, (z, h, keep_mask, mask) in zip(m.weights, m.biases, ws.hidden):
+        np.matmul(a, W.T, out=z)
         z += b
-        h = np.maximum(z, 0.0, out=h)
-        if dropping:
+        np.maximum(z, 0.0, out=h)
+        if mask is not None:
+            _keep_mask(ws.rng, dt.type(keep), keep_mask)
             # dtype= keeps a bool * scalar product in dt under numpy 1.x too
-            keep_mask = _keep_mask(rng, z.shape, keep, keep_mask)
-            mask = np.multiply(keep_mask, inv, dtype=dt, out=mask)
-            h *= mask
-        cache.layers.append((a, z, mask if dropping else None))
+            h *= np.multiply(keep_mask, dt.type(1.0 / keep), dtype=dt, out=mask)
         a = h
-    out = np.matmul(a, m.weights[-1].T, out=None if ws is None else ws.out)
-    out += m.biases[-1]
-    cache.last_input = a
-    cache.output = out
-    return out, cache
+    np.matmul(a, m.weights[-1].T, out=ws.out)
+    ws.out += m.biases[-1]
+    return ws.out
 
 
-def _keep_mask(rng, shape, keep, out=None) -> np.ndarray:
-    """The cells of ``rng.random(size=shape, dtype=keep.dtype) < keep``,
-    found from the generator's raw 64-bit words without making the floats,
-    written into the bool array ``out`` when one is given.
+def _keep_mask(rng, keep, out) -> None:
+    """Write into the bool array ``out`` the cells of
+    ``rng.random(size=out.shape, dtype=keep.dtype) < keep``, found from the
+    generator's raw 64-bit words without making the floats.
 
     numpy makes a float64 uniform as (w >> 11) * 2**-53 from one word w,
     and a float32 one as (u >> 8) * 2**-24 from one 32-bit half u: the low
@@ -314,17 +286,14 @@ def _keep_mask(rng, shape, keep, out=None) -> np.ndarray:
             "dropout needs a PCG64, PCG64DXSM, Philox or SFC64 generator, "
             f"got {state.get('bit_generator', type(rng).__name__)}"
         )
-    n = math.prod(shape)
-    out = np.empty(shape, dtype=bool) if out is None else out
+    n = out.size
     mask = out.reshape(n)
     # limit is the largest kept integer, one below the bound: at keep == 1
     # the bound is 2**64 (2**32), which the word type cannot hold
     if keep.dtype == np.float64:
         limit = np.uint64((math.ceil(float(keep) * 2**53) << 11) - 1)
         np.less_equal(bitgen.random_raw(n), limit, out=mask)
-        return out
-    if n == 0:
-        return out
+        return
     limit = np.uint32((math.ceil(float(keep) * 2**24) << 8) - 1)
     pending = state["has_uint32"]
     words = bitgen.random_raw((n - pending + 1) // 2)
@@ -338,7 +307,6 @@ def _keep_mask(rng, shape, keep, out=None) -> np.ndarray:
     if words.size:
         state["uinteger"] = int(lanes[-1])
     bitgen.state = state
-    return out
 
 
 def ffnn_loss(pred, gold, out=None) -> float:
@@ -354,43 +322,29 @@ def ffnn_loss(pred, gold, out=None) -> float:
     return float(np.mean(np.multiply(d, d, out=d)))
 
 
-def ffnn_backward(m: FfnnModel, cache: _ForwardCache, gold, ws=None):
-    """Exact gradients of ffnn_loss through the cached forward pass.
+def ffnn_backward(m: FfnnModel, X, T, ws: _Workspace) -> None:
+    """Exact gradients of ffnn_loss at targets T through the last forward
+    pass of X in ws, written into ws.grads.
 
-    Returns (weight gradients, bias gradients), one entry per layer. With
-    the training workspace ``ws`` they are its gradient views, and the
-    cache's buffers are overwritten on the way down.
+    The pass's buffers are overwritten on the way down: a layer's
+    activation buffer takes its delta once the layer above has used it,
+    and its pre-activation buffer the back-propagated product.
     """
-    if cache.model is not m:
-        raise ContractError("cache was produced by a different model")
-    dt = cache.output.dtype
-    gold = np.asarray(gold, dtype=dt)
-    if gold.shape != cache.output.shape:
-        raise ContractError(
-            f"gold shape {gold.shape} does not match cached output "
-            f"{cache.output.shape}"
-        )
-    n_layers = len(m.weights)
-    grads_w = [None] * n_layers if ws is None else ws.grads_w
-    grads_b = [None] * n_layers if ws is None else ws.grads_b
-    delta = np.subtract(cache.output, gold, out=None if ws is None else ws.delta)
-    delta *= dt.type(2.0 / cache.output.size)
-    grads_w[-1] = np.matmul(delta.T, cache.last_input, out=grads_w[-1])
-    grads_b[-1] = np.sum(delta, axis=0, out=grads_b[-1])
-    for l in range(n_layers - 2, -1, -1):
-        a_prev, z, mask = cache.layers[l]
-        # the layer's own buffers are free once z is gated: its activation
-        # was the input of the layer above, whose gradient is already made
-        z_buf, h_buf, gate, mask_buf = ws.hidden[l] if ws is not None else (None,) * 4
-        gate = np.greater(z, 0.0, out=gate)
+    delta = np.subtract(ws.out, T, out=ws.delta)
+    delta *= delta.dtype.type(2.0 / delta.size)
+    inputs = [X, *(h for _, h, _, _ in ws.hidden)]
+    np.matmul(delta.T, inputs[-1], out=ws.grads_w[-1])
+    np.sum(delta, axis=0, out=ws.grads_b[-1])
+    for l in range(len(ws.hidden) - 1, -1, -1):
+        z, h, gate, mask = ws.hidden[l]
+        np.greater(z, 0.0, out=gate)
         W = m.weights[l + 1]  # with one unit, each cell of delta @ W is a single product
-        back = (np.multiply if W.shape[0] == 1 else np.matmul)(delta, W, out=z_buf)
+        back = (np.multiply if W.shape[0] == 1 else np.matmul)(delta, W, out=z)
         if mask is not None:
-            gate = np.multiply(gate, mask, out=mask_buf)
-        delta = np.multiply(back, gate, out=h_buf)
-        grads_w[l] = np.matmul(delta.T, a_prev, out=grads_w[l])
-        grads_b[l] = np.sum(delta, axis=0, out=grads_b[l])
-    return grads_w, grads_b
+            gate = np.multiply(gate, mask, out=mask)
+        delta = np.multiply(back, gate, out=h)
+        np.matmul(delta.T, inputs[l], out=ws.grads_w[l])
+        np.sum(delta, axis=0, out=ws.grads_b[l])
 
 
 def _check_net(hidden_sizes, in_dim, out_dim, seed):
@@ -423,29 +377,21 @@ def gradient_check(cfg, sample, *, seed: int = 0, step: float = 1e-5) -> float:
     else:
         hidden_sizes = tuple(int(h) for h in cfg)
     if isinstance(sample, AlignedLexicon):
-        X, gold = sample.source_matrix, sample.target_matrix
-    else:
-        X, gold = sample
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    gold = np.ascontiguousarray(gold, dtype=np.float64)
+        sample = sample.source_matrix, sample.target_matrix
+    X, gold = MappingModel._training(*sample)
     model = _check_net(hidden_sizes, X.shape[1], gold.shape[1], seed)
-    out, cache = ffnn_forward(model, X, mode="eval")
-    grads_w, grads_b = ffnn_backward(model, cache, gold)
+    ws = _Workspace(model, X, gold)
+    ffnn_forward(model, X, ws)
+    ffnn_backward(model, X, gold, ws)
     worst = 0.0
-    for param, grad in zip(
-        (*model.weights, *model.biases), (*grads_w, *grads_b)
-    ):
-        flat = param.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = ffnn_loss(ffnn_forward(model, X, mode="eval")[0], gold)
-            flat[i] = orig - step
-            down = ffnn_loss(ffnn_forward(model, X, mode="eval")[0], gold)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * step)
-            analytic = gflat[i]
-            denom = max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, abs(analytic - numeric) / denom)
+    for i, analytic in enumerate(ws.grads):
+        orig = ws.params[i]
+        ws.params[i] = orig + step
+        up = ffnn_loss(ffnn_forward(model, X, ws), gold, ws.loss)
+        ws.params[i] = orig - step
+        down = ffnn_loss(ffnn_forward(model, X, ws), gold, ws.loss)
+        ws.params[i] = orig
+        numeric = (up - down) / (2.0 * step)
+        denom = max(abs(analytic), abs(numeric), 1e-8)
+        worst = max(worst, abs(analytic - numeric) / denom)
     return worst

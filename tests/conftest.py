@@ -156,7 +156,7 @@ def fit_float64(cfg, S, T):
     adaptive-moment step, which older model files and gradient_check use."""
     S, T = (np.ascontiguousarray(a, dtype=np.float64) for a in (S, T))
     m, rng = init_float64(cfg, S.shape[1], T.shape[1])
-    m.loss_trace = ffnn_module._train(m, ffnn_module._Workspace(m, S, T), rng)
+    m.loss_trace = ffnn_module._train(m, ffnn_module._Workspace(m, S, T, rng))
     return m
 
 

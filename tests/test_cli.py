@@ -410,14 +410,16 @@ class TestRunMonolingual:
             assert "divergence" in capsys.readouterr().err
 
     def test_network_too_large_to_allocate(self, workspace, tmp_path, capsys):
-        # numpy refuses 2**62 rows before it asks for memory
+        # the widest layer validate lets through; its product with the
+        # 3 input columns is past numpy's limit, refused before any memory
         root, _ = workspace
-        manifest = write_manifest(root, **_net(hidden_sizes=[2**62], iterations=1))
+        width = np.iinfo(np.intp).max // 4
+        manifest = write_manifest(root, **_net(hidden_sizes=[width], iterations=1))
         argv = ["run", "monolingual", "--manifest", str(manifest), "--out", str(tmp_path / "o")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "cannot allocate a network of layer sizes [" in err
-        assert f", {2**62}, " in err
+        assert f", {width}, " in err
         assert "Traceback" not in err
 
 
@@ -718,6 +720,18 @@ class TestManifestShape:
          "model 'net': unknown key 'paramz'", ("monolingual",)),
         ({"models": [{"name": "net", "kind": "boosted", "feature_path": "emb.tsv"}]},
          "model 'net': unknown key 'feature_path'", ("monolingual",)),
+        (_net(hidden_sizes=[2**62], iterations=1), "model 'net': hidden_sizes",
+         ("monolingual",)),
+        (_net(hidden_sizes=[2**31, 2**31], iterations=1), "model 'net': hidden_sizes",
+         ("monolingual",)),
+        (_net("boosted", base={"hidden_sizes": [2**62]}), "model 'net': hidden_sizes",
+         ("monolingual",)),
+        ({"datasets": [{**_sides()["datasets"][0], "language": ["en"]}]},
+         "dataset 'syn': 'language'", ("monolingual", "crosslingual")),
+        ({"datasets": [{**_sides()["datasets"][0], "language": 5}]},
+         "dataset 'syn': 'language'", ("monolingual", "crosslingual")),
+        (_job_source(language=["en"]), "lexicon job 'new.tsv' source: 'language'",
+         ("build-lexicon",)),
     ], ids=["k_folds-string", "seed-float", "lexicon_jobs-int", "datasets-object",
             "models-string", "ffnn-hidden_sizes", "ffnn-iterations-string", "knn-k",
             "ffnn-unknown-param", "params-string", "sides-ints", "scale-string",
@@ -735,7 +749,9 @@ class TestManifestShape:
             "job-output-absolute", "job-output-parent", "job-output-subdirectory", "job-output-nul",
             "job-output-run-meta", "job-output-manifest-sibling", "output_dir-nul", "path-nul",
             "features_path-nul", "params-NaN", "model-unknown-key",
-            "model-misspelt-features_path"])
+            "model-misspelt-features_path", "ffnn-hidden_sizes-past-numpy",
+            "ffnn-hidden_sizes-product-past-numpy", "boosted-base-hidden_sizes-past-numpy",
+            "dataset-language-list", "dataset-language-int", "job-source-language-list"])
     def test_exit_2_naming_the_fault(self, overrides, named, tasks, workspace, capsys):
         root, _ = workspace
         manifest = write_manifest(root, **overrides)

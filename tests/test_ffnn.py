@@ -11,13 +11,12 @@ from affectmap.models import (
     BoostedEnsemble,
     FfnnConfig,
     FfnnModel,
-    ffnn_backward,
-    ffnn_forward,
     ffnn_loss,
     gradient_check,
     init_ffnn,
 )
 from affectmap.models import ffnn as ffnn_module
+from affectmap.models.ffnn import _Workspace, ffnn_backward, ffnn_forward
 
 
 def hand_net(weights, biases):
@@ -26,6 +25,21 @@ def hand_net(weights, biases):
         weights=[np.asarray(w, dtype=np.float64) for w in weights],
         biases=[np.asarray(b, dtype=np.float64) for b in biases],
     )
+
+
+def eval_pass(m, X):
+    """A forward pass of X, cast to m's dtype, through a prediction workspace."""
+    X = np.asarray(X, dtype=m.input_dtype)
+    return ffnn_forward(m, X, _Workspace(m, X))
+
+
+def training_ws(m, X, rng=None):
+    """A training workspace for the rows of X, with zero targets."""
+    return _Workspace(m, X, np.zeros((len(X), m.weights[-1].shape[0]), m.input_dtype), rng)
+
+
+def rows(n, seed, dtype=np.float32):
+    return np.random.default_rng(seed).uniform(1, 9, size=(n, 3)).astype(dtype)
 
 
 class TestConfig:
@@ -116,40 +130,36 @@ class TestForward:
             [np.zeros(4), np.array([5.0, -1.0])],
         )
         X = np.random.default_rng(0).normal(size=(6, 3))
-        out, _ = ffnn_forward(net, X, mode="eval")
+        out = eval_pass(net, X)
         assert np.array_equal(out, np.tile([5.0, -1.0], (6, 1)))
 
     def test_hand_evaluation(self):
         # relu(2*1 + (-1)) * 3 + 0.5 = 3.5
         net = hand_net([[[1.0]], [[3.0]]], [[-1.0], [0.5]])
-        out, _ = ffnn_forward(net, [[2.0]], mode="eval")
+        out = eval_pass(net, [[2.0]])
         assert out[0, 0] == 3.5
 
     def test_relu_gates_negative_preactivation(self):
         net = hand_net([[[1.0]], [[3.0]]], [[-1.0], [0.5]])
-        out, _ = ffnn_forward(net, [[0.5]], mode="eval")
+        out = eval_pass(net, [[0.5]])
         assert out[0, 0] == 0.5
 
     def test_eval_independent_of_seed(self):
+        # a pass drops no unit without a generator, whatever the config's
+        # dropout: through a prediction workspace, a training one and predict
         m = init_ffnn(FfnnConfig(seed=0), VAD, BE5)
-        X = np.random.default_rng(1).uniform(1, 9, size=(4, 3))
-        a, _ = ffnn_forward(m, X, mode="eval", rng=np.random.default_rng(1))
-        b, _ = ffnn_forward(m, X, mode="eval", rng=np.random.default_rng(999))
-        c, _ = ffnn_forward(m, X, mode="eval")
+        X = rows(4, 1)
+        a = eval_pass(m, X)
+        b = ffnn_forward(m, X, training_ws(m, X))
+        c = m.predict(X)
         assert np.array_equal(a, b)
         assert np.array_equal(a, c)
 
-    def test_train_mode_needs_generator(self):
-        m = init_ffnn(FfnnConfig(seed=0), VAD, BE5)
-        X = np.ones((2, 3))
-        with pytest.raises(ContractError):
-            ffnn_forward(m, X, mode="train")
-
     def test_train_mode_without_dropout_equals_eval(self):
         m = init_ffnn(FfnnConfig(seed=0, dropout_hidden=0.0), VAD, BE5)
-        X = np.random.default_rng(2).uniform(1, 9, size=(5, 3))
-        tr, _ = ffnn_forward(m, X, mode="train", rng=np.random.default_rng(0))
-        ev, _ = ffnn_forward(m, X, mode="eval")
+        X = rows(5, 2)
+        tr = ffnn_forward(m, X, training_ws(m, X, np.random.default_rng(0)))
+        ev = eval_pass(m, X)
         assert np.array_equal(tr, ev)
 
     def test_dropout_scaling_preserves_expectation(self):
@@ -157,25 +167,20 @@ class TestForward:
         # expectation exactly the eval output (deeper nets only match
         # per layer, not end to end, because relu is nonlinear)
         m = init_ffnn(FfnnConfig(hidden_sizes=(16,), seed=3), VAD, BE5)
-        X = np.random.default_rng(3).uniform(1, 9, size=(100, 3))
-        ev, _ = ffnn_forward(m, X, mode="eval")
-        rng = np.random.default_rng(4)
+        X = rows(100, 3)
+        ev = eval_pass(m, X)
+        ws = training_ws(m, X, np.random.default_rng(4))
         acc = np.zeros_like(ev)
         reps = 2000
         for _ in range(reps):
-            out, _ = ffnn_forward(m, X, mode="train", rng=rng)
-            acc += out
+            acc += ffnn_forward(m, X, ws)
         assert np.abs(acc / reps - ev).mean() < 0.05 * np.abs(ev - ev.mean(axis=0)).mean()
 
-    def test_bad_mode(self):
-        m = init_ffnn(FfnnConfig(seed=0), VAD, BE5)
-        with pytest.raises(ContractError):
-            ffnn_forward(m, np.ones((1, 3)), mode="test")
-
     def test_shape_mismatch(self):
+        # outside input enters through predict, which checks it
         m = init_ffnn(FfnnConfig(seed=0), VAD, BE5)
         with pytest.raises(ContractError):
-            ffnn_forward(m, np.ones((1, 4)), mode="eval")
+            m.predict(np.ones((1, 4)))
 
 
 class TestLoss:
@@ -203,40 +208,32 @@ class TestLoss:
 class TestBackward:
     def test_zero_gradients_at_gold(self):
         m = init_ffnn(FfnnConfig(seed=1, dropout_hidden=0.0), VAD, BE5)
-        X = np.random.default_rng(5).uniform(1, 9, size=(6, 3))
-        out, cache = ffnn_forward(m, X, mode="eval")
-        grads_w, grads_b = ffnn_backward(m, cache, out.copy())
-        for g in (*grads_w, *grads_b):
+        X = rows(6, 5)
+        ws = training_ws(m, X)
+        out = ffnn_forward(m, X, ws)
+        ffnn_backward(m, X, out.copy(), ws)
+        for g in (*ws.grads_w, *ws.grads_b):
             assert np.all(g == 0.0)
 
-    def test_foreign_cache_rejected(self):
-        a = init_ffnn(FfnnConfig(seed=1), VAD, BE5)
-        b = init_ffnn(FfnnConfig(seed=2), VAD, BE5)
-        X = np.ones((2, 3))
-        _, cache = ffnn_forward(a, X, mode="eval")
-        with pytest.raises(ContractError):
-            ffnn_backward(b, cache, np.ones((2, 5)))
-
     def test_gold_shape_checked(self):
-        m = init_ffnn(FfnnConfig(seed=1), VAD, BE5)
-        _, cache = ffnn_forward(m, np.ones((2, 3)), mode="eval")
+        # outside targets enter through gradient_check (and fit_arrays), which check them
         with pytest.raises(ContractError):
-            ffnn_backward(m, cache, np.ones((3, 5)))
+            gradient_check((4,), (np.ones((2, 3)), np.ones((3, 5))))
 
     def test_masked_paths_carry_no_gradient(self):
         # a unit whose dropout mask is zero is dead for the step, so the
         # weights feeding it get exactly zero gradient
         cfg = FfnnConfig(hidden_sizes=(32,), dropout_hidden=0.5, seed=0)
         m = init_ffnn(cfg, VAD, BE5)
-        X = np.random.default_rng(6).uniform(1, 9, size=(1, 3))
-        rng = np.random.default_rng(7)
-        out, cache = ffnn_forward(m, X, mode="train", rng=rng)
-        _, z, mask = cache.layers[0]
+        X = rows(1, 6)
+        ws = training_ws(m, X, np.random.default_rng(7))
+        out = ffnn_forward(m, X, ws)
+        [(z, _, _, mask)] = ws.hidden
         dead = (mask[0] == 0.0) | (z[0] <= 0.0)
         assert dead.any() and (~dead).any()
-        grads_w, _ = ffnn_backward(m, cache, out + 1.0)
-        assert np.all(grads_w[0][dead] == 0.0)
-        assert np.all(grads_w[0][~dead] != 0.0)
+        ffnn_backward(m, X, out + 1.0, ws)
+        assert np.all(ws.grads_w[0][dead] == 0.0)
+        assert np.all(ws.grads_w[0][~dead] != 0.0)
 
 
 class TestGradientCheck:
@@ -267,10 +264,9 @@ class TestGradientCheck:
     def test_detects_corrupted_gradient(self, monkeypatch):
         real = ffnn_module.ffnn_backward
 
-        def corrupted(m, cache, gold):
-            grads_w, grads_b = real(m, cache, gold)
-            grads_w[0][0, 0] *= 2.0
-            return grads_w, grads_b
+        def corrupted(m, X, T, ws):
+            real(m, X, T, ws)
+            ws.grads_w[0][0, 0] *= 2.0
 
         monkeypatch.setattr(ffnn_module, "ffnn_backward", corrupted)
         rng = np.random.default_rng(1)
@@ -454,9 +450,10 @@ class TestReferenceBits:
         S[::4] = 0.0
         cfg = FfnnConfig(hidden_sizes=(16, 16), iterations=25, seed=5)
         model = init_ffnn(cfg, VAD, BE5)
-        rng = np.random.default_rng(cfg.seed)
-        _, cache = ffnn_forward(model, S, mode="train", rng=rng)
-        assert all(np.any(z == 0.0) for _, z, _ in cache.layers)
+        S32 = S.astype(np.float32)
+        ws = _Workspace(model, S32, T.astype(np.float32), np.random.default_rng(cfg.seed))
+        ffnn_forward(model, S32, ws)
+        assert all(np.any(z == 0.0) for z, _, _, _ in ws.hidden)
         for dtype in (np.float64, np.float32):
             self._assert_same_bits(cfg, S, T, dtype)
 
@@ -480,15 +477,24 @@ def test_float32_fit_stays_float32(monkeypatch):
     float64 scalar that NEP 50 lets promote an expression into a new array,
     would show here as a float64 result; one whose result is written back
     into a float32 array is left to the reference-bits tests. Predictions
-    come back as float64."""
-    seen = []
-    forward, adam = ffnn_module.ffnn_forward, ffnn_module._adam_step
+    come back as float64. Every pass takes its rows positionally where the
+    benchmark tracer counts them: the forward pass's input as args[1], the
+    backward pass's targets as args[2]."""
+    seen, passes = [], []
+    forward, backward = ffnn_module.ffnn_forward, ffnn_module.ffnn_backward
+    adam = ffnn_module._adam_step
 
-    def spy_forward(m, X, mode="eval", rng=None, ws=None):
-        out, cache = forward(m, X, mode, rng, ws)
-        seen.extend([out, cache.last_input, cache.output, *m.weights, *m.biases])
-        seen.extend(a for layer in cache.layers for a in layer)
-        return out, cache
+    def spy_forward(*args):
+        m, X, ws = args
+        passes.append(("forward", len(args[1])))
+        out = forward(*args)
+        seen.extend([out, X, *m.weights, *m.biases])
+        seen.extend(a for layer in ws.hidden for a in layer if a is not None and a.dtype != bool)
+        return out
+
+    def spy_backward(*args):
+        passes.append(("backward", len(args[2])))
+        backward(*args)
 
     def spy_adam(cfg, it, ws):
         seen.extend([ws.params, ws.grads, ws.m1, ws.m2, ws.s1, ws.s2, ws.out, ws.delta])
@@ -497,15 +503,17 @@ def test_float32_fit_stays_float32(monkeypatch):
         adam(cfg, it, ws)
 
     monkeypatch.setattr(ffnn_module, "ffnn_forward", spy_forward)
+    monkeypatch.setattr(ffnn_module, "ffnn_backward", spy_backward)
     monkeypatch.setattr(ffnn_module, "_adam_step", spy_adam)
     S, T = make_affine_arrays(n=30, seed=2)
     m = FfnnModel(FfnnConfig(hidden_sizes=(8, 8), iterations=3, seed=1)).fit_arrays(S, T)
-    # per iteration: forward 3 + 6 parameters + 2 layers x 3; Adam 8 + 6
-    # gradient views + 2 layers x 3 float buffers
-    assert len(seen) == 3 * ((3 + 6 + 2 * 3) + (8 + 6 + 2 * 3))
+    # per iteration: forward output and input + 6 parameters + 2 layers x 3;
+    # Adam 8 + 6 gradient views + 2 layers x 3 float buffers
+    assert len(seen) == 3 * ((2 + 6 + 2 * 3) + (8 + 6 + 2 * 3))
+    assert m.predict(S[:7]).dtype == np.float64
+    assert passes == [("forward", 30), ("backward", 30)] * 3 + [("forward", 7)]
     assert {a.dtype for a in seen} == {np.dtype(np.float32)}
     assert {a.dtype for a in (*m.weights, *m.biases)} == {np.dtype(np.float32)}
-    assert m.predict(S).dtype == np.float64
     assert all(type(v) is float for v in m.loss_trace)
 
 
@@ -569,9 +577,10 @@ class TestDropoutMasks:
             # an odd float32 draw leaves half of a raw word buffered
             rng.random(pending, dtype=np.float32)
         keep = dtype(1.0 - model.config.dropout_hidden)
+        ws = training_ws(model, X, got)
         for _ in range(2):
-            _, cache = ffnn_forward(model, X, mode="train", rng=got)
-            for _, z, mask in cache.layers:
+            ffnn_forward(model, X, ws)
+            for z, _, _, mask in ws.hidden:
                 assert np.array_equal(mask != 0.0, want.random(size=z.shape, dtype=dtype) < keep)
         assert _same_state(got.bit_generator.state, want.bit_generator.state)
         assert np.array_equal(got.random(5, dtype=np.float32), want.random(5, dtype=np.float32))
@@ -599,14 +608,15 @@ class TestDropoutMasks:
 
         uniform = (cells >> np.uint64(drop)).astype(dtype) * dtype(2.0**-bits)
         rng = SimpleNamespace(bit_generator=Words())
-        got = ffnn_module._keep_mask(rng, cells.shape, keep)
+        got = np.empty(cells.shape, bool)
+        ffnn_module._keep_mask(rng, keep, got)
         assert np.array_equal(got, uniform < keep)
 
     def test_refuses_a_generator_without_a_buffered_half_word(self):
         model, X = self._net((4,), np.float32, 6)
-        rng = np.random.Generator(np.random.MT19937(0))
+        ws = training_ws(model, X, np.random.Generator(np.random.MT19937(0)))
         with pytest.raises(ContractError, match="MT19937"):
-            ffnn_forward(model, X, mode="train", rng=rng)
+            ffnn_forward(model, X, ws)
 
     @staticmethod
     def _net(hidden, dtype, n):
@@ -614,5 +624,4 @@ class TestDropoutMasks:
         weights, biases = ffnn_module._init_layers(
             [3, *hidden, 5], np.random.default_rng(2), dtype
         )
-        X = np.random.default_rng(3).uniform(1.0, 9.0, size=(n, 3))
-        return FfnnModel(cfg, weights=weights, biases=biases), X
+        return FfnnModel(cfg, weights=weights, biases=biases), rows(n, 3, dtype)

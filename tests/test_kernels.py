@@ -1,9 +1,9 @@
 """Elementwise semantics of the FFNN training kernels.
 
 The relu/dropout forward and backward and the adaptive-moment step live
-inline in ``models/ffnn.py``; these tests check them through the public
-forward, backward and training entry points against straightforward
-reference math. The adaptive-moment tests run the training loop on
+inline in ``models/ffnn.py``; these tests check them through the forward
+and backward passes over a workspace, and through the training loop,
+against straightforward reference math. The adaptive-moment tests run the training loop on
 float64 weights, so the float64 reference math holds to its tolerances.
 """
 
@@ -15,6 +15,7 @@ from conftest import fit_float64, init_float64, make_affine_arrays
 from affectmap.models.ffnn import (
     FfnnConfig,
     FfnnModel,
+    _Workspace,
     ffnn_backward,
     ffnn_forward,
 )
@@ -32,9 +33,10 @@ def params_of(model):
 
 
 def grads_at(model, S, T):
-    _, cache = ffnn_forward(model, S, mode="eval")
-    grads_w, grads_b = ffnn_backward(model, cache, T)
-    return [*grads_w, *grads_b]
+    ws = _Workspace(model, S, T)
+    ffnn_forward(model, S, ws)
+    ffnn_backward(model, S, T, ws)
+    return [*ws.grads_w, *ws.grads_b]
 
 
 class TestNumpySemantics:
@@ -44,24 +46,25 @@ class TestNumpySemantics:
         rng = np.random.default_rng(0)
         model = one_hidden_net(rng, 0.0)
         X = rng.normal(size=(37, 5))
-        _, cache = ffnn_forward(model, X, mode="eval")
-        _, z, mask = cache.layers[0]
+        ws = _Workspace(model, X)
+        ffnn_forward(model, X, ws)
+        [(z, h, _, mask)] = ws.hidden
         zlin = X @ model.weights[0].T
         assert mask is None
         assert np.array_equal(z, zlin + model.biases[0])
-        assert np.array_equal(cache.last_input, np.maximum(z, 0.0))
+        assert np.array_equal(h, np.maximum(z, 0.0))
 
     def test_hidden_forward_dropout_masks_and_scales(self):
         rng = np.random.default_rng(1)
         keep = 0.8
         model = one_hidden_net(rng, 1.0 - keep)
         X = rng.normal(size=(37, 5))
-        _, cache = ffnn_forward(model, X, mode="train", rng=np.random.default_rng(7))
-        _, z, _ = cache.layers[0]
+        ws = _Workspace(model, X, np.zeros((37, 3)), np.random.default_rng(7))
+        ffnn_forward(model, X, ws)
+        [(z, hd, _, _)] = ws.hidden
         u = np.random.default_rng(7).random(size=z.shape)
         relu = np.maximum(X @ model.weights[0].T + model.biases[0], 0.0)
         expect = np.where(u < keep, relu / keep, 0.0)
-        hd = cache.last_input
         assert np.allclose(hd, expect)
         assert np.all(hd[u >= keep] == 0.0)
 
@@ -71,14 +74,15 @@ class TestNumpySemantics:
         model = one_hidden_net(rng, 1.0 - keep, width=6)
         X = rng.normal(size=(10, 5))
         gold = rng.normal(size=(10, 3))
-        out, cache = ffnn_forward(model, X, mode="train", rng=np.random.default_rng(8))
-        grads_w, grads_b = ffnn_backward(model, cache, gold)
-        _, z, _ = cache.layers[0]
+        ws = _Workspace(model, X, gold, np.random.default_rng(8))
+        out = ffnn_forward(model, X, ws)
+        z = ws.hidden[0][0].copy()  # the backward pass overwrites it
+        ffnn_backward(model, X, gold, ws)
         u = np.random.default_rng(8).random(size=z.shape)
         delta = ((out - gold) * (2.0 / out.size)) @ model.weights[-1]
         expect = np.where(z > 0.0, np.where(u < keep, delta / keep, 0.0), 0.0)
-        assert np.allclose(grads_b[0], expect.sum(axis=0))
-        assert np.allclose(grads_w[0], expect.T @ X)
+        assert np.allclose(ws.grads_b[0], expect.sum(axis=0))
+        assert np.allclose(ws.grads_w[0], expect.T @ X)
 
     def test_relu_backward(self):
         # one input of 1 and zero hidden weights: the pre-activations are
@@ -89,9 +93,10 @@ class TestNumpySemantics:
             biases=[np.array([0.5, -0.5, 2.0]), np.zeros(1)],
         )
         X = np.ones((1, 1))
-        out, cache = ffnn_forward(model, X, mode="eval")
-        _, grads_b = ffnn_backward(model, cache, out - 0.5)
-        assert grads_b[0].tolist() == [1.0, 0.0, -3.0]
+        ws = _Workspace(model, X, np.zeros((1, 1)))
+        out = ffnn_forward(model, X, ws)
+        ffnn_backward(model, X, out - 0.5, ws)
+        assert ws.grads_b[0].tolist() == [1.0, 0.0, -3.0]
 
     def test_relu_gate_is_strict_at_zero(self):
         model = FfnnModel(
@@ -100,10 +105,11 @@ class TestNumpySemantics:
             biases=[np.zeros(1), np.zeros(1)],
         )
         X = np.ones((1, 1))
-        out, cache = ffnn_forward(model, X, mode="eval")
-        assert cache.layers[0][1][0, 0] == 0.0
-        _, grads_b = ffnn_backward(model, cache, out - 0.5)
-        assert grads_b[0][0] == 0.0
+        ws = _Workspace(model, X, np.zeros((1, 1)))
+        out = ffnn_forward(model, X, ws)
+        assert ws.hidden[0][0][0, 0] == 0.0
+        ffnn_backward(model, X, out - 0.5, ws)
+        assert ws.grads_b[0][0] == 0.0
 
     def test_adam_first_step_moves_by_lr(self):
         # with bias correction the very first step is lr * sign(g) for eps ~ 0
