@@ -54,7 +54,6 @@ from .lexgen import LexiconBuildJob
 from .lexicon import (
     BUILTIN_FORMATS,
     AlignedLexicon,
-    Diagnostic,
     EmotionFormat,
     Lexicon,
     align,
@@ -97,6 +96,7 @@ def _is_path(v) -> bool:  # a NUL byte ends every system call on the path
 
 
 _PATH = "a string without NUL bytes"
+_SIDE_KEYS = {"path", "format", "columns", "scale", "lowercase", "clamp"}
 
 
 def _is_json(v) -> bool:  # JSON has no NaN or infinity
@@ -146,11 +146,18 @@ class Manifest:
         p = Path(rel)
         return p if p.is_absolute() else self.base_dir / p
 
-    def _load_side(self, side, owner: str, diagnostics: list[Diagnostic] | None) -> Lexicon:
-        """One lexicon; owner names its dataset or lexicon job in errors."""
+    def _load_side(self, side, owner: str, diagnostics, language=None) -> Lexicon:
+        """One lexicon; owner names its dataset or lexicon job in errors. A
+        job's side may set its language; a dataset's sides take the dataset's."""
         if not isinstance(side, dict) or "path" not in side or "format" not in side:
             raise ConfigurationError(f"{owner}: a side needs path and format, got {side!r}")
         owner += ": "
+        if language is None:
+            language = _field(side, "language", _is_str, "a string", "", owner)
+        elif "language" in side:
+            raise ConfigurationError(f"{owner}'language' is set on the dataset, not its sides")
+        for key in sorted(side.keys() - _SIDE_KEYS - {"language"}):
+            raise ConfigurationError(f"{owner}unknown side key {key!r}")
         fmt = _format_from(side["format"], owner)
         path = _field(side, "path", _is_path, _PATH, owner=owner)
         columns = _field(side, "columns", lambda v: v is None or isinstance(v, dict) and all(
@@ -162,8 +169,7 @@ class Manifest:
         flags = {key: _field(side, key, lambda v: isinstance(v, bool), "true or false", False,
                              owner) for key in ("lowercase", "clamp")}
         return parse_lexicon(
-            self._resolve(path), fmt, columns,
-            language=_field(side, "language", _is_str, "a string", "", owner),
+            self._resolve(path), fmt, columns, language=language,
             source_id=path, scale=None if scale is None else (float(scale[0]), float(scale[1])),
             diagnostics=diagnostics, **flags,
         )
@@ -187,8 +193,8 @@ class Manifest:
         self._dataset_cache[ds_id] = None  # until it has loaded
         owner = f"dataset {ds_id!r}"
         sides = _objects(entry, "sides", 2, f"{owner}: ")
-        language = entry.get("language", "")
-        a, b = (self._load_side({**s, "language": language}, owner, diagnostics) for s in sides)
+        language = _field(entry, "language", _is_str, "a string", "", f"{owner}: ")
+        a, b = (self._load_side(s, owner, diagnostics, language) for s in sides)
         self._dataset_cache[ds_id] = align(a, b)
         return self._dataset_cache[ds_id]
 

@@ -9,16 +9,18 @@ median of the stage predictions.
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
+from array import array
 from dataclasses import replace
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ContractError, ParseError
-from ..lexicon import AlignedLexicon, Lexicon, _decode, canonical_word
+from ..errors import ConfigurationError, ContractError, ParseError
+from ..lexicon import AlignedLexicon, Lexicon, canonical_word
 from .base import MappingModel, _count
 from .ffnn import TRAIN_DTYPE, FfnnConfig, FfnnModel
 
@@ -155,38 +157,148 @@ def read_feature_vectors(
 ) -> dict[str, np.ndarray]:
     """Read a word -> feature-vector map from TSV (word, v1, ..., vD).
 
-    No header row. Vector lengths must agree. Words canonicalize the
-    same way lexicon words do; duplicates are averaged with a warning.
+    No header row; blank lines are skipped and CR, CRLF and LF all end a
+    line. Vector lengths must agree. Words canonicalize the same way
+    lexicon words do; duplicates are averaged with a warning. Values are
+    ASCII decimals: a cell only float() reads (digit-group underscores,
+    non-ASCII digits) is refused. The source is read line by line and its
+    values are parsed in blocks by numpy's text parser; the vectors are
+    the rows of one float64 matrix.
     """
-    text = _decode(source)
-    rows: dict[str, list[np.ndarray]] = {}
-    width = None
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line:
-            continue
-        cells = line.split("\t")
-        if len(cells) < 2:
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as stream:
+            return read_feature_vectors(stream, lowercase=lowercase)
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    elif not hasattr(source, "read") or isinstance(source, io.TextIOBase):
+        raise ConfigurationError(f"cannot read features from {type(source).__name__}")
+    reader = _FeatureReader(lowercase)
+    text = io.TextIOWrapper(source, encoding="utf-8", newline=None)
+    try:
+        error = reader.read(text)
+        if error is not None:
+            for _ in text:  # an undecodable byte anywhere outranks a bad row
+                pass
+    except UnicodeDecodeError as e:
+        raise ParseError(f"input is not valid UTF-8: {e}") from None
+    finally:
+        text.detach()  # the caller's stream stays open
+    for message in reader.duplicates:
+        warnings.warn(message, stacklevel=2)
+    if error is not None:
+        raise error
+    return reader.vectors()
+
+
+# numpy's parser skips these around a value, as str.strip() does; float() refuses them
+_PADDING = "\x1c\x1d\x1e\x1f"
+_BLOCK_CHARS = 1 << 16  # value text per np.loadtxt call
+
+
+class _FeatureReader:
+    """The rows of one feature file, appended block by block to one flat
+    buffer. Rows the block parser cannot vouch for are read one at a
+    time, so the first bad row raises with its own message."""
+
+    def __init__(self, lowercase: bool):
+        self.lowercase = lowercase
+        self.width = None
+        self.flat = array("d")
+        self.rows: dict[str, int] = {}  # word -> its row, in first-seen order
+        self.repeats: dict[str, list[np.ndarray]] = {}  # later rows, averaged in at the end
+        self.duplicates: list[str] = []  # warnings, in file order
+
+    def read(self, lines) -> ParseError | None:
+        """Take every line. The first bad row's error is returned, not raised,
+        so that the caller can first see whether the rest of the file decodes."""
+        block, chars = [], 0
+        try:
+            for lineno, line in enumerate(lines, start=1):
+                line = line.removesuffix("\n")
+                if not line:
+                    continue
+                word, tab, rest = line.partition("\t")
+                word = canonical_word(word, self.lowercase)
+                if not (tab and word and rest) or rest.isspace() \
+                        or any(map(rest.__contains__, _PADDING)):
+                    # no value, blank values or padding: numpy's parser would skip
+                    # what float() refuses, so the row is read alone, after those before it
+                    self._flush(block)
+                    block, chars = [], 0
+                    self._take([word], self._values(lineno, word, tab, rest))
+                    continue
+                block.append((lineno, word, rest))
+                chars += len(rest)
+                if chars >= _BLOCK_CHARS:
+                    self._flush(block)
+                    block, chars = [], 0
+            self._flush(block)
+        except ParseError as e:
+            return e
+        return None
+
+    def _flush(self, block) -> None:
+        if not block:
+            return
+        try:
+            values = np.loadtxt([rest for _, _, rest in block], delimiter="\t",
+                                comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:  # a bad cell, or rows of unequal width
+            values = np.empty((0, 0))
+        width = self.width or values.shape[1]
+        if values.shape == (len(block), width) and np.isfinite(values).all():
+            self.width = width
+            self._take([word for _, word, _ in block], values)
+            return
+        for lineno, word, rest in block:  # one at a time: the first bad row raises
+            self._take([word], self._values(lineno, word, "\t", rest))
+
+    def _values(self, lineno, word, tab, rest) -> np.ndarray:
+        """One row's values as a 1-row matrix, checked in order: word-only
+        row, empty word, non-numeric cell, non-finite cell, width."""
+        if not tab:
             raise ParseError("expected a word and at least one value", line=lineno)
-        word = canonical_word(cells[0], lowercase=lowercase)
         if not word:
             raise ParseError("empty word", line=lineno)
-        try:
-            vec = np.array([float(c) for c in cells[1:]])
-        except ValueError:
-            raise ParseError(f"non-numeric feature value in {cells[1:]!r}", line=lineno) from None
-        if not np.isfinite(vec).all():
-            raise ParseError(f"non-finite feature value in {cells[1:]!r}", line=lineno)
-        if width is None:
-            width = vec.size
-        elif vec.size != width:
-            raise ParseError(
-                f"feature vector of length {vec.size}, expected {width}", line=lineno
-            )
-        if word in rows:
-            warnings.warn(f"duplicate feature entry for {word!r}; averaging", stacklevel=2)
-        rows.setdefault(word, []).append(vec)
-    if not rows:
-        raise ParseError("no feature vectors found", line=1)
-    return {
-        w: (np.mean(v, axis=0) if len(v) > 1 else v[0]) for w, v in rows.items()
-    }
+        cells = rest.split("\t")
+        values = []
+        for column, cell in enumerate(cells, start=2):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = None
+            if value is None or "_" in cell or not cell.strip().isascii():
+                raise ParseError(f"non-numeric feature value {cell!r} in column {column}",
+                                 line=lineno)
+            values.append(value)
+        for column, (cell, value) in enumerate(zip(cells, values), start=2):
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite feature value {cell!r} in column {column}",
+                                 line=lineno)
+        if self.width is None:
+            self.width = len(values)
+        elif len(values) != self.width:
+            raise ParseError(f"feature vector of length {len(values)}, expected {self.width}",
+                             line=lineno)
+        return np.array([values])
+
+    def _take(self, words, values) -> None:
+        """Append the rows of new words; keep a repeated word's row apart."""
+        keep = []
+        for i, word in enumerate(words):
+            if word in self.rows:
+                self.duplicates.append(f"duplicate feature entry for {word!r}; averaging")
+                self.repeats.setdefault(word, []).append(values[i].copy())
+            else:
+                self.rows[word] = len(self.rows)
+                keep.append(i)
+        self.flat.frombytes((values if len(keep) == len(words) else values[keep]).tobytes())
+
+    def vectors(self) -> dict[str, np.ndarray]:
+        if not self.rows:
+            raise ParseError("no feature vectors found", line=1)
+        matrix = np.frombuffer(self.flat, dtype=np.float64).reshape(len(self.rows), self.width)
+        for word, later in self.repeats.items():
+            i = self.rows[word]
+            matrix[i] = np.mean([matrix[i], *later], axis=0)
+        return {word: matrix[i] for word, i in self.rows.items()}

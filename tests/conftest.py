@@ -115,6 +115,59 @@ def reference_parse(data, fmt, column_map, *, language="", source_id="", lowerca
     return Lexicon(fmt, words, values, language=language, source_id=source_id)
 
 
+def reference_feature_parse(source, *, lowercase=False):
+    """read_feature_vectors as it read before it streamed its source: the
+    whole text decoded, split into lines, and every cell read by float().
+    The tests hold the streaming reader to its words, value bits, warnings
+    and failing lines."""
+    text = _decode(source)
+    rows: dict[str, list[np.ndarray]] = {}
+    width = None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) < 2:
+            raise ParseError("expected a word and at least one value", line=lineno)
+        word = canonical_word(cells[0], lowercase=lowercase)
+        if not word:
+            raise ParseError("empty word", line=lineno)
+        try:
+            vec = np.array([float(c) for c in cells[1:]])
+        except ValueError:
+            raise ParseError(f"non-numeric feature value in {cells[1:]!r}", line=lineno) from None
+        if not np.isfinite(vec).all():
+            raise ParseError(f"non-finite feature value in {cells[1:]!r}", line=lineno)
+        if width is None:
+            width = vec.size
+        elif vec.size != width:
+            raise ParseError(
+                f"feature vector of length {vec.size}, expected {width}", line=lineno
+            )
+        if word in rows:
+            warnings.warn(f"duplicate feature entry for {word!r}; averaging", stacklevel=2)
+        rows.setdefault(word, []).append(vec)
+    if not rows:
+        raise ParseError("no feature vectors found", line=1)
+    return {
+        w: (np.mean(v, axis=0) if len(v) > 1 else v[0]) for w, v in rows.items()
+    }
+
+
+def feature_outcome(read, data, **options):
+    """Words and value bytes of read(data), or the class and line of the
+    exception it raises; with the messages of the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            vectors = read(io.BytesIO(data), **options)
+        except Exception as e:
+            result = type(e), getattr(e, "line", None)
+        else:
+            result = list(vectors), [v.tobytes() for v in vectors.values()]
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
 def parse_outcome(parse, data, fmt, column_map=None, **options):
     """Words, value bytes and diagnostics of parse(...), or the class and
     message of the exception it raises."""

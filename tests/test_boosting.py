@@ -1,9 +1,10 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from affectmap.errors import ContractError, ParseError
+from affectmap.errors import ConfigurationError, ContractError, ParseError
 from affectmap.lexicon import BE5, Lexicon
 from affectmap.models import (
     DEFAULT_BASE_CONFIG,
@@ -228,3 +229,49 @@ class TestReadFeatureVectors:
         data = b"cat\t1.0\r\ndog\t2.0\r\n"
         feats = read_feature_vectors(io.BytesIO(data))
         assert len(feats) == 2
+
+    def test_bad_cell_is_named_with_its_column(self):
+        row = ["0.5"] * 300
+        row[3] = "inf"
+        data = ("cat\t" + "\t".join(["1.0"] * 300) + "\nw1\t" + "\t".join(row) + "\n").encode()
+        with pytest.raises(ParseError) as caught:
+            read_feature_vectors(io.BytesIO(data))
+        assert str(caught.value) == "line 2: non-finite feature value 'inf' in column 5"
+        row[3], row[7] = "1e400", "x"  # a non-numeric cell outranks an earlier non-finite one
+        data = ("w1\t" + "\t".join(row) + "\n").encode()
+        with pytest.raises(ParseError) as caught:
+            read_feature_vectors(io.BytesIO(data))
+        assert str(caught.value) == "line 1: non-numeric feature value 'x' in column 9"
+
+    def test_stream_stays_open(self):
+        stream = io.BytesIO(b"cat\t1.0\n")
+        read_feature_vectors(stream)
+        assert not stream.closed
+
+    def test_text_stream_refused(self):
+        with pytest.raises(ConfigurationError, match="StringIO"):
+            read_feature_vectors(io.StringIO("cat\t1.0\n"))
+
+    def test_one_matrix_within_memory_bound(self, tmp_path):
+        """2,000 x 300 vectors come back as the rows of one matrix, and the
+        read never holds more than half as much again as that matrix."""
+        rng = np.random.default_rng(0)
+        cells = [[f"{v:.5f}" for v in row] for row in rng.normal(size=(2000, 300))]
+        path = tmp_path / "emb.tsv"
+        path.write_text("".join(f"w{i}\t" + "\t".join(row) + "\n" for i, row in enumerate(cells)),
+                        encoding="utf-8")
+        expected = np.array([[float(c) for c in row] for row in cells])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            feats = read_feature_vectors(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * expected.nbytes
+        vectors = list(feats.values())
+        assert list(feats) == [f"w{i}" for i in range(2000)]
+        assert vectors[0].base is not None
+        assert all(v.base is vectors[0].base for v in vectors)
+        assert vectors[1].ctypes.data - vectors[0].ctypes.data == 300 * 8
+        np.testing.assert_array_equal(np.stack(vectors), expected)

@@ -732,6 +732,15 @@ class TestManifestShape:
          "dataset 'syn': 'language'", ("monolingual", "crosslingual")),
         (_job_source(language=["en"]), "lexicon job 'new.tsv' source: 'language'",
          ("build-lexicon",)),
+        (_sides(lowercse=True), "dataset 'syn': unknown side key 'lowercse'", ("monolingual",)),
+        (_sides(language=5), "dataset 'syn': 'language' is set on the dataset",
+         ("monolingual", "crosslingual")),
+        (_sides(language="en"), "dataset 'syn': 'language' is set on the dataset",
+         ("monolingual",)),
+        (_job_source(colums={}), "lexicon job 'new.tsv' source: unknown side key 'colums'",
+         ("build-lexicon",)),
+        (_job_source({"exclusions": [{"path": "w_be5.tsv", "format": "BE5", "Clamp": True}]}),
+         "lexicon job 'new.tsv' exclusion: unknown side key 'Clamp'", ("build-lexicon",)),
     ], ids=["k_folds-string", "seed-float", "lexicon_jobs-int", "datasets-object",
             "models-string", "ffnn-hidden_sizes", "ffnn-iterations-string", "knn-k",
             "ffnn-unknown-param", "params-string", "sides-ints", "scale-string",
@@ -751,7 +760,9 @@ class TestManifestShape:
             "features_path-nul", "params-NaN", "model-unknown-key",
             "model-misspelt-features_path", "ffnn-hidden_sizes-past-numpy",
             "ffnn-hidden_sizes-product-past-numpy", "boosted-base-hidden_sizes-past-numpy",
-            "dataset-language-list", "dataset-language-int", "job-source-language-list"])
+            "dataset-language-list", "dataset-language-int", "job-source-language-list",
+            "side-misspelt-lowercase", "side-language-int", "side-language-string",
+            "job-source-unknown-key", "job-exclusion-unknown-key"])
     def test_exit_2_naming_the_fault(self, overrides, named, tasks, workspace, capsys):
         root, _ = workspace
         manifest = write_manifest(root, **overrides)
@@ -775,6 +786,12 @@ class TestManifestShape:
             out, err = capsys.readouterr()
             assert "lexicon job 'new.tsv': model 'wei' reads features_path" in out + err, argv
         assert not (root / "o" / "new.tsv").exists()
+
+    def test_job_sides_may_set_their_language(self, workspace):
+        root, _ = workspace
+        manifest = write_manifest(root, **_job_source({"exclusions": [
+            {"path": "w_be5.tsv", "format": "BE5", "language": "de"}]}, language="en"))
+        assert main(["validate", "--manifest", str(manifest), "--out", str(root / "o")]) == 0
 
 
 def _files(root):

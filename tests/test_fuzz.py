@@ -11,16 +11,23 @@ import json
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_aligned, parse_outcome, reference_parse
+from conftest import (
+    feature_outcome,
+    make_aligned,
+    parse_outcome,
+    reference_feature_parse,
+    reference_parse,
+)
 from affectmap import lexicon
 from affectmap.cli import main
-from affectmap.errors import AffectMapError
+from affectmap.errors import AffectMapError, ParseError
 from affectmap.models import (
     BoostedEnsemble,
     FfnnConfig,
@@ -28,8 +35,10 @@ from affectmap.models import (
     KnnModel,
     LinearModel,
     load_model,
+    read_feature_vectors,
     save_model,
 )
+from affectmap.models import boosting
 
 EXIT_CODES = (0, 1, 2, 64)
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -145,29 +154,34 @@ _cell = st.one_of(
 )
 
 
-@st.composite
-def mutated_tsv(draw) -> tuple[str, bytes]:
-    name = draw(st.sampled_from(sorted(FILES)))
-    lines = FILES[name].rstrip("\n").split("\n")
+def _mutate(draw, data: bytes, cell) -> bytes:
+    """data with one row, one cell or a few bytes changed."""
+    lines = data.rstrip(b"\n").split(b"\n")
     i = draw(st.integers(0, len(lines) - 1))
-    cells = lines[i].split("\t")
+    cells = lines[i].split(b"\t")
     how = draw(st.sampled_from(["cell", "drop-cell", "add-cell", "drop-row", "copy-row", "bytes"]))
     if how == "cell":
-        cells[draw(st.integers(0, len(cells) - 1))] = draw(_cell)
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(cell).encode("utf-8")
     elif how == "drop-cell":
         del cells[draw(st.integers(0, len(cells) - 1))]
     elif how == "add-cell":
-        cells.insert(draw(st.integers(0, len(cells))), draw(_cell))
-    lines[i] = "\t".join(cells)
+        cells.insert(draw(st.integers(0, len(cells))), draw(cell).encode("utf-8"))
+    lines[i] = b"\t".join(cells)
     if how == "drop-row":
         del lines[i]
     elif how == "copy-row":
         lines.insert(draw(st.integers(0, len(lines))), lines[i])
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+    data = b"\n".join(lines) + b"\n"
     if how == "bytes":
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at + 1 :]
-    return name, data
+    return data
+
+
+@st.composite
+def mutated_tsv(draw) -> tuple[str, bytes]:
+    name = draw(st.sampled_from(sorted(FILES)))
+    return name, _mutate(draw, FILES[name].encode("utf-8"), _cell)
 
 
 @FUZZ
@@ -207,6 +221,82 @@ def test_parse_matches_reference(mutant, option):
     assert parse_outcome(lexicon.parse_lexicon, data, fmt, **options) == parse_outcome(
         reference_parse, data, fmt, **options
     )
+
+
+# cells the reader treats apart: line ends inside a row, padding that numpy's
+# parser would skip but float() refuses, and Unicode space, which both skip
+_feature_cell = st.one_of(_cell, st.sampled_from(
+    ["\r", "\r\n", "\x1c1", "1\x1f", "\x1e", "\xa01", "1\u3000", "\x0b", "+.5", "-0", "1e-3"]))
+
+
+@st.composite
+def mutated_features(draw) -> bytes:
+    data = _FEATURES.encode("utf-8")
+    for _ in range(draw(st.integers(1, 3))):
+        data = _mutate(draw, data, _feature_cell)
+    return data
+
+
+def _float_only(data: bytes) -> bool:
+    """Whether a value cell of data is one that float() reads and numpy's
+    parser does not: digit-group underscores or non-ASCII digits. The
+    reader refuses such cells on purpose."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+        for cell in line.split("\t")[1:]:
+            try:
+                float(cell)
+            except ValueError:
+                continue
+            if "_" in cell or not cell.strip().isascii():
+                return True
+    return False
+
+
+@FUZZ
+@given(mutated_features(), st.sampled_from([1, 12, 1 << 16]), st.booleans())
+def test_feature_read_matches_reference(data, block_chars, lowercase):
+    """read_feature_vectors gives what the whole-text reader gave: the same
+    words in the same order, value bits and duplicate warnings, or the same
+    exception class and line. Small blocks put rows, repeats and the first
+    bad row in different numpy parser calls."""
+    assume(not _float_only(data))
+    with mock.patch.object(boosting, "_BLOCK_CHARS", block_chars):
+        outcome = feature_outcome(read_feature_vectors, data, lowercase=lowercase)
+    assert outcome == feature_outcome(reference_feature_parse, data, lowercase=lowercase)
+
+
+@pytest.mark.parametrize("data", [
+    b"cat\t1.0\rdog\t2.0\r\rbird\t3.0\r",  # lone CR line ends
+    b"cat\t1.0\rdog\t2.0\r\rbad\tx\n",  # the failing line counts lone CRs
+    b"cat\t1.0\r\ndog\t2.0\r\r\nbad\t\x1c\n",
+    b"cat\t\x1c1.0\n",  # padding numpy's parser skips but float() refuses
+    b"cat\t1.0\x1f\n",
+    b"\x1ccat\x1f\t1.0\n",  # around a word it is trimmed, as str.strip() does
+    b"cat\t\xc2\xa01.0\xe3\x80\x80\n",  # Unicode spaces, which both skip
+    b"cat\t1\ncat\t2\nbad\tx\n",  # the repeat is reported before the bad row
+    b"cat\tx\ndog\t1\xff\n",  # an undecodable byte anywhere outranks a bad row
+    b"cat\n" + b"dog\t1\n" * 5000 + b"\xff\n",  # also past the first decoded chunk
+    b"cat\t1\ncat\t2\n\xff",
+], ids=["lone-cr", "lone-cr-bad-line", "crlf-bad-line", "padded-before", "padded-after",
+        "padded-word", "unicode-space", "repeat-then-bad-row", "bad-row-then-undecodable",
+        "bad-row-then-undecodable-later", "repeat-then-undecodable"])
+def test_feature_read_pinned_cases(data):
+    assert feature_outcome(read_feature_vectors, data) == feature_outcome(
+        reference_feature_parse, data)
+
+
+@pytest.mark.parametrize("cell", ["1_0", "1_000.5", "\u0661", "\u0663.\u0665", "\uff11"])
+def test_float_only_feature_cells_are_refused(cell):
+    """The one deliberate difference from the whole-text reader: a cell only
+    float() reads is a ParseError naming the cell and its column."""
+    data = f"cat\t0.5\t1.5\ndog\t2.5\t{cell}\n".encode("utf-8")
+    assert set(reference_feature_parse(io.BytesIO(data))) == {"cat", "dog"}
+    with pytest.raises(ParseError, match=f"line 2: non-numeric feature value '{cell}' in column 3"):
+        read_feature_vectors(io.BytesIO(data))
 
 
 @pytest.mark.parametrize("name", sorted(FILES))
