@@ -10,9 +10,11 @@ as read-only float64 matrices.
 
 from __future__ import annotations
 
+import io
 import math
 import unicodedata
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Mapping, Sequence
@@ -20,6 +22,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    AffectMapError,
     ConfigurationError,
     EmptyAlignmentError,
     ParseError,
@@ -100,6 +103,17 @@ def canonical_word(word: str, lowercase: bool = False) -> str:
     return w.lower() if lowercase else w
 
 
+def _canonical_words(words: list[str], lowercase: bool) -> list[str]:
+    """canonical_word of each word, none holding a line end. NFC never
+    composes across one, so the joined words are normalized at once."""
+    joined = "\n".join(words)
+    normal = unicodedata.normalize("NFC", joined)
+    if normal != joined:
+        words = normal.split("\n")
+    words = list(map(str.strip, words))
+    return list(map(str.lower, words)) if lowercase else words
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)
@@ -128,7 +142,8 @@ class Lexicon:
                 f"{values.shape[1]} components"
             )
         words = tuple(words)
-        if len(set(words)) != len(words):
+        index = dict(zip(words, range(len(words))))
+        if len(index) != len(words):
             raise ValidationError("duplicate words in lexicon")
         inside = (values >= fmt.scale_low) & (values <= fmt.scale_high)
         if not inside.all():
@@ -144,7 +159,7 @@ class Lexicon:
         self.values = _readonly(values)
         self.language = language
         self.source_id = source_id
-        self._index = {w: i for i, w in enumerate(words)}
+        self._index = index
 
     def __len__(self) -> int:
         return len(self.words)
@@ -249,23 +264,247 @@ class AlignedLexicon:
         )
 
 
-def _decode(data) -> str:
-    if isinstance(data, (str, Path)):
-        raw = Path(data).read_bytes()
-    elif isinstance(data, bytes):
-        raw = data
-    elif hasattr(data, "read"):
-        raw = data.read()
-        if isinstance(raw, str):
-            raw = raw.encode("utf-8")
-    else:
-        raise ConfigurationError(f"cannot read lexicon from {type(data).__name__}")
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"input is not valid UTF-8: {e}") from None
-    # normalize line endings instead of rejecting CRLF files outright
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+# numpy's parser skips these around a value, as str.strip() does, and float()
+# refuses them, so a block holding one is read row by row
+_PADDING = "\x1c\x1d\x1e\x1f"
+_BLOCK_BYTES = 1 << 16  # source bytes read, decoded and parsed at a time
+
+
+def _byte_stream(source, what: str):
+    """source (a path, bytes or a readable stream) as a context manager
+    over a stream; a caller's stream stays open."""
+    if isinstance(source, (str, Path)):
+        return open(source, "rb")
+    if isinstance(source, bytes):
+        return io.BytesIO(source)
+    if hasattr(source, "read"):
+        return nullcontext(source)
+    raise ConfigurationError(f"cannot read {what} from {type(source).__name__}")
+
+
+def _blocks(stream):
+    """(number of the first line, lines) for each block of whole lines of
+    a UTF-8 stream; CR, CRLF and LF each end a line. An undecodable byte
+    is worded as when the whole source is decoded at once."""
+    lineno, offset, pending = 1, 0, []
+    while True:
+        chunk = stream.read(_BLOCK_BYTES)
+        if isinstance(chunk, str):
+            chunk = chunk.encode("utf-8")
+        # cut after the last LF, else after the last CR but the final byte,
+        # which may be the first half of a CRLF
+        cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r", 0, len(chunk) - 1) + 1
+        if chunk and not cut:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:cut])
+        data = b"".join(pending)
+        pending = [chunk[cut:]]
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            start = offset + e.start
+            where = (f"byte 0x{e.object[e.start]:02x} in position {start}"
+                     if e.end - e.start == 1 else f"bytes in position {start}-{offset + e.end - 1}")
+            raise ParseError(f"input is not valid UTF-8: '{e.encoding}' codec can't "
+                               f"decode {where}: {e.reason}") from None
+        offset += len(data)
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if chunk:
+            lines.pop()  # data ended with a line end; the next line starts in the next chunk
+        yield lineno, lines
+        lineno += len(lines)
+        if not chunk:
+            return
+
+
+class _BlockReader:
+    """The rows of one TSV source, appended block by block to one flat
+    float64 buffer. numpy's text parser reads a block's values; a block it
+    refuses, or whose words or values the format's checks do not vouch
+    for, is read again one row at a time, so the row loop decides every
+    error and diagnostic.
+
+    A format supplies _split (a block's words and the texts numpy parses,
+    or None), _parse (their checked values, or None), _row (the row loop's
+    body: a row's word and checked values, or its error) and _repeat (how
+    a repeated word is reported)."""
+
+    def __init__(self):
+        self.flat = array("d")
+        self.rows: dict[str, int] = {}  # word -> line of its first row, in first-seen order
+        self.repeats: dict[str, list[np.ndarray]] = {}  # later rows, averaged in at the end
+
+    def read(self, blocks) -> AffectMapError | None:
+        """Take every block. The first bad row's error is returned, not
+        raised, once the rest of the source has decoded: an undecodable
+        byte anywhere outranks it and is raised."""
+        for first, lines in blocks:
+            try:
+                self._take_block(first, lines)
+            except AffectMapError as e:
+                for _ in blocks:
+                    pass
+                return e
+        return None
+
+    def _take_block(self, first, lines) -> None:
+        texts = [line for line in lines if line]  # blank lines are skipped
+        if not texts:
+            return
+        if len(texts) == len(lines):
+            linenos = range(first, first + len(lines))
+        else:
+            linenos = [first + i for i, line in enumerate(lines) if line]
+        split = self._split(texts)
+        values = None
+        if split is not None and not any(map("".join(split[1]).__contains__, _PADDING)):
+            try:
+                values = self._parse(split[1])
+            except ValueError:  # a bad or missing cell
+                pass
+        if values is not None:
+            self._take(linenos, split[0], values)
+            return
+        for lineno, text in zip(linenos, texts):  # one at a time: the first bad row raises
+            self._take((lineno,), *self._row(lineno, text))
+
+    def _take(self, linenos, words, values) -> None:
+        """Append the rows of new words; keep a repeated word's row apart."""
+        rows = self.rows
+        if rows.keys().isdisjoint(words) and len(set(words)) == len(words):
+            rows.update(zip(words, linenos))
+            self.flat.frombytes(values.tobytes())
+            return
+        for lineno, word, row in zip(linenos, words, values):
+            if word in rows:
+                self._repeat(word, lineno)
+                self.repeats.setdefault(word, []).append(row.copy())
+            else:
+                rows[word] = lineno
+                self.flat.frombytes(row.tobytes())
+
+    def matrix(self, width: int) -> np.ndarray:
+        """The rows as one matrix, each repeated word's rows averaged."""
+        matrix = np.frombuffer(self.flat, dtype=np.float64).reshape(len(self.rows), width)
+        if self.repeats:
+            for i, word in enumerate(self.rows):
+                if word in self.repeats:
+                    matrix[i] = np.mean([matrix[i], *self.repeats[word]], axis=0)
+        return matrix
+
+
+class _LexiconReader(_BlockReader):
+    """A lexicon TSV: a header row, then a word and the bound value columns
+    per row, mapped onto the format's scale and range-checked."""
+
+    def __init__(self, fmt, column_map, lowercase, clamp, scale, sink):
+        super().__init__()
+        self.fmt, self.column_map, self.lowercase, self.clamp = fmt, column_map, lowercase, clamp
+        self.scale, self.sink = scale, sink
+
+    def _take_block(self, first, lines) -> None:
+        if first == 1:  # the header opens the first block
+            self._bind(lines[0])
+            first, lines = 2, lines[1:]
+        super()._take_block(first, lines)
+
+    def _bind(self, header: str) -> None:
+        if not header.strip():
+            raise ParseError("missing header row", line=1)
+        header = header.split("\t")
+        fmt, column_map = self.fmt, self.column_map
+        positions = {}
+        for key in ("word", *fmt.variables):
+            col = column_map[key]
+            if col not in header:
+                raise ConfigurationError(
+                    f"column {col!r} (bound to {key!r}) not found in header"
+                )
+            positions[key] = header.index(col)
+        src_low, src_high = (
+            self.scale if self.scale is not None else (fmt.scale_low, fmt.scale_high)
+        )
+        if not src_low < src_high:
+            raise ConfigurationError("declared scale must satisfy low < high")
+        self.src_low = src_low
+        self.span = (fmt.scale_high - fmt.scale_low) / (src_high - src_low)
+        self.wpos = positions["word"]
+        self.needed = max(positions.values()) + 1
+        self.columns = [(var, positions[var]) for var in fmt.variables]
+        self.usecols = [p for _, p in self.columns]
+
+    def _split(self, texts):
+        wpos, lowercase = self.wpos, self.lowercase
+        try:
+            words = [text.split("\t", wpos + 1)[wpos] for text in texts]
+        except IndexError:  # a row too short to hold its word
+            return None
+        words = _canonical_words(words, lowercase)
+        return (words, texts) if all(words) else None
+
+    def _parse(self, texts):
+        low, high = self.fmt.scale_low, self.fmt.scale_high
+        values = np.loadtxt(texts, delimiter="\t", usecols=self.usecols, comments=None,
+                            dtype=np.float64, ndmin=2)
+        if self.scale is not None:  # low + (v - src_low) * span, as the row loop maps it
+            values -= self.src_low
+            values *= self.span
+            values += low
+        if values.shape == (len(texts), self.fmt.size) and \
+                ((values >= low) & (values <= high)).all():
+            return values
+        return None
+
+    def _row(self, lineno, line):
+        cells = line.split("\t")
+        if len(cells) < self.needed:
+            raise ParseError(
+                f"expected at least {self.needed} tab-separated fields, got {len(cells)}",
+                line=lineno,
+            )
+        word = canonical_word(cells[self.wpos], self.lowercase)
+        if not word:
+            raise ParseError("empty word", line=lineno)
+        low, high = self.fmt.scale_low, self.fmt.scale_high
+        values = []
+        for var, p in self.columns:
+            try:
+                v = float(cells[p])
+            except ValueError:
+                cell = cells[p].strip()  # str.strip() also takes \x1c-\x1f, which float() refuses
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"non-numeric value {cell!r} in column {self.column_map[var]!r}",
+                        line=lineno,
+                    ) from None
+            if self.scale is not None:
+                v = low + (v - self.src_low) * self.span
+            if not low <= v <= high:
+                if not math.isfinite(v):
+                    raise ParseError(
+                        f"non-finite value {cells[p].strip()!r} in column "
+                        f"{self.column_map[var]!r}",
+                        line=lineno,
+                    )
+                if self.clamp:
+                    clamped = min(max(v, low), high)
+                    self.sink.append(Diagnostic("clamped", f"{var}={v!r} clamped to {clamped!r}",
+                                                line=lineno, word=word))
+                    v = clamped
+                else:
+                    raise ValidationError(
+                        f"line {lineno}: {var}={v!r} for word {word!r} outside "
+                        f"[{low}, {high}]"
+                    )
+            values.append(v)
+        return (word,), np.array([values])
+
+    def _repeat(self, word, lineno) -> None:
+        message = f"word {word!r} repeats entry from line {self.rows[word]}; ratings averaged"
+        self.sink.append(Diagnostic("duplicate", message, line=lineno, word=word))
 
 
 def parse_lexicon(
@@ -283,8 +522,9 @@ def parse_lexicon(
     """Parse a TSV lexicon file.
 
     The dialect is strict: UTF-8, tab separated, '.' decimal separator,
-    first row is the header, no quoting or escaping. ``column_map`` binds
-    the key ``"word"`` plus every format variable to a header name.
+    first row is the header, no quoting or escaping. CR, CRLF and LF all
+    end a line, and blank lines are skipped. ``column_map`` binds the key
+    ``"word"`` plus every format variable to a header name.
 
     ``scale`` declares the file's native rating interval; when it differs
     from the format bounds, values are linearly mapped onto them. Values
@@ -292,111 +532,26 @@ def parse_lexicon(
     case they are clamped with a diagnostic. Duplicate words (after NFC
     normalization, trimming and optional lowercasing) are averaged per
     variable and reported as diagnostics.
+
+    The source is read block by block and the bound columns are parsed by
+    numpy's text parser; a block it refuses, or whose values leave the
+    scale, is read again row by row, and that loop decides every error,
+    clamp and diagnostic.
     """
     missing = [v for v in ("word", *fmt.variables) if v not in column_map]
     if missing:
         raise ConfigurationError(
             f"column_map is missing bindings for: {', '.join(missing)}"
         )
-    text = _decode(data)
-    lines = text.split("\n")
-    if not lines or not lines[0].strip():
-        raise ParseError("missing header row", line=1)
-    header = lines[0].split("\t")
-    positions = {}
-    for key in ("word", *fmt.variables):
-        col = column_map[key]
-        if col not in header:
-            raise ConfigurationError(
-                f"column {col!r} (bound to {key!r}) not found in header"
-            )
-        positions[key] = header.index(col)
-
-    src_low, src_high = scale if scale is not None else (fmt.scale_low, fmt.scale_high)
-    if not src_low < src_high:
-        raise ConfigurationError("declared scale must satisfy low < high")
-    span = (fmt.scale_high - fmt.scale_low) / (src_high - src_low)
-
-    sink = diagnostics if diagnostics is not None else []
-    low, high = fmt.scale_low, fmt.scale_high
-    columns = [(var, positions[var]) for var in fmt.variables]
-    # every row goes into flat; a repeated word's row moves out to wait for the average
-    words: list[str] = []
-    flat = array("d")
-    first_line: dict[str, int] = {}
-    repeats: dict[str, list[list[float]]] = {}
-    wpos = positions["word"]
-    needed = max(positions.values()) + 1
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split("\t")
-        if len(cells) < needed:
-            raise ParseError(
-                f"expected at least {needed} tab-separated fields, got {len(cells)}",
-                line=lineno,
-            )
-        word = canonical_word(cells[wpos], lowercase)
-        if not word:
-            raise ParseError("empty word", line=lineno)
-        for var, p in columns:
-            try:
-                v = float(cells[p])
-            except ValueError:
-                cell = cells[p].strip()  # str.strip() also takes \x1c-\x1f, which float() refuses
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"non-numeric value {cell!r} in column {column_map[var]!r}",
-                        line=lineno,
-                    ) from None
-            if scale is not None:
-                v = low + (v - src_low) * span
-            if not low <= v <= high:
-                if not math.isfinite(v):
-                    raise ParseError(
-                        f"non-finite value {cells[p].strip()!r} in column {column_map[var]!r}",
-                        line=lineno,
-                    )
-                if clamp:
-                    clamped = min(max(v, low), high)
-                    sink.append(
-                        Diagnostic(
-                            "clamped",
-                            f"{var}={v!r} clamped to {clamped!r}",
-                            line=lineno,
-                            word=word,
-                        )
-                    )
-                    v = clamped
-                else:
-                    raise ValidationError(
-                        f"line {lineno}: {var}={v!r} for word {word!r} outside "
-                        f"[{low}, {high}]"
-                    )
-            flat.append(v)
-        if word in first_line:
-            sink.append(
-                Diagnostic(
-                    "duplicate",
-                    f"word {word!r} repeats entry from line {first_line[word]}; "
-                    "ratings averaged",
-                    line=lineno,
-                    word=word,
-                )
-            )
-            repeats.setdefault(word, []).append(flat[-fmt.size :].tolist())
-            del flat[-fmt.size :]
-        else:
-            first_line[word] = lineno
-            words.append(word)
-
-    values = np.frombuffer(flat, dtype=np.float64).reshape(len(words), fmt.size)
-    if repeats:
-        for i, word in enumerate(words):
-            if word in repeats:
-                values[i] = np.mean([values[i].tolist(), *repeats[word]], axis=0)
+    reader = _LexiconReader(fmt, column_map, lowercase, clamp, scale,
+                            diagnostics if diagnostics is not None else [])
+    with _byte_stream(data, "lexicon") as stream:
+        error = reader.read(_blocks(stream))
+    if error is not None:
+        raise error
+    words = list(reader.rows)
+    values = reader.matrix(fmt.size)
+    del reader  # its word index goes before the lexicon builds its own
     return Lexicon(fmt, words, values, language=language, source_id=source_id)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from array import array
 from dataclasses import replace
 from pathlib import Path
 from typing import IO, Mapping, Sequence
@@ -20,7 +19,15 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError, ContractError, ParseError
-from ..lexicon import AlignedLexicon, Lexicon, canonical_word
+from ..lexicon import (
+    AlignedLexicon,
+    Lexicon,
+    _blocks,
+    _BlockReader,
+    _byte_stream,
+    _canonical_words,
+    canonical_word,
+)
 from .base import MappingModel, _count
 from .ffnn import TRAIN_DTYPE, FfnnConfig, FfnnModel
 
@@ -161,101 +168,56 @@ def read_feature_vectors(
     line. Vector lengths must agree. Words canonicalize the same way
     lexicon words do; duplicates are averaged with a warning. Values are
     ASCII decimals: a cell only float() reads (digit-group underscores,
-    non-ASCII digits) is refused. The source is read line by line and its
-    values are parsed in blocks by numpy's text parser; the vectors are
-    the rows of one float64 matrix.
+    non-ASCII digits) is refused. The source is read block by block and
+    its values are parsed by numpy's text parser; the vectors are the rows
+    of one float64 matrix.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as stream:
-            return read_feature_vectors(stream, lowercase=lowercase)
-    if isinstance(source, bytes):
-        source = io.BytesIO(source)
-    elif not hasattr(source, "read") or isinstance(source, io.TextIOBase):
+    if isinstance(source, io.TextIOBase):
         raise ConfigurationError(f"cannot read features from {type(source).__name__}")
     reader = _FeatureReader(lowercase)
-    text = io.TextIOWrapper(source, encoding="utf-8", newline=None)
-    try:
-        error = reader.read(text)
-        if error is not None:
-            for _ in text:  # an undecodable byte anywhere outranks a bad row
-                pass
-    except UnicodeDecodeError as e:
-        raise ParseError(f"input is not valid UTF-8: {e}") from None
-    finally:
-        text.detach()  # the caller's stream stays open
+    with _byte_stream(source, "features") as stream:
+        error = reader.read(_blocks(stream))
     for message in reader.duplicates:
         warnings.warn(message, stacklevel=2)
     if error is not None:
         raise error
-    return reader.vectors()
+    if not reader.rows:
+        raise ParseError("no feature vectors found", line=1)
+    matrix = reader.matrix(reader.width)
+    return {word: matrix[i] for i, word in enumerate(reader.rows)}
 
 
-# numpy's parser skips these around a value, as str.strip() does; float() refuses them
-_PADDING = "\x1c\x1d\x1e\x1f"
-_BLOCK_CHARS = 1 << 16  # value text per np.loadtxt call
-
-
-class _FeatureReader:
-    """The rows of one feature file, appended block by block to one flat
-    buffer. Rows the block parser cannot vouch for are read one at a
-    time, so the first bad row raises with its own message."""
+class _FeatureReader(_BlockReader):
+    """A feature file: a word, then every value, per row; one width."""
 
     def __init__(self, lowercase: bool):
+        super().__init__()
         self.lowercase = lowercase
         self.width = None
-        self.flat = array("d")
-        self.rows: dict[str, int] = {}  # word -> its row, in first-seen order
-        self.repeats: dict[str, list[np.ndarray]] = {}  # later rows, averaged in at the end
         self.duplicates: list[str] = []  # warnings, in file order
 
-    def read(self, lines) -> ParseError | None:
-        """Take every line. The first bad row's error is returned, not raised,
-        so that the caller can first see whether the rest of the file decodes."""
-        block, chars = [], 0
-        try:
-            for lineno, line in enumerate(lines, start=1):
-                line = line.removesuffix("\n")
-                if not line:
-                    continue
-                word, tab, rest = line.partition("\t")
-                word = canonical_word(word, self.lowercase)
-                if not (tab and word and rest) or rest.isspace() \
-                        or any(map(rest.__contains__, _PADDING)):
-                    # no value, blank values or padding: numpy's parser would skip
-                    # what float() refuses, so the row is read alone, after those before it
-                    self._flush(block)
-                    block, chars = [], 0
-                    self._take([word], self._values(lineno, word, tab, rest))
-                    continue
-                block.append((lineno, word, rest))
-                chars += len(rest)
-                if chars >= _BLOCK_CHARS:
-                    self._flush(block)
-                    block, chars = [], 0
-            self._flush(block)
-        except ParseError as e:
-            return e
+    def _split(self, texts):
+        parts = [text.partition("\t") for text in texts]
+        words = _canonical_words([word for word, _, _ in parts], self.lowercase)
+        rests = [rest for _, _, rest in parts]
+        # no value or blank values: numpy's parser would skip what float() refuses
+        if all(words) and all(rest and not rest.isspace() for rest in rests):
+            return words, rests
         return None
 
-    def _flush(self, block) -> None:
-        if not block:
-            return
-        try:
-            values = np.loadtxt([rest for _, _, rest in block], delimiter="\t",
-                                comments=None, dtype=np.float64, ndmin=2)
-        except ValueError:  # a bad cell, or rows of unequal width
-            values = np.empty((0, 0))
+    def _parse(self, rests):
+        values = np.loadtxt(rests, delimiter="\t", comments=None, dtype=np.float64, ndmin=2)
         width = self.width or values.shape[1]
-        if values.shape == (len(block), width) and np.isfinite(values).all():
+        if values.shape == (len(rests), width) and np.isfinite(values).all():
             self.width = width
-            self._take([word for _, word, _ in block], values)
-            return
-        for lineno, word, rest in block:  # one at a time: the first bad row raises
-            self._take([word], self._values(lineno, word, "\t", rest))
+            return values
+        return None
 
-    def _values(self, lineno, word, tab, rest) -> np.ndarray:
-        """One row's values as a 1-row matrix, checked in order: word-only
-        row, empty word, non-numeric cell, non-finite cell, width."""
+    def _row(self, lineno, text):
+        """One row's word and values, checked in order: word-only row, empty
+        word, non-numeric cell, non-finite cell, width."""
+        word, tab, rest = text.partition("\t")
+        word = canonical_word(word, self.lowercase)
         if not tab:
             raise ParseError("expected a word and at least one value", line=lineno)
         if not word:
@@ -280,25 +242,7 @@ class _FeatureReader:
         elif len(values) != self.width:
             raise ParseError(f"feature vector of length {len(values)}, expected {self.width}",
                              line=lineno)
-        return np.array([values])
+        return (word,), np.array([values])
 
-    def _take(self, words, values) -> None:
-        """Append the rows of new words; keep a repeated word's row apart."""
-        keep = []
-        for i, word in enumerate(words):
-            if word in self.rows:
-                self.duplicates.append(f"duplicate feature entry for {word!r}; averaging")
-                self.repeats.setdefault(word, []).append(values[i].copy())
-            else:
-                self.rows[word] = len(self.rows)
-                keep.append(i)
-        self.flat.frombytes((values if len(keep) == len(words) else values[keep]).tobytes())
-
-    def vectors(self) -> dict[str, np.ndarray]:
-        if not self.rows:
-            raise ParseError("no feature vectors found", line=1)
-        matrix = np.frombuffer(self.flat, dtype=np.float64).reshape(len(self.rows), self.width)
-        for word, later in self.repeats.items():
-            i = self.rows[word]
-            matrix[i] = np.mean([matrix[i], *later], axis=0)
-        return {word: matrix[i] for word, i in self.rows.items()}
+    def _repeat(self, word, lineno) -> None:
+        self.duplicates.append(f"duplicate feature entry for {word!r}; averaging")

@@ -16,7 +16,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, ParseError, ValidationError
-from .lexicon import _decode
+from .lexicon import _blocks, _byte_stream
 
 __all__ = [
     "pearson",
@@ -280,7 +280,8 @@ def read_reliability_records(source: str | Path | IO[bytes]) -> list[Reliability
     sba_applied (true|false). A trailing normalized_r column, when
     present, is loaded back as well.
     """
-    lines = [ln for ln in _decode(source).split("\n") if ln]
+    with _byte_stream(source, "reliability records") as stream:
+        lines = [ln for _, block in _blocks(stream) for ln in block if ln]
     if not lines:
         raise ParseError("empty reliability file", line=1)
     header = tuple(lines[0].split("\t"))

@@ -4,6 +4,7 @@ import math
 import os
 import struct
 import warnings
+from pathlib import Path
 
 # pin BLAS threading before numpy loads anywhere; reduction order inside
 # matrix products must not depend on the machine's core count
@@ -14,13 +15,13 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 import numpy as np
 
 from affectmap.errors import ConfigurationError, ParseError, ValidationError
+from affectmap.lexgen import format_rating
 from affectmap.lexicon import (
     BE5,
     VAD,
     AlignedLexicon,
     Diagnostic,
     Lexicon,
-    _decode,
     canonical_word,
 )
 from affectmap.models import (
@@ -32,6 +33,27 @@ from affectmap.models import (
     save_model,
 )
 from affectmap.models import ffnn as ffnn_module
+
+
+def _decode(data) -> str:
+    """The whole source decoded at once, line ends normalized to LF: how the
+    references read their input."""
+    if isinstance(data, (str, Path)):
+        raw = Path(data).read_bytes()
+    elif isinstance(data, bytes):
+        raw = data
+    elif hasattr(data, "read"):
+        raw = data.read()
+        if isinstance(raw, str):
+            raw = raw.encode("utf-8")
+    else:
+        raise ConfigurationError(f"cannot read lexicon from {type(data).__name__}")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"input is not valid UTF-8: {e}") from None
+    # normalize line endings instead of rejecting CRLF files outright
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def reference_parse(data, fmt, column_map, *, language="", source_id="", lowercase=False,
@@ -179,6 +201,25 @@ def parse_outcome(parse, data, fmt, column_map=None, **options):
     except Exception as e:
         return type(e), str(e)
     return lex.words, lex.values.tobytes(), diagnostics
+
+
+def reference_render_lexicon(lex):
+    """render_lexicon as it read before it printed plain cells from a
+    table of thousandths: "%.3f" row by row, and format_rating for every
+    cell of a row holding a cell near a tie or of magnitude 1e6 and above.
+    The tests hold render_lexicon to its bytes."""
+    order = sorted(range(len(lex.words)), key=lex.words.__getitem__)
+    values = lex.values[order]
+    scaled = values * 1000.0
+    plain = (np.abs(scaled - np.floor(scaled) - 0.5) >= 1e-6) & (np.abs(values) < 1e6)
+    row_format = "\t".join(["%s"] + ["%.3f"] * lex.format.size)
+    lines = ["\t".join(("word", *lex.format.variables))]
+    for i, row, ok in zip(order, map(np.ndarray.tolist, values), plain.all(axis=1).tolist()):
+        if ok:
+            lines.append(row_format % (lex.words[i], *row))
+        else:
+            lines.append("\t".join((lex.words[i], *map(format_rating, row))))
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def make_affine_arrays(n=200, s=3, t=5, seed=0, noise=0.0, mscale=0.15, offset=3.0):

@@ -204,23 +204,94 @@ def test_validate_on_mutated_tsv_exit_code(mutant):
             assert main(["validate", "--manifest", str(root / "manifest.json")]) in EXIT_CODES
 
 
-_LEXICON_FORMATS = {"vad.tsv": lexicon.VAD, "be5.tsv": lexicon.BE5}
 _PARSE_OPTIONS = ["default", "clamp", "lowercase", "scale", "scale+clamp"]
+# a lexicon with an unbound column, blank lines, a word repeated on the
+# next row and one repeated far below, so that small blocks split them
+_VAD_NOTES = (
+    "word\tvalence\tnote\tarousal\tdominance\n"
+    "w0\t5.0\tfirst\t3.5\t6.25\nw1\t2.0\t\t8.0\t4.0\nw1\t2.5\tn/a\t7.0\t4.5\n\n"
+    "W2\t7.5\t\u00e9\t1.0\t9.0\nw3\t1.0\tx y\t9.0\t1.0\n\n\nw4\t4.25\t-\t4.5\t5.5\n"
+    "w0\t6.0\tlast\t3.0\t6.75\nw5\t3.125\t\t2.0\t8.5\n"
+)
+_LEXICONS = {
+    "vad.tsv": (lexicon.VAD, _VAD),
+    "be5.tsv": (lexicon.BE5, _BE5),
+    "vad-notes.tsv": (lexicon.VAD, _VAD_NOTES),
+}
+# cells the lexicon reader treats apart: ones only float() reads, padding
+# numpy's parser skips and float() refuses, Unicode space both skip,
+# non-finite and out-of-range values, and line ends inside a row
+_lexicon_cell = st.one_of(_cell, st.sampled_from([
+    "1_0", "2_5.5", "\u0663", "\uff14.5", "\x1c3", "3\x1f", "\x1e", "\xa03", "3\u3000", "infinity",
+    "-nan", "\r", "\r\n", "\n", "\n\n", "9.5", "0.5", " 4 ", "+.5e1"]))
+# bytes per block: one character, a few rows, the default
+_BLOCK_SIZES = [1, 40, 1 << 16]
 
 
-@FUZZ
-@given(mutated_tsv().filter(lambda m: m[0] in _LEXICON_FORMATS), st.sampled_from(_PARSE_OPTIONS))
-def test_parse_matches_reference(mutant, option):
-    """parse_lexicon gives what the reference parser gives: same words,
-    value bits and diagnostics, or the same exception and message."""
-    name, data = mutant
-    fmt = _LEXICON_FORMATS[name]
+@st.composite
+def mutated_lexicon(draw) -> tuple[lexicon.EmotionFormat, bytes]:
+    fmt, text = _LEXICONS[draw(st.sampled_from(sorted(_LEXICONS)))]
+    data = text.encode("utf-8")
+    for _ in range(draw(st.integers(1, 3))):
+        data = _mutate(draw, data, _lexicon_cell)
+    return fmt, data
+
+
+def _parse_options(fmt, option):
     options = {"clamp": "clamp" in option, "lowercase": option == "lowercase"}
     if "scale" in option:
         options["scale"] = (fmt.scale_low - 1.0, fmt.scale_high + 1.0)
-    assert parse_outcome(lexicon.parse_lexicon, data, fmt, **options) == parse_outcome(
-        reference_parse, data, fmt, **options
-    )
+    return options
+
+
+@FUZZ
+@given(mutated_lexicon(), st.sampled_from(_PARSE_OPTIONS), st.sampled_from(_BLOCK_SIZES))
+def test_parse_matches_reference(mutant, option, block_bytes):
+    """parse_lexicon gives what the reference parser gives: same words,
+    value bits and diagnostics, or the same exception and message. Small
+    blocks put rows, repeats and the first bad row in different numpy
+    parser calls, and 1-3 stacked mutations put an undecodable byte after
+    a bad row."""
+    fmt, data = mutant
+    options = _parse_options(fmt, option)
+    with mock.patch.object(lexicon, "_BLOCK_BYTES", block_bytes):
+        outcome = parse_outcome(lexicon.parse_lexicon, data, fmt, **options)
+    assert outcome == parse_outcome(reference_parse, data, fmt, **options)
+
+
+_HEADER = b"word\tvalence\tarousal\tdominance\n"
+
+
+@pytest.mark.parametrize("block_bytes", _BLOCK_SIZES)
+@pytest.mark.parametrize("option", _PARSE_OPTIONS)
+@pytest.mark.parametrize("data", [
+    _HEADER + b"a\t1\t2\t3\rb\t4\t5\t6\r\rc\t7\t8\t9\r",  # lone CR line ends
+    _HEADER + b"a\t1\t2\t3\r\nb\t4\t5\t6\r\n\r\nc\tx\t8\t9\r\n",  # the failing line counts CRLFs
+    _HEADER + b"\n\na\t1\t2\t3\n\n\nb\t4\t5\t6\n\n",  # blank lines
+    _HEADER + b"a\t1_0\t2\t3\nb\t\xd9\xa3\t\xef\xbc\x94.5\t6\n",  # cells only float() reads
+    _HEADER + b"a\t\x1c1\t2\x1f\t3\nb\t\xc2\xa04\t5\xe3\x80\x80\t6\n",  # padding, Unicode space
+    _HEADER + b"a\tinf\t2\t3\n",
+    _HEADER + b"a\tnan\t2\t3\n",
+    _HEADER + b"a\t1\t2\nb\t4\t5\t6\n",  # short row
+    _HEADER + b"a\t1\t2\t3\tjunk\nb\t4\t5\t6\n",  # long row
+    _HEADER + b"a\t1\t2\t3\nb\t4\t5\t6\na\t7\t8\t9\nb\t9\t9\t9\n",  # repeats
+    _HEADER + b"a\t0\t2\t3\nb\t4\t10\t6\nc\t-1\t1e9\t9.5\n",  # out of range
+    _HEADER + b"a\t0\t2\t3\na\t4\t10\t6\n",  # a clamp before a repeat on one row
+    _HEADER + b"a\tx\t2\t3\nb\t1\t2\t3\xff\n",  # an undecodable byte outranks a bad row
+    _HEADER + b"a\t1\t2\nb\t1\t2\t3\n" * 3000 + b"\xe2\x82\n",  # ... also far below it
+    _HEADER + b"a\t1\t2\t3\n\xe2\x82",  # a truncated sequence at the end
+    b"word\tvalence\n\xff",  # a missing column, then an undecodable byte
+    b"\n" + _HEADER,  # missing header row
+], ids=["lone-cr", "crlf-bad-line", "blank-lines", "float-only", "padding-and-unicode-space",
+        "inf", "nan", "short-row", "long-row", "repeats", "out-of-range", "clamp-then-repeat",
+        "bad-row-then-undecodable", "bad-row-then-undecodable-later", "truncated-sequence",
+        "bad-header-then-undecodable", "missing-header"])
+def test_parse_pinned_cases(data, option, block_bytes):
+    fmt = lexicon.VAD
+    options = _parse_options(fmt, option)
+    with mock.patch.object(lexicon, "_BLOCK_BYTES", block_bytes):
+        outcome = parse_outcome(lexicon.parse_lexicon, data, fmt, **options)
+    assert outcome == parse_outcome(reference_parse, data, fmt, **options)
 
 
 # cells the reader treats apart: line ends inside a row, padding that numpy's
@@ -264,7 +335,7 @@ def test_feature_read_matches_reference(data, block_chars, lowercase):
     exception class and line. Small blocks put rows, repeats and the first
     bad row in different numpy parser calls."""
     assume(not _float_only(data))
-    with mock.patch.object(boosting, "_BLOCK_CHARS", block_chars):
+    with mock.patch.object(lexicon, "_BLOCK_BYTES", block_chars):
         outcome = feature_outcome(read_feature_vectors, data, lowercase=lowercase)
     assert outcome == feature_outcome(reference_feature_parse, data, lowercase=lowercase)
 

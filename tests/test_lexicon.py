@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,29 @@ class TestParseMatchesReference:
         assert parse_outcome(parse_lexicon, data, VAD, **options) == parse_outcome(
             reference_parse, data, VAD, **options
         )
+
+
+def test_parse_holds_little_more_than_the_lexicon(tmp_path):
+    """The source is read block by block, so on a generated 40,000-row
+    lexicon the parse peaks at no more than 1.5 times what the returned
+    lexicon holds (its words, word index and values), as tracemalloc sees
+    it; decoding and splitting the whole text first peaked at 2.4 times."""
+    rng = np.random.default_rng(0)
+    values = rng.uniform(1.0, 9.0, size=(40_000, 3)).round(4)
+    path = tmp_path / "big.tsv"
+    path.write_text("word\tvalence\tarousal\tdominance\n" + "".join(
+        f"w{i:05d}{chr(97 + i % 26) * (i % 7)}\t{a:.4f}\t{b:.4f}\t{c:.4f}\n"
+        for i, (a, b, c) in enumerate(values.tolist())), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lex = parse_lexicon(path, VAD, VAD_COLUMNS)
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(lex) == 40_000 and lex.values.tobytes() == values.tobytes()
+    assert held > lex.values.nbytes
+    assert peak <= 1.5 * held
 
 
 class TestLexicon:
