@@ -73,30 +73,40 @@ def format_rating(v: float) -> str:
 # half, so cells nearer a half than this (in units of 0.001), and cells
 # of 1e6 and above, where that error can reach it, go to format_rating.
 _TIE_TOLERANCE = 1e-6
+_TABLE_SPAN = 1 << 16  # widest range of thousandths printed from a table
 
 
 def render_lexicon(lex: Lexicon) -> bytes:
     """TSV bytes: header, rows sorted lexicographically by word, each
     cell as format_rating prints it."""
     order = sorted(range(len(lex.words)), key=lex.words.__getitem__)
-    values = lex.values[order]
+    values = lex.values[order].ravel()
     scaled = values * 1000.0
     plain = (np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_TOLERANCE) & (np.abs(values) < 1e6)
-    row_format = "\t".join(["%s"] + ["%.3f"] * lex.format.size)
-    lines = ["\t".join(("word", *lex.format.variables))]
-    for i, row, ok in zip(order, map(np.ndarray.tolist, values), plain.all(axis=1).tolist()):
-        if ok:
-            lines.append(row_format % (lex.words[i], *row))
-        else:
-            lines.append("\t".join((lex.words[i], *map(format_rating, row))))
+    # away from a tie "%.3f" prints a cell's nearest thousandth, so plain
+    # cells take their text from a table of those, when it is the shorter
+    # list; a negative cell that rounds to zero prints -0.000
+    thousandths = np.where(plain, np.rint(scaled), 0.0).astype(np.int64)
+    kept = thousandths[plain]
+    low, high = (int(kept.min()), int(kept.max())) if kept.size else (0, 0)
+    if high - low <= min(_TABLE_SPAN, values.size):
+        table = ["%.3f" % (k / 1000) for k in range(low, high + 1)] + ["-0.000"]
+        index = np.where(plain, thousandths - low, 0)  # the rest is overwritten below
+        index[np.signbit(values) & (thousandths == 0)] = len(table) - 1
+        cells = list(map(table.__getitem__, index.tolist()))
+    else:
+        cells = list(map("%.3f".__mod__, values.tolist()))
+    for i in np.flatnonzero(~plain).tolist():
+        cells[i] = format_rating(values[i])
+    size = lex.format.size
+    rows = zip(map(lex.words.__getitem__, order), *(cells[j::size] for j in range(size)))
+    lines = ["\t".join(("word", *lex.format.variables)), *map("\t".join, rows)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _digest(words, *matrices) -> str:
     h = hashlib.sha256()
-    for word in words:
-        h.update(word.encode("utf-8"))
-        h.update(b"\x00")
+    h.update("\0".join([*words, ""]).encode("utf-8"))  # each word, then a NUL
     for m in matrices:
         h.update(np.ascontiguousarray(m, dtype="<f8").tobytes())
     return h.hexdigest()

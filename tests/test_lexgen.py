@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_render_lexicon
+from affectmap import lexgen
 from affectmap.cli import _json_bytes
 from affectmap.errors import ConfigurationError, EmptyOutputError
 from affectmap.experiments import ModelSpec
@@ -156,6 +158,65 @@ class TestRenderMatchesFormatRating:
         rnd.shuffle(words)
         lex = Lexicon(SIGNED, words, np.array(rows, dtype=np.float64))
         assert render_lexicon(lex) == reference_render(lex)
+
+
+WIDE = EmotionFormat("W", ("a", "b", "c"), -1e7, 1e7)
+# cells a few thousandths around some bases: ties at +-0.0005 and their
+# neighbours, zeros of either sign, magnitudes of 1e6 and more
+_base = st.sampled_from([0.0, -0.0, 1.0, -3.0, 4.9995, 999_999.9995, 1e6, -2.5e6, 123_456.7895])
+
+
+def _near_base(t):
+    base, k, step = t
+    v = base + k / 2000
+    return float(np.nextafter(v, step * np.inf)) if step else v
+
+
+@st.composite
+def _render_rows(draw):
+    """Rows whose cells share a few bases (a narrow span of thousandths,
+    printed from a table) or spread over the whole scale (printed cell by
+    cell)."""
+    bases = draw(st.lists(_base, min_size=1, max_size=3))
+    cell = st.one_of(
+        st.tuples(st.sampled_from(bases), st.integers(-40, 40), st.sampled_from([-1, 0, 1]))
+        .map(_near_base),
+        st.sampled_from([-0.0, -0.0001, -0.0004999, -0.0005, 0.0005, -1e6, 1e6]),
+        st.floats(-1e7, 1e7),
+    )
+    return draw(st.lists(st.tuples(cell, cell, cell), min_size=1, max_size=60))
+
+
+class TestRenderMatchesReference:
+    """render_lexicon prints the bytes the row-by-row renderer printed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_render_rows(), st.randoms(use_true_random=False))
+    def test_any_cells(self, rows, rnd):
+        words = [f"w{i:03d}" for i in range(len(rows))]
+        rnd.shuffle(words)
+        lex = Lexicon(WIDE, words, np.array(rows, dtype=np.float64))
+        assert render_lexicon(lex) == reference_render_lexicon(lex)
+
+    @pytest.mark.parametrize("span", [0, 1 << 16], ids=["cell-by-cell", "table"])
+    def test_both_paths(self, span, monkeypatch):
+        """A large lexicon on the BE5 scale, with ties, printed from the
+        table and, with no table allowed, cell by cell."""
+        monkeypatch.setattr(lexgen, "_TABLE_SPAN", span)
+        rng = np.random.default_rng(3)
+        values = rng.uniform(1.0, 5.0, size=(4000, 5))
+        values[::7, 1] = rng.integers(2000, 10_000, size=values[::7].shape[0]) / 2000
+        values[::11, 3] = np.nextafter(values[::11, 3], np.inf)
+        lex = Lexicon(BE5, [f"w{i:05d}" for i in range(4000)][::-1], values)
+        assert render_lexicon(lex) == reference_render_lexicon(lex)
+
+    def test_digest_hashes_each_word_then_a_nul(self):
+        for words in ([], ["a"], ["caf\u00e9", "", "x y"]):
+            h = hashlib.sha256()
+            for word in words:
+                h.update(word.encode("utf-8"))
+                h.update(b"\x00")
+            assert lexgen._digest(words) == h.hexdigest()
 
 
 class TestBuildJob:
