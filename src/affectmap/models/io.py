@@ -176,6 +176,8 @@ def _read_arrays(raw, entries, offset) -> dict:
             .reshape(shape)
             .astype(np.float64)
         )
+        if not np.isfinite(arrays[name]).all():
+            raise ParseError(f"array {name!r} holds a non-finite value")
         offset += 8 * count
     if offset != len(raw):
         raise ParseError(f"{len(raw) - offset} trailing bytes after the model payload")
@@ -228,10 +230,17 @@ def _net_dtype(meta) -> str:
 
 
 def _layers(arrays, prefix, n_layers, dtype) -> tuple[list, list]:
-    """A network's weights and biases, cast back to the dtype it was saved in."""
-    return tuple(
-        [arrays[f"{prefix}{kind}{i}"].astype(dtype) for i in range(n_layers)] for kind in "Wb"
-    )
+    """A network's weights and biases, cast back to the dtype it was saved
+    in, where each must stay finite."""
+    layers = ([], [])
+    for kind, layer in zip("Wb", layers):
+        for i in range(n_layers):
+            name = f"{prefix}{kind}{i}"
+            with np.errstate(over="ignore"):
+                layer.append(arrays[name].astype(dtype))
+            if not np.isfinite(layer[-1]).all():
+                raise ParseError(f"array {name!r} holds a value past the range of {dtype}")
+    return layers
 
 
 def _check_formats(d, t, source_format, target_format) -> None:

@@ -6,7 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_aligned, malformed_model_files, misshaped_model_files
+from conftest import (
+    _frame,
+    _split_model,
+    make_aligned,
+    malformed_model_files,
+    misshaped_model_files,
+)
 from affectmap.errors import ContractError, ParseError
 from affectmap.lexicon import BE5, Lexicon
 from affectmap.models import (
@@ -210,3 +216,76 @@ class TestNetworkDtype:
         assert {a.dtype for n in nets for a in (*n.weights, *n.biases)} == {np.dtype(np.float64)}
         got = model.predict(np.array(expected["queries"]))
         assert [[float(x).hex() for x in row] for row in got] == expected[kind]
+
+
+def _with_cell(model, name, value, dtype=None):
+    """A model file with the first cell of one payload array set to value,
+    and optionally the header's network dtype rewritten."""
+    raw, header, payload = _split_model(model)
+    offset = 0
+    for entry in header["arrays"]:
+        if entry["name"] == name:
+            break
+        offset += 8 * int(np.prod(entry["shape"]))
+    payload = payload[:offset] + np.float64(value).astype("<f8").tobytes() + payload[offset + 8:]
+    if dtype is not None:
+        header["meta"]["dtype"] = dtype
+    return _frame(raw, header, payload)
+
+
+def _small_models():
+    al = make_aligned(n=8, seed=6)
+    rng = np.random.default_rng(7)
+    base = FfnnConfig(hidden_sizes=(3,), iterations=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a weak first boosting stage
+        boosted = BoostedEnsemble(stages=1, base_config=base).fit_arrays(
+            rng.normal(size=(8, 2)), rng.uniform(1.0, 5.0, size=(8, 2)))
+    return {
+        "linear": LinearModel().fit(al),
+        "knn": KnnModel(k=2).fit(al),
+        "ffnn": FfnnModel(base).fit(al),
+        "boosted": boosted,
+    }
+
+
+class TestNonFinitePayload:
+    """A model file holding NaN or an infinity, or a network value its
+    dtype cannot hold, fails to load, naming the array."""
+
+    @pytest.mark.parametrize("kind,name,value", [
+        ("linear", "W", np.nan), ("linear", "b", np.inf), ("knn", "source", -np.inf),
+        ("knn", "target", np.nan), ("ffnn", "W0", np.nan), ("ffnn", "b1", -np.inf),
+        ("ffnn", "loss_trace", np.nan), ("boosted", "v0_weights", np.inf),
+        ("boosted", "v1s0_W1", np.nan),
+    ])
+    def test_nan_or_infinity(self, kind, name, value):
+        data = _with_cell(_small_models()[kind], name, value)
+        with pytest.raises(ParseError, match=f"array '{name}' holds a non-finite value"):
+            load_model(io.BytesIO(data))
+
+    @pytest.mark.parametrize("kind,name", [("ffnn", "W0"), ("ffnn", "b0"), ("boosted", "v0s0_W1")])
+    def test_past_float32_range(self, kind, name):
+        data = _with_cell(_small_models()[kind], name, -1e39)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning from the cast either
+            with pytest.raises(ParseError, match=f"array '{name}' holds a value past the "
+                                                 "range of float32"):
+                load_model(io.BytesIO(data))
+
+    def test_float64_network_holds_it(self):
+        model = load_model(io.BytesIO(_with_cell(_small_models()["ffnn"], "W0", 1e39, "float64")))
+        assert model.weights[0].dtype == np.float64 and model.weights[0][0, 0] == 1e39
+
+    def test_predict_exits_2(self, tmp_path, capsys):
+        from affectmap.cli import main
+
+        path = tmp_path / "nan.afm"
+        path.write_bytes(_with_cell(_small_models()["linear"], "W", np.nan))
+        query = tmp_path / "q.tsv"
+        query.write_text("word\tvalence\tarousal\tdominance\nq0\t5.0\t5.0\t5.0\n", encoding="utf-8")
+        out = tmp_path / "pred.tsv"
+        assert main(["model", "predict", str(path), str(query), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "array 'W' holds a non-finite value" in err and "Traceback" not in err
+        assert not out.exists()
