@@ -271,13 +271,13 @@ _BLOCK_BYTES = 1 << 16  # source bytes read, decoded and parsed at a time
 
 
 def _byte_stream(source, what: str):
-    """source (a path, bytes or a readable stream) as a context manager
-    over a stream; a caller's stream stays open."""
+    """source (a path, bytes or a binary stream) as a context manager over
+    a binary stream; a caller's stream stays open."""
     if isinstance(source, (str, Path)):
         return open(source, "rb")
     if isinstance(source, bytes):
         return io.BytesIO(source)
-    if hasattr(source, "read"):
+    if hasattr(source, "read") and not isinstance(source, io.TextIOBase):
         return nullcontext(source)
     raise ConfigurationError(f"cannot read {what} from {type(source).__name__}")
 
@@ -289,8 +289,6 @@ def _blocks(stream):
     lineno, offset, pending = 1, 0, []
     while True:
         chunk = stream.read(_BLOCK_BYTES)
-        if isinstance(chunk, str):
-            chunk = chunk.encode("utf-8")
         # cut after the last LF, else after the last CR but the final byte,
         # which may be the first half of a CRLF
         cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r", 0, len(chunk) - 1) + 1

@@ -9,7 +9,6 @@ median of the stage predictions.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import replace
@@ -18,7 +17,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, ContractError, ParseError
+from ..errors import ContractError, ParseError
 from ..lexicon import (
     AlignedLexicon,
     Lexicon,
@@ -172,8 +171,6 @@ def read_feature_vectors(
     its values are parsed by numpy's text parser; the vectors are the rows
     of one float64 matrix.
     """
-    if isinstance(source, io.TextIOBase):
-        raise ConfigurationError(f"cannot read features from {type(source).__name__}")
     reader = _FeatureReader(lowercase)
     with _byte_stream(source, "features") as stream:
         error = reader.read(_blocks(stream))

@@ -180,6 +180,11 @@ class TestParse:
         with pytest.raises(ParseError, match="UTF-8"):
             parse_lexicon(b"\xff\xfe" + BASIC, VAD, VAD_COLUMNS)
 
+    def test_text_stream_is_refused(self):
+        """Sources are bytes: a path, bytes or a binary stream."""
+        with pytest.raises(ConfigurationError, match="cannot read lexicon from StringIO"):
+            parse_lexicon(io.StringIO(BASIC.decode("utf-8")), VAD, VAD_COLUMNS)
+
 
 _HEADER = ("word", "valence", "arousal", "dominance")
 
