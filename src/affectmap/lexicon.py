@@ -305,9 +305,11 @@ def _blocks(stream):
             where = (f"byte 0x{e.object[e.start]:02x} in position {start}"
                      if e.end - e.start == 1 else f"bytes in position {start}-{offset + e.end - 1}")
             raise ParseError(f"input is not valid UTF-8: '{e.encoding}' codec can't "
-                               f"decode {where}: {e.reason}") from None
+                             f"decode {where}: {e.reason}") from None
         offset += len(data)
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
         if chunk:
             lines.pop()  # data ended with a line end; the next line starts in the next chunk
         yield lineno, lines
@@ -347,13 +349,13 @@ class _BlockReader:
         return None
 
     def _take_block(self, first, lines) -> None:
-        texts = [line for line in lines if line]  # blank lines are skipped
+        if "" in lines:  # blank lines are skipped
+            texts = [line for line in lines if line]
+            linenos = [first + i for i, line in enumerate(lines) if line]
+        else:
+            texts, linenos = lines, range(first, first + len(lines))
         if not texts:
             return
-        if len(texts) == len(lines):
-            linenos = range(first, first + len(lines))
-        else:
-            linenos = [first + i for i, line in enumerate(lines) if line]
         split = self._split(texts)
         values = None
         if split is not None and not any(map("".join(split[1]).__contains__, _PADDING)):
@@ -370,10 +372,14 @@ class _BlockReader:
     def _take(self, linenos, words, values) -> None:
         """Append the rows of new words; keep a repeated word's row apart."""
         rows = self.rows
-        if rows.keys().isdisjoint(words) and len(set(words)) == len(words):
+        if rows.keys().isdisjoint(words):
+            count = len(rows)
             rows.update(zip(words, linenos))
-            self.flat.frombytes(values.tobytes())
-            return
+            if len(rows) - count == len(words):
+                self.flat.frombytes(values.tobytes())
+                return
+            for word in words:  # a word repeats within the block: undo, then row by row
+                rows.pop(word, None)
         for lineno, word, row in zip(linenos, words, values):
             if word in rows:
                 self._repeat(word, lineno)

@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,13 @@ class TestParse:
     def test_non_utf8(self):
         with pytest.raises(ParseError, match="UTF-8"):
             parse_lexicon(b"\xff\xfe" + BASIC, VAD, VAD_COLUMNS)
+
+    @pytest.mark.parametrize("data", [b"word\tvalence\tarousal\tdominance\n",
+                                      b"word\tvalence\tarousal\tdominance\n\n\n"])
+    def test_header_only_parses_quietly(self, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no block of nothing goes to numpy's parser
+            assert len(parse_lexicon(data, VAD, VAD_COLUMNS)) == 0
 
     def test_text_stream_is_refused(self):
         """Sources are bytes: a path, bytes or a binary stream."""
