@@ -85,23 +85,28 @@ def render_lexicon(lex: Lexicon) -> bytes:
     plain = (np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_TOLERANCE) & (np.abs(values) < 1e6)
     # away from a tie "%.3f" prints a cell's nearest thousandth, so plain
     # cells take their text from a table of those, when it is the shorter
-    # list; a negative cell that rounds to zero prints -0.000
+    # list; a negative cell that rounds to zero prints -0.000. Each cell's
+    # text starts with its tab.
     thousandths = np.where(plain, np.rint(scaled), 0.0).astype(np.int64)
     kept = thousandths[plain]
     low, high = (int(kept.min()), int(kept.max())) if kept.size else (0, 0)
     if high - low <= min(_TABLE_SPAN, values.size):
-        table = ["%.3f" % (k / 1000) for k in range(low, high + 1)] + ["-0.000"]
+        table = ["\t%.3f" % (k / 1000) for k in range(low, high + 1)] + ["\t-0.000"]
         index = np.where(plain, thousandths - low, 0)  # the rest is overwritten below
         index[np.signbit(values) & (thousandths == 0)] = len(table) - 1
-        cells = list(map(table.__getitem__, index.tolist()))
+        cells = np.array(table, dtype=object)[index].tolist()
     else:
-        cells = list(map("%.3f".__mod__, values.tolist()))
+        cells = list(map("\t%.3f".__mod__, values.tolist()))
     for i in np.flatnonzero(~plain).tolist():
-        cells[i] = format_rating(values[i])
+        cells[i] = "\t" + format_rating(values[i])
     size = lex.format.size
-    rows = zip(map(lex.words.__getitem__, order), *(cells[j::size] for j in range(size)))
-    lines = ["\t".join(("word", *lex.format.variables)), *map("\t".join, rows)]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    parts = [""] * (len(order) * (size + 2))  # per row: word, its cells, line end
+    parts[::size + 2] = np.array(lex.words, dtype=object)[order].tolist()
+    for j in range(size):
+        parts[j + 1::size + 2] = cells[j::size]
+    parts[size + 1::size + 2] = ["\n"] * len(order)
+    header = "\t".join(("word", *lex.format.variables)) + "\n"
+    return (header + "".join(parts)).encode("utf-8")
 
 
 def _digest(words, *matrices) -> str:
