@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -185,6 +186,29 @@ def _render_rows(draw):
         st.floats(-1e7, 1e7),
     )
     return draw(st.lists(st.tuples(cell, cell, cell), min_size=1, max_size=60))
+
+
+HUGE = EmotionFormat("H", ("a", "b", "c"), -1e308, 1e308)
+
+
+class TestRenderHugeCells:
+    """Cells far past the table's range print through format_rating
+    without being scaled by 1000 first, which would overflow."""
+
+    @pytest.mark.parametrize("v", [1e25, -1e306, 1.7976931348623157e308])
+    def test_format_rating_prints_every_digit(self, v):
+        assert format_rating(v) == "%d.000" % int(Decimal(repr(v)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("row", [
+        (1e306, 1e306, 1e306),
+        (-1e308, 1e308, 2.5),
+        (1.7976e305, -9.99e307, 1e6),
+    ])
+    def test_huge_cells_print_as_format_rating(self, row):
+        lex = Lexicon(HUGE, ["w"], [row])
+        expected = "\t".join(["w", *map(format_rating, row)])
+        assert render_lexicon(lex) == f"word\ta\tb\tc\n{expected}\n".encode()
 
 
 class TestRenderMatchesReference:

@@ -418,6 +418,23 @@ class TestReliabilityIo:
         with pytest.raises(ParseError, match="line 3"):
             read_reliability_records(io.BytesIO(data))
 
+    def test_error_names_the_file_line_after_blank_lines(self):
+        data = (
+            b"dataset\tvariable\treported_r\tn_participants\tsba_applied\n"
+            b"\n"
+            b"d1\tvalence\t0.9\t40\tmaybe\n"
+        )
+        with pytest.raises(ParseError, match="line 3"):
+            read_reliability_records(io.BytesIO(data))
+        # blank lines before the header and across a CRLF file count too
+        data = (
+            b"\r\n\r\ndataset\tvariable\treported_r\tn_participants\tsba_applied\r\n"
+            b"d1\tvalence\t0.9\t40\ttrue\r\n\r\n"
+            b"d1\tarousal\t0.9\tmany\ttrue\r\n"
+        )
+        with pytest.raises(ParseError, match="line 6"):
+            read_reliability_records(io.BytesIO(data))
+
     def test_out_of_range_value(self):
         data = (
             b"dataset\tvariable\treported_r\tn_participants\tsba_applied\n"
