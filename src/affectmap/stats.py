@@ -281,17 +281,18 @@ def read_reliability_records(source: str | Path | IO[bytes]) -> list[Reliability
     present, is loaded back as well.
     """
     with _byte_stream(source, "reliability records") as stream:
-        lines = [ln for _, block in _blocks(stream) for ln in block if ln]
+        lines = [(first + i, ln) for first, block in _blocks(stream)
+                 for i, ln in enumerate(block) if ln]  # (file line, text), blank lines skipped
     if not lines:
         raise ParseError("empty reliability file", line=1)
-    header = tuple(lines[0].split("\t"))
+    header = tuple(lines[0][1].split("\t"))
     if header[: len(_RELIABILITY_COLUMNS)] != _RELIABILITY_COLUMNS:
         raise ParseError(
-            "header must start with: " + "\t".join(_RELIABILITY_COLUMNS), line=1
+            "header must start with: " + "\t".join(_RELIABILITY_COLUMNS), line=lines[0][0]
         )
     has_normalized = len(header) > 5 and header[5] == "normalized_r"
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split("\t")
         if len(cells) < 5:
             raise ParseError(f"expected at least 5 fields, got {len(cells)}", line=lineno)
