@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 import numpy as np
 
@@ -59,13 +59,17 @@ class LexiconBuildJob:
             )
 
 
+# room for every integer digit of a finite float, then 3 decimals
+_EVERY_DIGIT = Context(prec=312)
+
+
 def format_rating(v: float) -> str:
     """3 decimals, ties away from zero: 1.0005 -> '1.001'.
 
     Goes through the shortest decimal repr of the float so that values
     that print as exact halves round like exact halves.
     """
-    return str(Decimal(repr(float(v))).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
+    return str(Decimal(repr(float(v))).quantize(Decimal("0.001"), ROUND_HALF_UP, _EVERY_DIGIT))
 
 
 # "%.3f" rounds a cell's binary value, format_rating its shortest repr;
@@ -81,8 +85,9 @@ def render_lexicon(lex: Lexicon) -> bytes:
     cell as format_rating prints it."""
     order = sorted(range(len(lex.words)), key=lex.words.__getitem__)
     values = lex.values[order].ravel()
-    scaled = values * 1000.0
-    plain = (np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_TOLERANCE) & (np.abs(values) < 1e6)
+    small = np.abs(values) < 1e6  # larger cells skip the scaling, which could overflow
+    scaled = np.where(small, values, 0.0) * 1000.0
+    plain = (np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_TOLERANCE) & small
     # away from a tie "%.3f" prints a cell's nearest thousandth, so plain
     # cells take their text from a table of those, when it is the shorter
     # list; a negative cell that rounds to zero prints -0.000. Each cell's
