@@ -59,10 +59,6 @@ class LexiconBuildJob:
             )
 
 
-# room for every integer digit of a finite float, then 3 decimals
-_EVERY_DIGIT = Context(prec=312)
-
-
 def format_rating(v: float) -> str:
     """3 decimals, ties away from zero: 1.0005 -> '1.001'.
 
@@ -77,6 +73,7 @@ def format_rating(v: float) -> str:
 # half, so cells nearer a half than this (in units of 0.001), and cells
 # of 1e6 and above, where that error can reach it, go to format_rating.
 _TIE_TOLERANCE = 1e-6
+_EVERY_DIGIT = Context(prec=312)  # room for every integer digit of a finite float, and 3 more
 _TABLE_SPAN = 1 << 16  # widest range of thousandths printed from a table
 
 

@@ -14,6 +14,7 @@ import io
 import math
 import unicodedata
 from array import array
+from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -130,6 +131,8 @@ class Lexicon:
         values: np.ndarray,
         language: str = "",
         source_id: str = "",
+        *,
+        _index: dict[str, int] | None = None,  # word -> row, built by a parse or shared
     ):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != len(words):
@@ -142,9 +145,11 @@ class Lexicon:
                 f"{values.shape[1]} components"
             )
         words = tuple(words)
-        index = dict(zip(words, range(len(words))))
-        if len(index) != len(words):
-            raise ValidationError("duplicate words in lexicon")
+        index = _index
+        if index is None:
+            index = dict(zip(words, range(len(words))))
+            if len(index) != len(words):
+                raise ValidationError("duplicate words in lexicon")
         inside = (values >= fmt.scale_low) & (values <= fmt.scale_high)
         if not inside.all():
             # NaN compares false both ways, so it lands here too
@@ -332,7 +337,8 @@ class _BlockReader:
 
     def __init__(self):
         self.flat = array("d")
-        self.rows: dict[str, int] = {}  # word -> line of its first row, in first-seen order
+        self.rows: dict[str, int] = {}  # word -> its row, in first-seen order
+        self.lines = array("q")  # each row's first line, for the repeat messages
         self.repeats: dict[str, list[np.ndarray]] = {}  # later rows, averaged in at the end
 
     def read(self, blocks) -> AffectMapError | None:
@@ -374,8 +380,9 @@ class _BlockReader:
         rows = self.rows
         if rows.keys().isdisjoint(words):
             count = len(rows)
-            rows.update(zip(words, linenos))
+            rows.update(zip(words, range(count, count + len(words))))
             if len(rows) - count == len(words):
+                self.lines.extend(linenos)
                 self.flat.frombytes(values.tobytes())
                 return
             for word in words:  # a word repeats within the block: undo, then row by row
@@ -385,16 +392,16 @@ class _BlockReader:
                 self._repeat(word, lineno)
                 self.repeats.setdefault(word, []).append(row.copy())
             else:
-                rows[word] = lineno
+                rows[word] = len(rows)
+                self.lines.append(lineno)
                 self.flat.frombytes(row.tobytes())
 
     def matrix(self, width: int) -> np.ndarray:
         """The rows as one matrix, each repeated word's rows averaged."""
         matrix = np.frombuffer(self.flat, dtype=np.float64).reshape(len(self.rows), width)
-        if self.repeats:
-            for i, word in enumerate(self.rows):
-                if word in self.repeats:
-                    matrix[i] = np.mean([matrix[i], *self.repeats[word]], axis=0)
+        for word, later in self.repeats.items():
+            i = self.rows[word]
+            matrix[i] = np.mean([matrix[i], *later], axis=0)
         return matrix
 
 
@@ -507,7 +514,8 @@ class _LexiconReader(_BlockReader):
         return (word,), np.array([values])
 
     def _repeat(self, word, lineno) -> None:
-        message = f"word {word!r} repeats entry from line {self.rows[word]}; ratings averaged"
+        first = self.lines[self.rows[word]]
+        message = f"word {word!r} repeats entry from line {first}; ratings averaged"
         self.sink.append(Diagnostic("duplicate", message, line=lineno, word=word))
 
 
@@ -553,10 +561,50 @@ def parse_lexicon(
         error = reader.read(_blocks(stream))
     if error is not None:
         raise error
-    words = list(reader.rows)
-    values = reader.matrix(fmt.size)
-    del reader  # its word index goes before the lexicon builds its own
-    return Lexicon(fmt, words, values, language=language, source_id=source_id)
+    return Lexicon(fmt, tuple(reader.rows), reader.matrix(fmt.size), language=language,
+                   source_id=source_id, _index=reader.rows)
+
+
+class ParseCache:
+    """The last ``capacity`` lexicons parsed clean, so that a later side
+    binding the same source takes its values from one of them instead of
+    parsing the file again.
+
+    A side reuses a parse when the path, word column, ``lowercase``,
+    ``clamp``, declared ``scale`` and format bounds are the same, its value
+    columns are among the parse's, and that parse raised nothing and
+    reported no diagnostic. The scale map, the range check and duplicate
+    averaging all work per column, so the projected values have the bits
+    a parse of their own would give. Every other side is parsed by
+    ``parse`` (``parse_lexicon``'s signature), and kept when it is clean.
+    """
+
+    def __init__(self, capacity: int = 1):
+        self.capacity = capacity
+        self._parses: OrderedDict = OrderedDict()  # key -> (value column -> index, lexicon)
+
+    def parse(self, parse, data, fmt, column_map, *, language="", source_id="",
+              lowercase=False, clamp=False, scale=None, diagnostics=None) -> Lexicon:
+        key = (data, column_map.get("word"), lowercase, clamp, scale,
+               fmt.scale_low, fmt.scale_high)
+        if key in self._parses:
+            positions, lex = self._parses[key]
+            idx = [positions.get(column_map.get(v)) for v in fmt.variables]
+            if None not in idx:
+                self._parses.move_to_end(key)
+                values = lex.values if idx == list(range(lex.format.size)) else lex.values[:, idx]
+                return Lexicon(fmt, lex.words, values, language=language, source_id=source_id,
+                               _index=lex._index)
+            del self._parses[key]
+        while len(self._parses) >= self.capacity:  # make room before the parse allocates
+            self._parses.popitem(last=False)
+        sink = [] if diagnostics is None else diagnostics
+        reported = len(sink)
+        lex = parse(data, fmt, column_map, language=language, source_id=source_id,
+                    lowercase=lowercase, clamp=clamp, scale=scale, diagnostics=sink)
+        if len(sink) == reported:
+            self._parses[key] = ({column_map[v]: j for j, v in enumerate(fmt.variables)}, lex)
+        return lex
 
 
 def rescale(lex: Lexicon, target_low: float, target_high: float) -> Lexicon:
@@ -633,6 +681,7 @@ def project(x, keep: Sequence[str], side: str = "auto"):
             x.values[:, idx],
             language=x.language,
             source_id=x.source_id,
+            _index=x._index,
         )
     if isinstance(x, AlignedLexicon):
         if side == "auto":

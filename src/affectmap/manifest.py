@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .errors import ConfigurationError, ParseError
@@ -56,6 +57,7 @@ from .lexicon import (
     AlignedLexicon,
     EmotionFormat,
     Lexicon,
+    ParseCache,
     align,
     parse_lexicon,
 )
@@ -139,6 +141,7 @@ class Manifest:
     source_path: Path | None = None
     _dataset_cache: dict = field(default_factory=dict, repr=False)
     _models: list | None = field(default=None, repr=False)  # feature files are read once
+    _sources: ParseCache = field(default_factory=ParseCache, repr=False)  # of lexicon jobs
 
     # ---- input loading -------------------------------------------------
 
@@ -146,9 +149,10 @@ class Manifest:
         p = Path(rel)
         return p if p.is_absolute() else self.base_dir / p
 
-    def _load_side(self, side, owner: str, diagnostics, language=None) -> Lexicon:
+    def _load_side(self, side, owner: str, diagnostics, language=None, cached=False) -> Lexicon:
         """One lexicon; owner names its dataset or lexicon job in errors. A
-        job's side may set its language; a dataset's sides take the dataset's."""
+        job's side may set its language; a dataset's sides take the dataset's.
+        A cached side may reuse a parse held in the job source cache."""
         if not isinstance(side, dict) or "path" not in side or "format" not in side:
             raise ConfigurationError(f"{owner}: a side needs path and format, got {side!r}")
         owner += ": "
@@ -168,7 +172,8 @@ class Manifest:
                        "a pair of finite numbers", owner=owner)
         flags = {key: _field(side, key, lambda v: isinstance(v, bool), "true or false", False,
                              owner) for key in ("lowercase", "clamp")}
-        return parse_lexicon(
+        parse = partial(self._sources.parse, parse_lexicon) if cached else parse_lexicon
+        return parse(
             self._resolve(path), fmt, columns, language=language,
             source_id=path, scale=None if scale is None else (float(scale[0]), float(scale[1])),
             diagnostics=diagnostics, **flags,
@@ -272,7 +277,10 @@ class Manifest:
                 planned[file] = what
         return entries
 
-    def build_job(self, entry: dict, diagnostics=None) -> LexiconBuildJob:
+    def build_job(self, entry: dict, diagnostics=None, batch: int = 1) -> LexiconBuildJob:
+        """One lexicon job, its source parsed or taken from the parses kept
+        for the last ``batch`` jobs (as many as are loaded at once)."""
+        self._sources.capacity = batch
         job = f"lexicon job {entry.get('output')!r}"
         owner = f"{job}: "
         mode, output, model = (_field(entry, k, _is_str, "a string", owner=owner)
@@ -297,19 +305,14 @@ class Manifest:
         training = (_orient(datasets, ids[0], direction) if mode == "monolingual"
                     else _crosslingual_training(datasets, ids, direction))
 
-        source = self._load_side(entry.get("source"), f"{job} source", diagnostics)
+        source = self._load_side(entry.get("source"), f"{job} source", diagnostics, cached=True)
         exclusions = [
             self._load_side(x, f"{job} exclusion", diagnostics)
             for x in _objects(entry, "exclusions", owner=owner)
         ]
-        return LexiconBuildJob(
-            mode=mode,
-            source_lexicon=source,
-            training=training,
-            model_spec=specs[model],
-            output_name=output,
-            exclusion_sets=exclusions,
-        )
+        return LexiconBuildJob(mode=mode, source_lexicon=source, training=training,
+                               model_spec=specs[model], output_name=output,
+                               exclusion_sets=exclusions)
 
 
 def load_manifest(path, overrides: dict | None = None) -> Manifest:
@@ -348,12 +351,5 @@ def load_manifest(path, overrides: dict | None = None) -> Manifest:
     base_dir = path.resolve().parent
     out = Path(_field(raw, "output_dir", _is_path, _PATH, "out"))
     output_dir = out if out.is_absolute() else base_dir / out
-    return Manifest(
-        seed=seed,
-        base_dir=base_dir,
-        output_dir=output_dir,
-        k_folds=k_folds,
-        n_star=n_star,
-        raw=raw,
-        source_path=path.resolve(),
-    )
+    return Manifest(seed=seed, base_dir=base_dir, output_dir=output_dir, k_folds=k_folds,
+                    n_star=n_star, raw=raw, source_path=path.resolve())
