@@ -583,8 +583,8 @@ class ParseCache:
         self.capacity = capacity
         self._parses: OrderedDict = OrderedDict()  # key -> (value column -> index, lexicon)
 
-    def parse(self, parse, data, fmt, column_map, *, language="", source_id="",
-              lowercase=False, clamp=False, scale=None, diagnostics=None) -> Lexicon:
+    def load(self, parse, data, fmt, column_map, *, language="", source_id="",
+             lowercase=False, clamp=False, scale=None, diagnostics=None) -> Lexicon:
         key = (data, column_map.get("word"), lowercase, clamp, scale,
                fmt.scale_low, fmt.scale_high)
         if key in self._parses:

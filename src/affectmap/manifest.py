@@ -172,7 +172,7 @@ class Manifest:
                        "a pair of finite numbers", owner=owner)
         flags = {key: _field(side, key, lambda v: isinstance(v, bool), "true or false", False,
                              owner) for key in ("lowercase", "clamp")}
-        parse = partial(self._sources.parse, parse_lexicon) if cached else parse_lexicon
+        parse = partial(self._sources.load, parse_lexicon) if cached else parse_lexicon
         return parse(
             self._resolve(path), fmt, columns, language=language,
             source_id=path, scale=None if scale is None else (float(scale[0]), float(scale[1])),

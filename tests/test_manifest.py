@@ -148,8 +148,9 @@ def test_a_parse_with_a_diagnostic_is_not_reused(tmp_path, parses):
 
 
 def test_cache_holds_one_batch_of_sources(tmp_path, monkeypatch):
-    """At --jobs 1, with three jobs over three distinct sources, no parsed
-    source outlives the batch after its own by more than one."""
+    """At --jobs 1, with three jobs over three distinct sources, run
+    build-lexicon never holds more than one parsed source beyond the running
+    batch, counted as each source parse and each batch starts."""
     write_dataset(tmp_path)
     names = ["s0.tsv", "s1.tsv", "s2.tsv"]
     for seed, name in enumerate(names):
@@ -211,8 +212,8 @@ def test_any_projection_matches_its_own_parse(rows, order, scale):
         return parse_lexicon(*args, **kwargs)
 
     vad_columns = {"word": "word", **{v: v for v in VAD.variables}}
-    cache.parse(parse, data, whole, vad_columns, scale=scale)
-    projected = cache.parse(parse, data, fmt, columns, scale=scale, source_id="s")
+    cache.load(parse, data, whole, vad_columns, scale=scale)
+    projected = cache.load(parse, data, fmt, columns, scale=scale, source_id="s")
     assert calls == [whole]
     fresh = reference_parse(data, fmt, columns, scale=scale, source_id="s")
     assert projected.words == fresh.words and projected.source_id == "s"
