@@ -156,12 +156,10 @@ def _build_lexicon(manifest, jobs: int):
     entries = manifest.lexicon_job_entries()
     if not entries:
         raise ConfigurationError("manifest declares no lexicon_jobs")
-    # a job holds its whole source lexicon: load only as many as run at once,
-    # and keep as many parsed sources for a later job to reuse
+    # a job holds its whole source lexicon: load only as many as run at once
     for start in range(0, len(entries), jobs):
         batch = entries[start : start + jobs]
-        built = build_lexicons([manifest.build_job(e, batch=jobs) for e in batch], manifest.seed,
-                               jobs=jobs)
+        built = build_lexicons([manifest.build_job(e) for e in batch], manifest.seed, jobs=jobs)
         for entry, (_, build_manifest, rendered) in zip(batch, built):
             name = Path(entry["output"]).name  # the plan has checked it is a bare file name
             yield name, rendered

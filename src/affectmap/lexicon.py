@@ -14,7 +14,6 @@ import io
 import math
 import unicodedata
 from array import array
-from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -566,11 +565,10 @@ def parse_lexicon(
 
 
 class ParseCache:
-    """The last ``capacity`` lexicons parsed clean, so that a later side
-    binding the same source takes its values from one of them instead of
-    parsing the file again.
+    """The last lexicon parsed clean, so that a later side binding the same
+    source takes its values from it instead of parsing the file again.
 
-    A side reuses a parse when the path, word column, ``lowercase``,
+    A side reuses the parse when the path, word column, ``lowercase``,
     ``clamp``, declared ``scale`` and format bounds are the same, its value
     columns are among the parse's, and that parse raised nothing and
     reported no diagnostic. The scale map, the range check and duplicate
@@ -579,31 +577,27 @@ class ParseCache:
     ``parse`` (``parse_lexicon``'s signature), and kept when it is clean.
     """
 
-    def __init__(self, capacity: int = 1):
-        self.capacity = capacity
-        self._parses: OrderedDict = OrderedDict()  # key -> (value column -> index, lexicon)
+    def __init__(self):
+        self._last = None  # (key, value column -> index, lexicon) of the last clean parse
 
     def load(self, parse, data, fmt, column_map, *, language="", source_id="",
              lowercase=False, clamp=False, scale=None, diagnostics=None) -> Lexicon:
         key = (data, column_map.get("word"), lowercase, clamp, scale,
                fmt.scale_low, fmt.scale_high)
-        if key in self._parses:
-            positions, lex = self._parses[key]
+        if self._last is not None and self._last[0] == key:
+            _, positions, lex = self._last
             idx = [positions.get(column_map.get(v)) for v in fmt.variables]
             if None not in idx:
-                self._parses.move_to_end(key)
                 values = lex.values if idx == list(range(lex.format.size)) else lex.values[:, idx]
                 return Lexicon(fmt, lex.words, values, language=language, source_id=source_id,
                                _index=lex._index)
-            del self._parses[key]
-        while len(self._parses) >= self.capacity:  # make room before the parse allocates
-            self._parses.popitem(last=False)
+        self._last = None  # let the last parse go before this one allocates
         sink = [] if diagnostics is None else diagnostics
         reported = len(sink)
         lex = parse(data, fmt, column_map, language=language, source_id=source_id,
                     lowercase=lowercase, clamp=clamp, scale=scale, diagnostics=sink)
         if len(sink) == reported:
-            self._parses[key] = ({column_map[v]: j for j, v in enumerate(fmt.variables)}, lex)
+            self._last = (key, {column_map[v]: j for j, v in enumerate(fmt.variables)}, lex)
         return lex
 
 

@@ -145,14 +145,9 @@ class Manifest:
 
     # ---- input loading -------------------------------------------------
 
-    def _resolve(self, rel) -> Path:
-        p = Path(rel)
-        return p if p.is_absolute() else self.base_dir / p
-
     def _load_side(self, side, owner: str, diagnostics, language=None, cached=False) -> Lexicon:
         """One lexicon; owner names its dataset or lexicon job in errors. A
-        job's side may set its language; a dataset's sides take the dataset's.
-        A cached side may reuse a parse held in the job source cache."""
+        job's side may set its language; a dataset's sides take the dataset's."""
         if not isinstance(side, dict) or "path" not in side or "format" not in side:
             raise ConfigurationError(f"{owner}: a side needs path and format, got {side!r}")
         owner += ": "
@@ -174,7 +169,7 @@ class Manifest:
                              owner) for key in ("lowercase", "clamp")}
         parse = partial(self._sources.load, parse_lexicon) if cached else parse_lexicon
         return parse(
-            self._resolve(path), fmt, columns, language=language,
+            self.base_dir / path, fmt, columns, language=language,
             source_id=path, scale=None if scale is None else (float(scale[0]), float(scale[1])),
             diagnostics=diagnostics, **flags,
         )
@@ -221,7 +216,7 @@ class Manifest:
             params = _field(entry, "params", lambda v: isinstance(v, dict), "an object", {}, owner)
             path = _field(entry, "features_path", lambda v: v is None or _is_path(v), _PATH,
                           owner=owner)
-            features = read_feature_vectors(self._resolve(path)) if path else None
+            features = read_feature_vectors(self.base_dir / path) if path else None
             spec = ModelSpec(name=name, kind=kind, params=dict(params), features=features)
             spec.build(0)  # bad params fail here, before any run starts
             # a param the model ignores, such as a seed, is still recorded in build manifests
@@ -235,7 +230,8 @@ class Manifest:
         rel = _field(self.raw, "reliability", lambda v: v is None or _is_path(v), _PATH)
         if not rel:
             return None
-        return [normalize_shr(r, self.n_star) for r in read_reliability_records(self._resolve(rel))]
+        records = read_reliability_records(self.base_dir / rel)
+        return [normalize_shr(r, self.n_star) for r in records]
 
     def crosslingual_spec(self, specs: list[ModelSpec]) -> ModelSpec:
         name = self.raw.get("crosslingual_model")
@@ -277,10 +273,7 @@ class Manifest:
                 planned[file] = what
         return entries
 
-    def build_job(self, entry: dict, diagnostics=None, batch: int = 1) -> LexiconBuildJob:
-        """One lexicon job, its source parsed or taken from the parses kept
-        for the last ``batch`` jobs (as many as are loaded at once)."""
-        self._sources.capacity = batch
+    def build_job(self, entry: dict, diagnostics=None) -> LexiconBuildJob:
         job = f"lexicon job {entry.get('output')!r}"
         owner = f"{job}: "
         mode, output, model = (_field(entry, k, _is_str, "a string", owner=owner)
@@ -310,9 +303,14 @@ class Manifest:
             self._load_side(x, f"{job} exclusion", diagnostics)
             for x in _objects(entry, "exclusions", owner=owner)
         ]
-        return LexiconBuildJob(mode=mode, source_lexicon=source, training=training,
-                               model_spec=specs[model], output_name=output,
-                               exclusion_sets=exclusions)
+        return LexiconBuildJob(
+            mode=mode,
+            source_lexicon=source,
+            training=training,
+            model_spec=specs[model],
+            output_name=output,
+            exclusion_sets=exclusions,
+        )
 
 
 def load_manifest(path, overrides: dict | None = None) -> Manifest:
@@ -349,7 +347,13 @@ def load_manifest(path, overrides: dict | None = None) -> Manifest:
     ablation = _field(raw, "ablation", lambda v: isinstance(v, dict), "a JSON object", {})
     _field(ablation, "direction", _is_str, "a string", "dim2cat", "ablation: ")
     base_dir = path.resolve().parent
-    out = Path(_field(raw, "output_dir", _is_path, _PATH, "out"))
-    output_dir = out if out.is_absolute() else base_dir / out
-    return Manifest(seed=seed, base_dir=base_dir, output_dir=output_dir, k_folds=k_folds,
-                    n_star=n_star, raw=raw, source_path=path.resolve())
+    output_dir = base_dir / _field(raw, "output_dir", _is_path, _PATH, "out")  # kept if absolute
+    return Manifest(
+        seed=seed,
+        base_dir=base_dir,
+        output_dir=output_dir,
+        k_folds=k_folds,
+        n_star=n_star,
+        raw=raw,
+        source_path=path.resolve(),
+    )

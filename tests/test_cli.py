@@ -170,6 +170,26 @@ class TestValidate:
         assert "ok\tdataset syn\t40 aligned words" in text
         assert (out / "validation.txt").read_text() == text
 
+    def test_paths_resolve_against_the_manifest_unless_absolute(self, tmp_path):
+        data, home = tmp_path / "data", tmp_path / "home"
+        data.mkdir()
+        home.mkdir()
+        write_dataset(data)
+        (data / "rel.tsv").write_bytes(_render_tsv(
+            ["dataset", "variable", "reported_r", "n_participants", "sba_applied"],
+            [["syn", "joy", "0.8", "40", "true"]]))
+        sides = [{"path": str(data / "w_vad.tsv"), "format": "VAD"},
+                 {"path": "../data/w_be5.tsv", "format": "BE5"}]
+        job = {"mode": "monolingual", "output": "new.tsv", "model": "lr", "training_id": "syn",
+               "source": {"path": str(data / "w_vad.tsv"), "format": "VAD"}}
+        manifest = write_manifest(
+            home, output_dir=str(tmp_path / "out"), reliability=str(data / "rel.tsv"),
+            datasets=[{"id": "syn", "language": "en", "sides": sides}], lexicon_jobs=[job])
+        assert main(["validate", "--manifest", str(manifest)]) == 0
+        report = (tmp_path / "out" / "validation.txt").read_text()
+        assert "ok\tdataset syn\t40 aligned words" in report
+        assert "error" not in report
+
     def test_missing_column_named_in_diagnostics(self, tmp_path, capsys):
         write_dataset(tmp_path)
         manifest = write_manifest(

@@ -1,5 +1,5 @@
-"""Lexicon job sources: a source that several jobs bind is parsed once per
-manifest, and the cache of parsed sources stays within one --jobs batch."""
+"""Lexicon job sources: jobs next to each other over one source parse it
+once, and the cache keeps no more than the last clean parse."""
 
 import gc
 import weakref
@@ -147,23 +147,26 @@ def test_a_parse_with_a_diagnostic_is_not_reused(tmp_path, parses):
         assert f"warning\tlexicon job {job}\tduplicate\tline 16\tQ0\t" in report
 
 
-def test_cache_holds_one_batch_of_sources(tmp_path, monkeypatch):
-    """At --jobs 1, with three jobs over three distinct sources, run
-    build-lexicon never holds more than one parsed source beyond the running
-    batch, counted as each source parse and each batch starts."""
+@pytest.mark.parametrize("jobs, batches", [(1, 6), (3, 2)])
+def test_cache_holds_one_source_beyond_the_batch(tmp_path, monkeypatch, jobs, batches):
+    """With six jobs over six distinct sources, the last three each with a
+    repeated word (so their parses are not kept), run build-lexicon never
+    holds more than one parsed source beyond the batch being loaded or run,
+    counted as each source parse and each batch starts."""
     write_dataset(tmp_path)
-    names = ["s0.tsv", "s1.tsv", "s2.tsv"]
+    names = [f"s{i}.tsv" for i in range(6)]
     for seed, name in enumerate(names):
-        _write_source(tmp_path / name, n=40, seed=seed)
+        _write_source(tmp_path / name, n=40, seed=seed, repeat=seed >= 3)
     manifest = write_manifest(tmp_path, lexicon_jobs=[
         {"mode": "monolingual", "output": f"out{i}.tsv", "model": "lr", "training_id": "syn",
          "source": {"path": name, "format": "VAD"}} for i, name in enumerate(names)])
-    parsed = []  # a weak reference to each source parse
-    held = []  # parsed sources alive beyond the running batch, as each parse and batch starts
+    parsed = []  # a weak reference to each source parse, one per job
+    batch_from = 0  # parsed[batch_from:] are the sources of the batch being loaded or run
+    held = []  # earlier batches' sources still alive, as each parse and batch starts
 
-    def count_held(running=()):
+    def count_held():
         gc.collect()
-        held.append(sum(ref() is not None and id(ref()) not in running for ref in parsed))
+        held.append(sum(ref() is not None for ref in parsed[:batch_from]))
 
     parse = manifest_module.parse_lexicon
 
@@ -178,14 +181,16 @@ def test_cache_holds_one_batch_of_sources(tmp_path, monkeypatch):
     build = cli.build_lexicons
 
     def counting(build_jobs, *args, **kwargs):
-        count_held({id(job.source_lexicon) for job in build_jobs})
+        nonlocal batch_from
+        count_held()
+        batch_from = len(parsed)
         return build(build_jobs, *args, **kwargs)
 
     monkeypatch.setattr(manifest_module, "parse_lexicon", tracking)
     monkeypatch.setattr(cli, "build_lexicons", counting)
-    assert main(["run", "build-lexicon", "--manifest", str(manifest), "--jobs", "1",
+    assert main(["run", "build-lexicon", "--manifest", str(manifest), "--jobs", str(jobs),
                  "--out", str(tmp_path / "o")]) == 0
-    assert len(parsed) == 3 and len(held) == 6
+    assert len(parsed) == 6 and len(held) == 6 + batches
     assert max(held) <= 1
 
 
