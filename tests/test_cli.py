@@ -761,6 +761,16 @@ class TestManifestShape:
          ("build-lexicon",)),
         (_job_source({"exclusions": [{"path": "w_be5.tsv", "format": "BE5", "Clamp": True}]}),
          "lexicon job 'new.tsv' exclusion: unknown side key 'Clamp'", ("build-lexicon",)),
+        (_net(hiden_sizes=[4]), "model 'net': 'params': unknown key 'hiden_sizes'",
+         ("monolingual",)),
+        (_net("knn", kk=3), "model 'net': 'params': unknown key 'kk'", ("monolingual",)),
+        (_net("lr", k=3), "model 'net': 'params': unknown key 'k'", ("monolingual",)),
+        (_net("boosted", base=5), "model 'net': 'params.base' must be an object, got 5",
+         ("monolingual",)),
+        (_net("boosted", base={"hiden_sizes": [4]}),
+         "model 'net': 'params.base': unknown key 'hiden_sizes'", ("monolingual",)),
+        (_sides(format={**_INLINE_VAD, "scale": [1, 9]}),
+         "dataset 'syn': unknown format key 'scale'", ("monolingual",)),
     ], ids=["k_folds-string", "seed-float", "lexicon_jobs-int", "datasets-object",
             "models-string", "ffnn-hidden_sizes", "ffnn-iterations-string", "knn-k",
             "ffnn-unknown-param", "params-string", "sides-ints", "scale-string",
@@ -782,7 +792,9 @@ class TestManifestShape:
             "ffnn-hidden_sizes-product-past-numpy", "boosted-base-hidden_sizes-past-numpy",
             "dataset-language-list", "dataset-language-int", "job-source-language-list",
             "side-misspelt-lowercase", "side-language-int", "side-language-string",
-            "job-source-unknown-key", "job-exclusion-unknown-key"])
+            "job-source-unknown-key", "job-exclusion-unknown-key", "ffnn-params-unknown-key",
+            "knn-params-unknown-key", "lr-params-unknown-key", "boosted-base-int",
+            "boosted-base-unknown-key", "format-unknown-key"])
     def test_exit_2_naming_the_fault(self, overrides, named, tasks, workspace, capsys):
         root, _ = workspace
         manifest = write_manifest(root, **overrides)

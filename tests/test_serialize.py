@@ -13,7 +13,8 @@ from conftest import (
     malformed_model_files,
     misshaped_model_files,
 )
-from affectmap.errors import ContractError, ParseError
+from affectmap.cli import main
+from affectmap.errors import AffectMapError, ContractError, ParseError
 from affectmap.lexicon import BE5, Lexicon
 from affectmap.models import (
     MAGIC,
@@ -159,6 +160,29 @@ class TestFileFormat:
         save_model(m, buf)
         with pytest.raises(ParseError, match="4 variables but 5 stage counts"):
             load_model(io.BytesIO(buf.getvalue()))
+
+    @pytest.mark.parametrize("changes, named", [
+        ({"scale_low": "1", "scale_high": "9"}, "'scale_low' must be a finite number"),
+        ({"variables": "vad"}, "'variables' must be a list of strings"),
+        ({"name": 5}, "'name' must be a string"),
+    ], ids=["scale-strings", "variables-string", "name-int"])
+    def test_mistyped_format_is_refused(self, changes, named, tmp_path, capsys):
+        """A saved format is typed as a manifest's inline format is: a
+        string bound, a variables string or a numeric name does not load,
+        and predict exits 2 instead of failing on it later."""
+        raw, header, payload = _split_model(LinearModel().fit(make_aligned(n=20, seed=11)))
+        header["source_format"].update(changes)
+        path = tmp_path / "m.afm"
+        path.write_bytes(_frame(raw, header, payload))
+        with pytest.raises(AffectMapError, match=named):
+            load_model(path)
+        query = tmp_path / "q.tsv"
+        query.write_bytes(b"word\tvalence\tarousal\tdominance\nq\t5\t5\t5\n")
+        out = tmp_path / "pred.tsv"
+        assert main(["model", "predict", str(path), str(query), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_unfitted_model_rejected(self):
         with pytest.raises(ContractError):
