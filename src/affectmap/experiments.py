@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -128,27 +128,33 @@ class ModelSpec:
 
     def build(self, seed: int = 0):
         """An unfitted model. A param the constructor cannot take (unknown
-        key, wrong type) is a ConfigurationError naming this spec."""
+        key, wrong type) is a ConfigurationError naming this spec and the key."""
         params = dict(self.params)
         params.pop("seed", None)
+        net_keys = {f.name for f in fields(FfnnConfig)}
+        known = {"lr": (), "knn": {"k"}, "ffnn": net_keys, "boosted": {"stages", "base"}}
         try:
+            _known_keys(params, known[self.kind], "'params'")
             if self.kind == "lr":
-                if params:
-                    raise ConfigurationError(f"lr takes no parameters, got {params}")
                 return LinearModel()
             if self.kind == "knn":
                 return KnnModel(**params)
             # FfnnConfig turns a JSON hidden_sizes list into a tuple itself
             if self.kind == "ffnn":
                 return FfnnModel(FfnnConfig(**params, seed=seed))
-            stages = params.pop("stages", 10)
-            base = params.pop("base", None)
-            if params:
-                raise ConfigurationError(f"unknown boosted parameters: {params}")
-            base_config = None if base is None else FfnnConfig(**base)
-            return BoostedEnsemble(stages=stages, base_config=base_config, seed=seed)
+            base = params.get("base")
+            if base is not None and not isinstance(base, dict):
+                raise ConfigurationError(f"'params.base' must be an object, got {base!r}")
+            _known_keys(base or {}, net_keys, "'params.base'")
+            base = None if base is None else FfnnConfig(**base)
+            return BoostedEnsemble(stages=params.get("stages", 10), base_config=base, seed=seed)
         except (TypeError, ValueError, AffectMapError) as e:
             raise ConfigurationError(f"model {self.name!r}: {e}") from None
+
+
+def _known_keys(params: dict, known, where: str) -> None:
+    for key in sorted(params.keys() - known):
+        raise ConfigurationError(f"{where}: unknown key {key!r}")
 
 
 def _feature_matrix(features: Mapping, words) -> np.ndarray:

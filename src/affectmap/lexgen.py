@@ -181,12 +181,7 @@ def _describe_build(job: LexiconBuildJob, seed: int, unit: WorkUnit, pred: np.nd
         "new_words": len(new_words),
         "total_excluded": len(job.source_lexicon) - len(new_words),
         "excluded_counts": excluded_counts,
-        "target_format": {
-            "name": fmt.name,
-            "variables": list(fmt.variables),
-            "scale_low": fmt.scale_low,
-            "scale_high": fmt.scale_high,
-        },
+        "target_format": fmt.to_dict(),
         "input_digests": {
             "source_lexicon": _digest(job.source_lexicon.words, job.source_lexicon.values),
             "training": _digest(t.words, t.source_matrix, t.target_matrix),

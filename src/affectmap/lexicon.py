@@ -1,4 +1,4 @@
-"""Emotion lexicons: parsing, validation, rescaling, projection, alignment.
+"""Emotion lexicons: validation, rescaling, projection, alignment.
 
 A lexicon maps words to rating vectors in one emotion format (e.g. VAD on
 [1,9] or BE5 on [1,5]). An aligned lexicon pairs two formats over the same
@@ -10,24 +10,15 @@ as read-only float64 matrices.
 
 from __future__ import annotations
 
-import io
-import math
-import unicodedata
-from array import array
-from contextlib import nullcontext
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    AffectMapError,
-    ConfigurationError,
-    EmptyAlignmentError,
-    ParseError,
-    ValidationError,
-)
+from .errors import ConfigurationError, EmptyAlignmentError, ValidationError
+from .tsv import Diagnostic, canonical_word, read_lexicon_rows
 
 __all__ = [
     "EmotionFormat",
@@ -49,7 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EmotionFormat:
-    """A named set of affective variables with a shared rating scale."""
+    """A named set of affective variables with a shared rating scale. The
+    bounds are finite ints or floats, stored as floats."""
 
     name: str
     variables: tuple[str, ...]
@@ -57,9 +49,19 @@ class EmotionFormat:
     scale_high: float
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValidationError(f"'name' must be a string, got {self.name!r}")
+        if not isinstance(self.variables, (list, tuple)) or not self.variables or not all(
+                isinstance(v, str) for v in self.variables):
+            raise ValidationError(
+                f"'variables' must be a list of strings (one or more), got {self.variables!r}")
         object.__setattr__(self, "variables", tuple(self.variables))
-        if not self.variables:
-            raise ValidationError("emotion format needs at least one variable")
+        for key in ("scale_low", "scale_high"):
+            value = getattr(self, key)  # the bound refuses NaN and ints past the float range
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+                    not abs(value) <= sys.float_info.max:
+                raise ValidationError(f"{key!r} must be a finite number, got {value!r}")
+            object.__setattr__(self, key, float(value))
         if len(set(self.variables)) != len(self.variables):
             raise ValidationError(f"duplicate variable names in format {self.name!r}")
         if not self.scale_low < self.scale_high:
@@ -70,6 +72,10 @@ class EmotionFormat:
     @property
     def size(self) -> int:
         return len(self.variables)
+
+    def to_dict(self) -> dict:
+        """The fields as JSON values; EmotionFormat(**d) reads them back."""
+        return {**asdict(self), "variables": list(self.variables)}
 
     def same_layout(self, other: "EmotionFormat") -> bool:
         """True when variables and scale bounds match (names may differ)."""
@@ -85,33 +91,6 @@ VA = EmotionFormat("VA", ("valence", "arousal"), 1.0, 9.0)
 BE5 = EmotionFormat("BE5", ("joy", "anger", "sadness", "fear", "disgust"), 1.0, 5.0)
 
 BUILTIN_FORMATS = {f.name: f for f in (VAD, VA, BE5)}
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    """Structured warning emitted while ingesting a file."""
-
-    kind: str
-    message: str
-    line: int | None = None
-    word: str | None = None
-
-
-def canonical_word(word: str, lowercase: bool = False) -> str:
-    """NFC-normalize and trim a word; lowercasing is opt-in."""
-    w = unicodedata.normalize("NFC", word).strip()
-    return w.lower() if lowercase else w
-
-
-def _canonical_words(words: list[str], lowercase: bool) -> list[str]:
-    """canonical_word of each word, none holding a line end. NFC never
-    composes across one, so the joined words are normalized at once."""
-    joined = "\n".join(words)
-    normal = unicodedata.normalize("NFC", joined)
-    if normal != joined:
-        words = normal.split("\n")
-    words = list(map(str.strip, words))
-    return list(map(str.lower, words)) if lowercase else words
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -268,300 +247,15 @@ class AlignedLexicon:
         )
 
 
-# numpy's parser skips these around a value, as str.strip() does, and float()
-# refuses them, so a block holding one is read row by row
-_PADDING = "\x1c\x1d\x1e\x1f"
-_BLOCK_BYTES = 1 << 16  # source bytes read, decoded and parsed at a time
-
-
-def _byte_stream(source, what: str):
-    """source (a path, bytes or a binary stream) as a context manager over
-    a binary stream; a caller's stream stays open."""
-    if isinstance(source, (str, Path)):
-        return open(source, "rb")
-    if isinstance(source, bytes):
-        return io.BytesIO(source)
-    if hasattr(source, "read") and not isinstance(source, io.TextIOBase):
-        return nullcontext(source)
-    raise ConfigurationError(f"cannot read {what} from {type(source).__name__}")
-
-
-def _blocks(stream):
-    """(number of the first line, lines) for each block of whole lines of
-    a UTF-8 stream; CR, CRLF and LF each end a line. An undecodable byte
-    is worded as when the whole source is decoded at once."""
-    lineno, offset, pending = 1, 0, []
-    while True:
-        chunk = stream.read(_BLOCK_BYTES)
-        # cut after the last LF, else after the last CR but the final byte,
-        # which may be the first half of a CRLF
-        cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r", 0, len(chunk) - 1) + 1
-        if chunk and not cut:
-            pending.append(chunk)
-            continue
-        pending.append(chunk[:cut])
-        data = b"".join(pending)
-        pending = [chunk[cut:]]
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            start = offset + e.start
-            where = (f"byte 0x{e.object[e.start]:02x} in position {start}"
-                     if e.end - e.start == 1 else f"bytes in position {start}-{offset + e.end - 1}")
-            raise ParseError(f"input is not valid UTF-8: '{e.encoding}' codec can't "
-                             f"decode {where}: {e.reason}") from None
-        offset += len(data)
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        lines = text.split("\n")
-        if chunk:
-            lines.pop()  # data ended with a line end; the next line starts in the next chunk
-        yield lineno, lines
-        lineno += len(lines)
-        if not chunk:
-            return
-
-
-class _BlockReader:
-    """The rows of one TSV source, appended block by block to one flat
-    float64 buffer. numpy's text parser reads a block's values; a block it
-    refuses, or whose words or values the format's checks do not vouch
-    for, is read again one row at a time, so the row loop decides every
-    error and diagnostic.
-
-    A format supplies _split (a block's words and the texts numpy parses,
-    or None), _parse (their checked values, or None), _row (the row loop's
-    body: a row's word and checked values, or its error) and _repeat (how
-    a repeated word is reported)."""
-
-    def __init__(self):
-        self.flat = array("d")
-        self.rows: dict[str, int] = {}  # word -> its row, in first-seen order
-        self.lines = array("q")  # each row's first line, for the repeat messages
-        self.repeats: dict[str, list[np.ndarray]] = {}  # later rows, averaged in at the end
-
-    def read(self, blocks) -> AffectMapError | None:
-        """Take every block. The first bad row's error is returned, not
-        raised, once the rest of the source has decoded: an undecodable
-        byte anywhere outranks it and is raised."""
-        for first, lines in blocks:
-            try:
-                self._take_block(first, lines)
-            except AffectMapError as e:
-                for _ in blocks:
-                    pass
-                return e
-        return None
-
-    def _take_block(self, first, lines) -> None:
-        if "" in lines:  # blank lines are skipped
-            texts = [line for line in lines if line]
-            linenos = [first + i for i, line in enumerate(lines) if line]
-        else:
-            texts, linenos = lines, range(first, first + len(lines))
-        if not texts:
-            return
-        split = self._split(texts)
-        values = None
-        if split is not None and not any(map("".join(split[1]).__contains__, _PADDING)):
-            try:
-                values = self._parse(split[1])
-            except ValueError:  # a bad or missing cell
-                pass
-        if values is not None:
-            self._take(linenos, split[0], values)
-            return
-        for lineno, text in zip(linenos, texts):  # one at a time: the first bad row raises
-            self._take((lineno,), *self._row(lineno, text))
-
-    def _take(self, linenos, words, values) -> None:
-        """Append the rows of new words; keep a repeated word's row apart."""
-        rows = self.rows
-        if rows.keys().isdisjoint(words):
-            count = len(rows)
-            rows.update(zip(words, range(count, count + len(words))))
-            if len(rows) - count == len(words):
-                self.lines.extend(linenos)
-                self.flat.frombytes(values.tobytes())
-                return
-            for word in words:  # a word repeats within the block: undo, then row by row
-                rows.pop(word, None)
-        for lineno, word, row in zip(linenos, words, values):
-            if word in rows:
-                self._repeat(word, lineno)
-                self.repeats.setdefault(word, []).append(row.copy())
-            else:
-                rows[word] = len(rows)
-                self.lines.append(lineno)
-                self.flat.frombytes(row.tobytes())
-
-    def matrix(self, width: int) -> np.ndarray:
-        """The rows as one matrix, each repeated word's rows averaged."""
-        matrix = np.frombuffer(self.flat, dtype=np.float64).reshape(len(self.rows), width)
-        for word, later in self.repeats.items():
-            i = self.rows[word]
-            matrix[i] = np.mean([matrix[i], *later], axis=0)
-        return matrix
-
-
-class _LexiconReader(_BlockReader):
-    """A lexicon TSV: a header row, then a word and the bound value columns
-    per row, mapped onto the format's scale and range-checked."""
-
-    def __init__(self, fmt, column_map, lowercase, clamp, scale, sink):
-        super().__init__()
-        self.fmt, self.column_map, self.lowercase, self.clamp = fmt, column_map, lowercase, clamp
-        self.scale, self.sink = scale, sink
-
-    def _take_block(self, first, lines) -> None:
-        if first == 1:  # the header opens the first block
-            self._bind(lines[0])
-            first, lines = 2, lines[1:]
-        super()._take_block(first, lines)
-
-    def _bind(self, header: str) -> None:
-        if not header.strip():
-            raise ParseError("missing header row", line=1)
-        header = header.split("\t")
-        fmt, column_map = self.fmt, self.column_map
-        positions = {}
-        for key in ("word", *fmt.variables):
-            col = column_map[key]
-            if col not in header:
-                raise ConfigurationError(
-                    f"column {col!r} (bound to {key!r}) not found in header"
-                )
-            positions[key] = header.index(col)
-        src_low, src_high = (
-            self.scale if self.scale is not None else (fmt.scale_low, fmt.scale_high)
-        )
-        if not src_low < src_high:
-            raise ConfigurationError("declared scale must satisfy low < high")
-        self.src_low = src_low
-        self.span = (fmt.scale_high - fmt.scale_low) / (src_high - src_low)
-        self.wpos = positions["word"]
-        self.needed = max(positions.values()) + 1
-        self.columns = [(var, positions[var]) for var in fmt.variables]
-        self.usecols = [p for _, p in self.columns]
-
-    def _split(self, texts):
-        wpos, lowercase = self.wpos, self.lowercase
-        try:
-            words = [text.split("\t", wpos + 1)[wpos] for text in texts]
-        except IndexError:  # a row too short to hold its word
-            return None
-        words = _canonical_words(words, lowercase)
-        return (words, texts) if all(words) else None
-
-    def _parse(self, texts):
-        low, high = self.fmt.scale_low, self.fmt.scale_high
-        values = np.loadtxt(texts, delimiter="\t", usecols=self.usecols, comments=None,
-                            dtype=np.float64, ndmin=2)
-        if self.scale is not None:  # low + (v - src_low) * span, as the row loop maps it
-            values -= self.src_low
-            values *= self.span
-            values += low
-        if values.shape == (len(texts), self.fmt.size) and \
-                ((values >= low) & (values <= high)).all():
-            return values
-        return None
-
-    def _row(self, lineno, line):
-        cells = line.split("\t")
-        if len(cells) < self.needed:
-            raise ParseError(
-                f"expected at least {self.needed} tab-separated fields, got {len(cells)}",
-                line=lineno,
-            )
-        word = canonical_word(cells[self.wpos], self.lowercase)
-        if not word:
-            raise ParseError("empty word", line=lineno)
-        low, high = self.fmt.scale_low, self.fmt.scale_high
-        values = []
-        for var, p in self.columns:
-            try:
-                v = float(cells[p])
-            except ValueError:
-                cell = cells[p].strip()  # str.strip() also takes \x1c-\x1f, which float() refuses
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"non-numeric value {cell!r} in column {self.column_map[var]!r}",
-                        line=lineno,
-                    ) from None
-            if self.scale is not None:
-                v = low + (v - self.src_low) * self.span
-            if not low <= v <= high:
-                if not math.isfinite(v):
-                    raise ParseError(
-                        f"non-finite value {cells[p].strip()!r} in column "
-                        f"{self.column_map[var]!r}",
-                        line=lineno,
-                    )
-                if self.clamp:
-                    clamped = min(max(v, low), high)
-                    self.sink.append(Diagnostic("clamped", f"{var}={v!r} clamped to {clamped!r}",
-                                                line=lineno, word=word))
-                    v = clamped
-                else:
-                    raise ValidationError(
-                        f"line {lineno}: {var}={v!r} for word {word!r} outside "
-                        f"[{low}, {high}]"
-                    )
-            values.append(v)
-        return (word,), np.array([values])
-
-    def _repeat(self, word, lineno) -> None:
-        first = self.lines[self.rows[word]]
-        message = f"word {word!r} repeats entry from line {first}; ratings averaged"
-        self.sink.append(Diagnostic("duplicate", message, line=lineno, word=word))
-
-
-def parse_lexicon(
-    data: str | Path | bytes | IO[bytes],
-    fmt: EmotionFormat,
-    column_map: Mapping[str, str],
-    *,
-    language: str = "",
-    source_id: str = "",
-    lowercase: bool = False,
-    clamp: bool = False,
-    scale: tuple[float, float] | None = None,
-    diagnostics: list[Diagnostic] | None = None,
-) -> Lexicon:
-    """Parse a TSV lexicon file.
-
-    The dialect is strict: UTF-8, tab separated, '.' decimal separator,
-    first row is the header, no quoting or escaping. CR, CRLF and LF all
-    end a line, and blank lines are skipped. ``column_map`` binds the key
-    ``"word"`` plus every format variable to a header name.
-
-    ``scale`` declares the file's native rating interval; when it differs
-    from the format bounds, values are linearly mapped onto them. Values
-    outside the declared bounds raise unless ``clamp`` is set, in which
-    case they are clamped with a diagnostic. Duplicate words (after NFC
-    normalization, trimming and optional lowercasing) are averaged per
-    variable and reported as diagnostics.
-
-    The source is read block by block and the bound columns are parsed by
-    numpy's text parser; a block it refuses, or whose values leave the
-    scale, is read again row by row, and that loop decides every error,
-    clamp and diagnostic.
-    """
-    missing = [v for v in ("word", *fmt.variables) if v not in column_map]
-    if missing:
-        raise ConfigurationError(
-            f"column_map is missing bindings for: {', '.join(missing)}"
-        )
-    reader = _LexiconReader(fmt, column_map, lowercase, clamp, scale,
-                            diagnostics if diagnostics is not None else [])
-    with _byte_stream(data, "lexicon") as stream:
-        error = reader.read(_blocks(stream))
-    if error is not None:
-        raise error
-    return Lexicon(fmt, tuple(reader.rows), reader.matrix(fmt.size), language=language,
-                   source_id=source_id, _index=reader.rows)
+def parse_lexicon(data: str | Path | bytes | IO[bytes], fmt: EmotionFormat,
+                  column_map: Mapping[str, str], *, language: str = "", source_id: str = "",
+                  **options) -> Lexicon:
+    """A Lexicon read from a TSV source by ``tsv.read_lexicon_rows``, which
+    documents the dialect and the ``options``: lowercase, clamp, scale and
+    diagnostics."""
+    rows, values = read_lexicon_rows(data, fmt, column_map, **options)
+    return Lexicon(fmt, tuple(rows), values, language=language, source_id=source_id,
+                   _index=rows)
 
 
 class ParseCache:

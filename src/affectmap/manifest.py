@@ -45,11 +45,11 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, ParseError, ValidationError
 from .experiments import ModelSpec, _crosslingual_training, _orient
 from .lexgen import LexiconBuildJob
 from .lexicon import (
@@ -61,8 +61,8 @@ from .lexicon import (
     align,
     parse_lexicon,
 )
-from .models.boosting import read_feature_vectors
 from .stats import ReliabilityRecord, normalize_shr, read_reliability_records
+from .tsv import read_feature_vectors
 
 __all__ = ["Manifest", "load_manifest"]
 
@@ -73,12 +73,13 @@ def _format_from(value, owner: str) -> EmotionFormat:
     if not isinstance(value, dict):
         raise ConfigurationError(f"{owner}'format' must be one of {sorted(BUILTIN_FORMATS)} "
                                  f"or an object, got {value!r}")
-    return EmotionFormat(
-        _field(value, "name", _is_str, "a string", owner=owner),
-        tuple(_field(value, "variables", _list_of(_is_str), "a list of strings", owner=owner)),
-        *(float(_field(value, key, _is_number, "a finite number", owner=owner))
-          for key in ("scale_low", "scale_high")),
-    )
+    keys = [f.name for f in fields(EmotionFormat)]
+    for key in sorted(value.keys() - set(keys)):
+        raise ConfigurationError(f"{owner}unknown format key {key!r}")
+    try:  # a missing key reads as null, which the check names
+        return EmotionFormat(**{key: value.get(key) for key in keys})
+    except ValidationError as e:
+        raise ConfigurationError(f"{owner}{e}") from None
 
 
 def _field(raw: dict, key: str, ok, what: str, default=None, owner: str = ""):

@@ -12,21 +12,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import replace
-from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ContractError, ParseError
-from ..lexicon import (
-    AlignedLexicon,
-    Lexicon,
-    _blocks,
-    _BlockReader,
-    _byte_stream,
-    _canonical_words,
-    canonical_word,
-)
+from ..errors import ContractError
+from ..tsv import read_feature_vectors  # re-exported
 from .base import MappingModel, _count
 from .ffnn import TRAIN_DTYPE, FfnnConfig, FfnnModel
 
@@ -59,7 +50,7 @@ class BoostedEnsemble(MappingModel):
         self.stage_weights = None  # per variable: float64 array, positive
         self.variables = None
 
-    def fit(self, train: AlignedLexicon) -> "BoostedEnsemble":
+    def fit(self, train) -> "BoostedEnsemble":
         self.variables = train.target_format.variables
         return super().fit(train)
 
@@ -138,12 +129,12 @@ class BoostedEnsemble(MappingModel):
 
 def fit_boosted(
     train_features: Mapping[str, Sequence[float]],
-    train_targets: Lexicon,
+    train_targets,
     stages: int,
     seed: int,
     base_config: FfnnConfig | None = None,
 ) -> BoostedEnsemble:
-    """Boost against the words shared by the feature map and the lexicon."""
+    """Boost against the words shared by the feature map and the Lexicon."""
     shared = [w for w in train_targets.words if w in train_features]
     if not shared:
         raise ContractError("features and targets share no words")
@@ -156,90 +147,3 @@ def fit_boosted(
     ensemble.target_format = train_targets.format
     ensemble.variables = train_targets.format.variables
     return ensemble.fit_arrays(F, T)
-
-
-def read_feature_vectors(
-    source: str | Path | IO[bytes], *, lowercase: bool = False
-) -> dict[str, np.ndarray]:
-    """Read a word -> feature-vector map from TSV (word, v1, ..., vD).
-
-    No header row; blank lines are skipped and CR, CRLF and LF all end a
-    line. Vector lengths must agree. Words canonicalize the same way
-    lexicon words do; duplicates are averaged with a warning. Values are
-    ASCII decimals: a cell only float() reads (digit-group underscores,
-    non-ASCII digits) is refused. The source is read block by block and
-    its values are parsed by numpy's text parser; the vectors are the rows
-    of one float64 matrix.
-    """
-    reader = _FeatureReader(lowercase)
-    with _byte_stream(source, "features") as stream:
-        error = reader.read(_blocks(stream))
-    for message in reader.duplicates:
-        warnings.warn(message, stacklevel=2)
-    if error is not None:
-        raise error
-    if not reader.rows:
-        raise ParseError("no feature vectors found", line=1)
-    matrix = reader.matrix(reader.width)
-    return {word: matrix[i] for i, word in enumerate(reader.rows)}
-
-
-class _FeatureReader(_BlockReader):
-    """A feature file: a word, then every value, per row; one width."""
-
-    def __init__(self, lowercase: bool):
-        super().__init__()
-        self.lowercase = lowercase
-        self.width = None
-        self.duplicates: list[str] = []  # warnings, in file order
-
-    def _split(self, texts):
-        parts = [text.partition("\t") for text in texts]
-        words = _canonical_words([word for word, _, _ in parts], self.lowercase)
-        rests = [rest for _, _, rest in parts]
-        # no value or blank values: numpy's parser would skip what float() refuses
-        if all(words) and all(rest and not rest.isspace() for rest in rests):
-            return words, rests
-        return None
-
-    def _parse(self, rests):
-        values = np.loadtxt(rests, delimiter="\t", comments=None, dtype=np.float64, ndmin=2)
-        width = self.width or values.shape[1]
-        if values.shape == (len(rests), width) and np.isfinite(values).all():
-            self.width = width
-            return values
-        return None
-
-    def _row(self, lineno, text):
-        """One row's word and values, checked in order: word-only row, empty
-        word, non-numeric cell, non-finite cell, width."""
-        word, tab, rest = text.partition("\t")
-        word = canonical_word(word, self.lowercase)
-        if not tab:
-            raise ParseError("expected a word and at least one value", line=lineno)
-        if not word:
-            raise ParseError("empty word", line=lineno)
-        cells = rest.split("\t")
-        values = []
-        for column, cell in enumerate(cells, start=2):
-            try:
-                value = float(cell)
-            except ValueError:
-                value = None
-            if value is None or "_" in cell or not cell.strip().isascii():
-                raise ParseError(f"non-numeric feature value {cell!r} in column {column}",
-                                 line=lineno)
-            values.append(value)
-        for column, (cell, value) in enumerate(zip(cells, values), start=2):
-            if not math.isfinite(value):
-                raise ParseError(f"non-finite feature value {cell!r} in column {column}",
-                                 line=lineno)
-        if self.width is None:
-            self.width = len(values)
-        elif len(values) != self.width:
-            raise ParseError(f"feature vector of length {len(values)}, expected {self.width}",
-                             line=lineno)
-        return (word,), np.array([values])
-
-    def _repeat(self, word, lineno) -> None:
-        self.duplicates.append(f"duplicate feature entry for {word!r}; averaging")

@@ -32,23 +32,6 @@ __all__ = ["MAGIC", "save_model", "load_model"]
 MAGIC = b"AFMAP001"
 
 
-def _format_dict(fmt):
-    if fmt is None:
-        return None
-    return {
-        "name": fmt.name,
-        "variables": list(fmt.variables),
-        "scale_low": fmt.scale_low,
-        "scale_high": fmt.scale_high,
-    }
-
-
-def _format_from(d):
-    if d is None:
-        return None
-    return EmotionFormat(d["name"], tuple(d["variables"]), d["scale_low"], d["scale_high"])
-
-
 def _net_arrays(prefix, net):
     arrays = []
     for i, w in enumerate(net.weights):
@@ -96,8 +79,8 @@ def save_model(model, dest) -> None:
     kind, meta, arrays = _collect(model)
     header = {
         "kind": kind,
-        "source_format": _format_dict(model.source_format),
-        "target_format": _format_dict(model.target_format),
+        "source_format": model.source_format and model.source_format.to_dict(),
+        "target_format": model.target_format and model.target_format.to_dict(),
         "meta": meta,
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
@@ -191,7 +174,8 @@ def load_model(source):
     # past the structural checks, a missing array or a mistyped meta value
     # surfaces as one of these while the model is built
     try:
-        formats = [_format_from(header[side]) for side in ("source_format", "target_format")]
+        formats = [None if header[side] is None else EmotionFormat(**header[side])
+                   for side in ("source_format", "target_format")]
         model = _build(header["kind"], header["meta"], arrays, formats)
     except (LookupError, TypeError, ValueError) as e:
         raise ParseError(f"malformed {header['kind']} model header: {e!r}") from None

@@ -16,7 +16,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, ParseError, ValidationError
-from .lexicon import _blocks, _byte_stream
+from .tsv import numbered_lines
 
 __all__ = [
     "pearson",
@@ -280,9 +280,7 @@ def read_reliability_records(source: str | Path | IO[bytes]) -> list[Reliability
     sba_applied (true|false). A trailing normalized_r column, when
     present, is loaded back as well.
     """
-    with _byte_stream(source, "reliability records") as stream:
-        lines = [(first + i, ln) for first, block in _blocks(stream)
-                 for i, ln in enumerate(block) if ln]  # (file line, text), blank lines skipped
+    lines = numbered_lines(source, "reliability records")
     if not lines:
         raise ParseError("empty reliability file", line=1)
     header = tuple(lines[0][1].split("\t"))
@@ -305,9 +303,6 @@ def read_reliability_records(source: str | Path | IO[bytes]) -> list[Reliability
             normalized = None
             if has_normalized and len(cells) > 5 and cells[5].strip():
                 normalized = float(cells[5])
-        except ValueError as e:
-            raise ParseError(str(e), line=lineno) from None
-        try:
             records.append(
                 ReliabilityRecord(
                     dataset_id=cells[0].strip(),
@@ -318,7 +313,7 @@ def read_reliability_records(source: str | Path | IO[bytes]) -> list[Reliability
                     normalized_r=normalized,
                 )
             )
-        except ValidationError as e:
+        except (ValueError, ValidationError) as e:
             raise ParseError(str(e), line=lineno) from None
     return records
 

@@ -25,7 +25,7 @@ from conftest import (
     reference_feature_parse,
     reference_parse,
 )
-from affectmap import lexicon
+from affectmap import lexicon, tsv
 from affectmap.cli import main
 from affectmap.errors import AffectMapError, ParseError
 from affectmap.models import (
@@ -254,7 +254,7 @@ def test_parse_matches_reference(mutant, option, block_bytes):
     a bad row."""
     fmt, data = mutant
     options = _parse_options(fmt, option)
-    with mock.patch.object(lexicon, "_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(tsv, "_BLOCK_BYTES", block_bytes):
         outcome = parse_outcome(lexicon.parse_lexicon, data, fmt, **options)
     assert outcome == parse_outcome(reference_parse, data, fmt, **options)
 
@@ -289,7 +289,7 @@ _HEADER = b"word\tvalence\tarousal\tdominance\n"
 def test_parse_pinned_cases(data, option, block_bytes):
     fmt = lexicon.VAD
     options = _parse_options(fmt, option)
-    with mock.patch.object(lexicon, "_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(tsv, "_BLOCK_BYTES", block_bytes):
         outcome = parse_outcome(lexicon.parse_lexicon, data, fmt, **options)
     assert outcome == parse_outcome(reference_parse, data, fmt, **options)
 
@@ -335,7 +335,7 @@ def test_feature_read_matches_reference(data, block_chars, lowercase):
     exception class and line. Small blocks put rows, repeats and the first
     bad row in different numpy parser calls."""
     assume(not _float_only(data))
-    with mock.patch.object(lexicon, "_BLOCK_BYTES", block_chars):
+    with mock.patch.object(tsv, "_BLOCK_BYTES", block_chars):
         outcome = feature_outcome(read_feature_vectors, data, lowercase=lowercase)
     assert outcome == feature_outcome(reference_feature_parse, data, lowercase=lowercase)
 

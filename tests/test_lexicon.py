@@ -1,4 +1,5 @@
 import io
+import json
 import tracemalloc
 import warnings
 
@@ -63,6 +64,36 @@ class TestEmotionFormat:
             EmotionFormat("x", ("a", "a"), 1, 5)
         with pytest.raises(ValidationError):
             EmotionFormat("x", ("a",), 5, 1)
+
+    def test_bounds_are_stored_as_floats(self):
+        fmt = EmotionFormat("x", ["a", "b"], 1, np.float64(9))
+        assert fmt.variables == ("a", "b")
+        assert (type(fmt.scale_low), type(fmt.scale_high)) == (float, float)
+        assert fmt == EmotionFormat("x", ("a", "b"), 1.0, 9.0)
+
+    @pytest.mark.parametrize("args, named", [
+        ((5, ("a",), 1, 9), "'name' must be a string"),
+        (("x", "ab", 1, 9), "'variables' must be a list of strings"),
+        (("x", ("a", 1), 1, 9), "'variables' must be a list of strings"),
+        (("x", (), 1, 9), "'variables' must be a list of strings"),
+        (("x", ("a",), "1", 9), "'scale_low' must be a finite number"),
+        (("x", ("a",), True, 9), "'scale_low' must be a finite number"),
+        (("x", ("a",), np.float32(1), 9), "'scale_low' must be a finite number"),
+        (("x", ("a",), 1, float("nan")), "'scale_high' must be a finite number"),
+        (("x", ("a",), 1, float("inf")), "'scale_high' must be a finite number"),
+        (("x", ("a",), 1, 10**400), "'scale_high' must be a finite number"),
+    ], ids=["name-int", "variables-string", "variables-int-entry", "variables-empty",
+            "scale_low-string", "scale_low-bool", "scale_low-float32", "scale_high-nan", "scale_high-inf",
+            "scale_high-huge-int"])
+    def test_mistyped_fields_are_refused_by_name(self, args, named):
+        with pytest.raises(ValidationError, match=named):
+            EmotionFormat(*args)
+
+    def test_to_dict_round_trips_through_json(self):
+        for fmt in (VAD, VA, BE5, EmotionFormat("x", ("a",), -1, 1)):
+            d = json.loads(json.dumps(fmt.to_dict()))
+            assert list(d) == ["name", "variables", "scale_low", "scale_high"]
+            assert EmotionFormat(**d) == fmt
 
 
 class TestParse:
