@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ContractError, ParseError
+from ..errors import ContractError, ParseError, ValidationError
 from ..lexicon import EmotionFormat
 from .boosting import BoostedEnsemble
 from .ffnn import FfnnConfig, FfnnModel
@@ -171,16 +171,24 @@ def load_model(source):
     raw = _read_all(source)
     header, offset = _read_header(raw)
     arrays = _read_arrays(raw, header["arrays"], offset)
+    formats = [_saved_format(header, side) for side in ("source_format", "target_format")]
     # past the structural checks, a missing array or a mistyped meta value
     # surfaces as one of these while the model is built
     try:
-        formats = [None if header[side] is None else EmotionFormat(**header[side])
-                   for side in ("source_format", "target_format")]
         model = _build(header["kind"], header["meta"], arrays, formats)
     except (LookupError, TypeError, ValueError) as e:
         raise ParseError(f"malformed {header['kind']} model header: {e!r}") from None
     model.source_format, model.target_format = formats
     return model
+
+
+def _saved_format(header, side) -> EmotionFormat | None:
+    """The format saved as header[side]; one that fails its own checks is a
+    fault of the header, named by its side."""
+    try:
+        return None if header[side] is None else EmotionFormat(**header[side])
+    except (TypeError, ValidationError) as e:
+        raise ParseError(f"malformed model header {side!r}: {e}") from None
 
 
 def _matrix(arrays, name) -> tuple[int, int]:

@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from affectmap.errors import ContractError
 from affectmap.models import KnnModel
@@ -219,3 +224,59 @@ class TestSelection:
         monkeypatch.setattr(knn_module, "_CHUNK_CELLS", 3 * len(S))
         assert np.array_equal(m.predict(X), whole)
         assert np.array_equal(whole, knn_oracle(m, X))
+
+
+@st.composite
+def pruning_cases(draw):
+    """Training rows and queries on a coarse grid (ties and duplicates
+    abound), at a scale where squares are exact, underflow or overflow, or
+    offset far from 0 so that differences round, with NaN/inf cells
+    sprinkled into the queries."""
+    d = draw(st.sampled_from([0, 1, 2, 3, 5, 8]))
+    n_train = draw(st.integers(1, 40))
+    scale = draw(st.sampled_from([1.0, 0.25, 1e-160, 1e-162, 1e154, 1e155]))
+    offset = draw(st.sampled_from([0.0, 0.0, 1e6]))
+    grid = st.integers(-6, 6).map(float)
+    S = offset + draw(arrays(np.float64, (n_train, d), elements=grid)) * scale
+    X = offset + draw(arrays(np.float64, (draw(st.integers(0, 40)), d), elements=grid)) * scale
+    if X.size:
+        for cell in draw(st.lists(st.integers(0, X.size - 1), max_size=3)):
+            X.flat[cell] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    T = draw(arrays(np.float64, (n_train, 2), elements=st.floats(1.0, 5.0)))
+    k = draw(st.integers(1, n_train + 3))
+    leaf = draw(st.integers(1, 6))
+    return S, T, X, k, leaf
+
+
+class TestPruning:
+    @settings(max_examples=300, deadline=None)
+    @given(pruning_cases())
+    def test_bitwise_equal_to_brute_force(self, case):
+        S, T, X, k, leaf = case
+        m = KnnModel(k=k).fit_arrays(S, T)
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            # a few queries per leaf, so most inputs are split into many
+            mp.setattr(knn_module, "_CHUNK_CELLS", leaf * len(S))
+            got = m.predict(X)
+            want = argsort_reference(m, X)
+        assert got.tobytes() == want.tobytes()
+
+    def test_scores_a_fraction_of_the_cells(self, monkeypatch):
+        # 1,000 training rows and 5,000 queries from one 3-d Gaussian
+        # cloud, k=20: pruning must leave most query x train cells unscored
+        rng = np.random.default_rng(20)
+        S = rng.normal(size=(1000, 3))
+        X = rng.normal(size=(5000, 3))
+        m = KnnModel(k=20).fit_arrays(S, rng.uniform(1, 5, size=(1000, 5)))
+        cells = []
+        nearest = knn_module._nearest
+
+        def counted(d2, k):
+            cells.append(d2.size)
+            return nearest(d2, k)
+
+        monkeypatch.setattr(knn_module, "_nearest", counted)
+        got = m.predict(X)
+        assert sum(cells) <= 0.4 * X.shape[0] * S.shape[0]
+        assert np.array_equal(got, argsort_reference(m, X))

@@ -184,6 +184,20 @@ class TestFileFormat:
         assert named in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("side", ["source_format", "target_format"])
+    def test_failed_format_names_its_side(self, side, tmp_path, capsys):
+        """A saved format that fails its own checks is a header fault: the
+        load ends in a ParseError naming the side, and the CLI exits 2."""
+        raw, header, payload = _split_model(LinearModel().fit(make_aligned(n=20, seed=12)))
+        header[side]["scale_low"] = "1"
+        path = tmp_path / "m.afm"
+        path.write_bytes(_frame(raw, header, payload))
+        with pytest.raises(ParseError, match=f"{side}.*'scale_low' must be a finite number"):
+            load_model(path)
+        assert main(["model", "load", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert side in err and "got '1'" in err and "Traceback" not in err
+
     def test_unfitted_model_rejected(self):
         with pytest.raises(ContractError):
             save_model(LinearModel(), io.BytesIO())
