@@ -29,16 +29,16 @@ class KnnModel(MappingModel):
     stored row index, ascending. k larger than the training size is
     clamped at prediction time with a warning.
 
-    A query is scored only against the training rows that can be among
-    its neighbours. The finite queries are split into leaves at the median
-    of each node's widest axis. A leaf's bound R, the largest k-th squared
-    distance of its queries to the 2k rows nearest its centre, is at least
-    each leaf query's k-th distance. The candidates are the rows whose
-    squared distance to the leaf's box is at most R: that box distance adds
-    the same rounded squares of rounded differences, each no larger, and
-    rounding is monotone, so a row left out is beyond every leaf query's
-    k-th neighbour and every output bit is that of a search over all rows.
-    Non-finite queries, 2k >= n_train and featureless models score all rows.
+    A query is scored only against the rows that can be among its
+    neighbours. Finite queries are split into leaves at the median of each
+    node's widest axis. A leaf's bound R, the largest k-th squared distance
+    of its queries to the 2k rows nearest its centre, is at least each of
+    their k-th distances. Its candidates are the rows whose squared
+    distance to its box is at most R. That box distance adds the same
+    rounded squares of rounded differences, none larger, and rounding is
+    monotone: a row left out is beyond every leaf query's k-th neighbour,
+    so every output bit is that of a search over all rows. One block of
+    queries, non-finite queries, 2k >= n_train and no features: all rows.
     """
 
     def __init__(self, k: int = 20):
@@ -68,7 +68,7 @@ class KnnModel(MappingModel):
             k = n_train
         out = np.empty((X.shape[0], T.shape[1]))
         chunk = max(1, _CHUNK_CELLS // n_train)
-        prune = d > 0 and 2 * k < n_train
+        prune = d > 0 and 2 * k < n_train and len(X) > chunk
         if prune:
             # a leaf of k/4 training rows' share of the queries has a box small
             # against a k-nearest ball; at least 32 rows pay its fixed cost
