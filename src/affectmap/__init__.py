@@ -33,7 +33,6 @@ from .lexicon import (
     concat,
     parse_lexicon,
     project,
-    rescale,
 )
 from .models import (
     BoostedEnsemble,
@@ -42,7 +41,6 @@ from .models import (
     KnnModel,
     LinearModel,
     ffnn_loss,
-    fit_boosted,
     gradient_check,
     init_ffnn,
     load_model,

@@ -74,10 +74,11 @@ def _manifest_overrides(args) -> dict:
     return overrides
 
 
-def _load(args):
+def _load(args, overrides=None):
     if not getattr(args, "manifest", None):
         raise ConfigurationError("--manifest is required for this command")
-    return load_manifest(args.manifest, _manifest_overrides(args))
+    return load_manifest(args.manifest,
+                         _manifest_overrides(args) if overrides is None else overrides)
 
 
 def _json_bytes(doc) -> bytes:
@@ -206,7 +207,9 @@ def cmd_validate(args) -> int:
                 f"ok\t{label}\t{len(aligned)} aligned words\t"
                 f"{aligned.source_format.name}<->{aligned.target_format.name}"
             )
-    attempt("models", lambda d: manifest.load_models())
+    specs = attempt("models", lambda d: manifest.load_models())
+    if specs is not None and "crosslingual_model" in manifest.raw:
+        attempt("crosslingual_model", lambda d: manifest.crosslingual_spec(specs))
     if "ablation" in manifest.raw:
         # only the datasets that loaded: a failed one is already reported
         attempt("ablation", lambda d: manifest.ablation_direction(loaded))
@@ -250,13 +253,14 @@ def cmd_gradient_check(args) -> int:
 
 
 def cmd_model_save(args) -> int:
-    manifest = _load(args)
-    overrides = _parse_set(args.set)
-    dataset_id, model_name = overrides.get("dataset"), overrides.get("model")
+    overrides = _manifest_overrides(args)
+    # these --set keys choose what to save; they patch no manifest key
+    dataset_id, model_name, direction = (overrides.pop(k, None)
+                                         for k in ("dataset", "model", "direction"))
+    manifest = _load(args, overrides)
     if not dataset_id or not model_name:
         raise ConfigurationError("model save needs --set dataset=ID and --set model=NAME")
     datasets = manifest.load_datasets()
-    direction = overrides.get("direction")
     if not direction and dataset_id in datasets:  # dim2cat, else the first label
         labels = [label for label, _ in directions_for(datasets[dataset_id])]
         direction = "dim2cat" if "dim2cat" in labels else labels[0]

@@ -134,7 +134,7 @@ class ModelSpec:
         net_keys = {f.name for f in fields(FfnnConfig)}
         known = {"lr": (), "knn": {"k"}, "ffnn": net_keys, "boosted": {"stages", "base"}}
         try:
-            _known_keys(params, known[self.kind], "'params'")
+            _refuse_unknown_keys(params, known[self.kind], "'params': ")
             if self.kind == "lr":
                 return LinearModel()
             if self.kind == "knn":
@@ -145,16 +145,18 @@ class ModelSpec:
             base = params.get("base")
             if base is not None and not isinstance(base, dict):
                 raise ConfigurationError(f"'params.base' must be an object, got {base!r}")
-            _known_keys(base or {}, net_keys, "'params.base'")
+            _refuse_unknown_keys(base or {}, net_keys, "'params.base': ")
             base = None if base is None else FfnnConfig(**base)
             return BoostedEnsemble(stages=params.get("stages", 10), base_config=base, seed=seed)
         except (TypeError, ValueError, AffectMapError) as e:
             raise ConfigurationError(f"model {self.name!r}: {e}") from None
 
 
-def _known_keys(params: dict, known, where: str) -> None:
-    for key in sorted(params.keys() - known):
-        raise ConfigurationError(f"{where}: unknown key {key!r}")
+def _refuse_unknown_keys(raw: dict, known, owner: str = "", what: str = "") -> None:
+    """A ConfigurationError naming owner and the first key of raw, sorted,
+    that is not in known: "<owner>unknown <what>key '<key>'"."""
+    for key in sorted(raw.keys() - set(known)):
+        raise ConfigurationError(f"{owner}unknown {what}key {key!r}")
 
 
 def _feature_matrix(features: Mapping, words) -> np.ndarray:
@@ -373,12 +375,6 @@ def _orient(datasets: Mapping[str, AlignedLexicon], ds_id: str, direction: str) 
     return options[direction]
 
 
-def _as_dataset_map(datasets) -> dict[str, AlignedLexicon]:
-    if isinstance(datasets, Mapping):
-        return dict(datasets)
-    return {f"d{i}": d for i, d in enumerate(datasets)}
-
-
 def _content_key(data: AlignedLexicon) -> str:
     """Digest of words and matrices; fold splits are seeded from this so
     identical datasets get identical splits whatever they are called."""
@@ -438,7 +434,7 @@ def run_monolingual(
     against the second best; reliability records, when given, add
     per-variable above/below flags.
     """
-    data_map = _as_dataset_map(datasets)
+    data_map = dict(datasets)
     if not data_map:
         raise ContractError("no datasets given")
     if not specs:
@@ -496,7 +492,7 @@ def run_ablation(
     splits per dataset; the drop is full minus ablated format-average r,
     averaged over datasets.
     """
-    data_map = _as_dataset_map(datasets)
+    data_map = dict(datasets)
     if not data_map:
         raise ContractError("no datasets given")
     spec = ModelSpec("lr", "lr")
@@ -560,7 +556,7 @@ def run_crosslingual(datasets, spec: ModelSpec, seed: int, *, jobs: int = 1) -> 
     per dataset and direction. Training rows keep their language tags and
     are asserted to never match the evaluation language.
     """
-    data_map = _as_dataset_map(datasets)
+    data_map = dict(datasets)
     languages = {d.language for d in data_map.values()}
     if len(languages) < 2:
         raise ConfigurationError(

@@ -1,4 +1,4 @@
-"""Emotion lexicons: validation, rescaling, projection, alignment.
+"""Emotion lexicons: validation, projection, alignment.
 
 A lexicon maps words to rating vectors in one emotion format (e.g. VAD on
 [1,9] or BE5 on [1,5]). An aligned lexicon pairs two formats over the same
@@ -31,7 +31,6 @@ __all__ = [
     "AlignedLexicon",
     "canonical_word",
     "parse_lexicon",
-    "rescale",
     "align",
     "project",
     "concat",
@@ -227,19 +226,6 @@ class AlignedLexicon:
             row_languages=self.row_languages,
         )
 
-    def take(self, indices: Sequence[int]) -> "AlignedLexicon":
-        """Row subset in the given index order."""
-        idx = np.asarray(indices, dtype=np.intp)
-        return AlignedLexicon(
-            [self.words[i] for i in idx],
-            self.source_format,
-            self.target_format,
-            self.source_matrix[idx],
-            self.target_matrix[idx],
-            language=self.language,
-            row_languages=[self.row_languages[i] for i in idx],
-        )
-
     def __repr__(self) -> str:
         return (
             f"AlignedLexicon({self.source_format.name}->{self.target_format.name}, "
@@ -295,21 +281,6 @@ class ParseCache:
         return lex
 
 
-def rescale(lex: Lexicon, target_low: float, target_high: float) -> Lexicon:
-    """Linearly map every rating onto [target_low, target_high]."""
-    if not target_low < target_high:
-        raise ConfigurationError("target_low must be below target_high")
-    fmt = lex.format
-    span = (target_high - target_low) / (fmt.scale_high - fmt.scale_low)
-    values = target_low + (lex.values - fmt.scale_low) * span
-    # endpoints can overshoot by one ulp; clip so bound invariants stay exact
-    np.clip(values, target_low, target_high, out=values)
-    new_fmt = replace(fmt, scale_low=float(target_low), scale_high=float(target_high))
-    return Lexicon(
-        new_fmt, lex.words, values, language=lex.language, source_id=lex.source_id
-    )
-
-
 def align(
     a: Lexicon, b: Lexicon, *, allow_language_mismatch: bool = False
 ) -> AlignedLexicon:
@@ -355,54 +326,23 @@ def _keep_indices(fmt: EmotionFormat, keep: Sequence[str]) -> list[int]:
     return [fmt.variables.index(v) for v in keep]
 
 
-def project(x, keep: Sequence[str], side: str = "auto"):
-    """Restrict ratings to the ``keep`` variables, in the given order.
-
-    For an AlignedLexicon, ``side`` selects which format the names refer
-    to; the default resolves it automatically and rejects ambiguity.
-    """
-    if isinstance(x, Lexicon):
-        idx = _keep_indices(x.format, keep)
-        return Lexicon(
-            _project_format(x.format, keep),
-            x.words,
-            x.values[:, idx],
-            language=x.language,
-            source_id=x.source_id,
-            _index=x._index,
-        )
-    if isinstance(x, AlignedLexicon):
-        if side == "auto":
-            in_src = all(v in x.source_format.variables for v in keep)
-            in_tgt = all(v in x.target_format.variables for v in keep)
-            if in_src and in_tgt:
-                raise ConfigurationError(
-                    "keep variables exist on both sides; pass side='source' "
-                    "or side='target'"
-                )
-            if in_src:
-                side = "source"
-            elif in_tgt:
-                side = "target"
-            else:
-                raise ConfigurationError(
-                    f"variables {list(keep)} not found on either side"
-                )
-        if side == "target":
-            return project(x.swapped(), keep, "source").swapped()
-        if side == "source":
-            idx = _keep_indices(x.source_format, keep)
-            return AlignedLexicon(
-                x.words,
-                _project_format(x.source_format, keep),
-                x.target_format,
-                x.source_matrix[:, idx],
-                x.target_matrix,
-                language=x.language,
-                row_languages=x.row_languages,
-            )
+def project(x: AlignedLexicon, keep: Sequence[str], side: str) -> AlignedLexicon:
+    """Restrict one side's ratings to the ``keep`` variables, in the given
+    order; ``side`` ("source" or "target") names the side they belong to."""
+    if side == "target":
+        return project(x.swapped(), keep, "source").swapped()
+    if side != "source":
         raise ConfigurationError(f"unknown side {side!r}")
-    raise ConfigurationError(f"cannot project {type(x).__name__}")
+    idx = _keep_indices(x.source_format, keep)
+    return AlignedLexicon(
+        x.words,
+        _project_format(x.source_format, keep),
+        x.target_format,
+        x.source_matrix[:, idx],
+        x.target_matrix,
+        language=x.language,
+        row_languages=x.row_languages,
+    )
 
 
 def concat(parts: Sequence[AlignedLexicon]) -> AlignedLexicon:

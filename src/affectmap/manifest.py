@@ -50,7 +50,7 @@ from functools import partial
 from pathlib import Path
 
 from .errors import ConfigurationError, ParseError, ValidationError
-from .experiments import ModelSpec, _crosslingual_training, _orient
+from .experiments import ModelSpec, _crosslingual_training, _orient, _refuse_unknown_keys
 from .lexgen import LexiconBuildJob
 from .lexicon import (
     BUILTIN_FORMATS,
@@ -74,8 +74,7 @@ def _format_from(value, owner: str) -> EmotionFormat:
         raise ConfigurationError(f"{owner}'format' must be one of {sorted(BUILTIN_FORMATS)} "
                                  f"or an object, got {value!r}")
     keys = [f.name for f in fields(EmotionFormat)]
-    for key in sorted(value.keys() - set(keys)):
-        raise ConfigurationError(f"{owner}unknown format key {key!r}")
+    _refuse_unknown_keys(value, keys, owner, "format ")
     try:  # a missing key reads as null, which the check names
         return EmotionFormat(**{key: value.get(key) for key in keys})
     except ValidationError as e:
@@ -99,7 +98,12 @@ def _is_path(v) -> bool:  # a NUL byte ends every system call on the path
 
 
 _PATH = "a string without NUL bytes"
-_SIDE_KEYS = {"path", "format", "columns", "scale", "lowercase", "clamp"}
+# the keys each manifest object may hold; any other fails naming it
+_KEYS = {"seed", "output_dir", "k_folds", "n_star", "datasets", "reliability", "models",
+         "crosslingual_model", "ablation", "lexicon_jobs"}
+_SIDE_KEYS = {"path", "format", "columns", "scale", "lowercase", "clamp", "language"}
+_JOB_KEYS = {"mode", "output", "model", "training_id", "training_ids", "training_direction",
+             "source", "exclusions"}
 
 
 def _is_json(v) -> bool:  # JSON has no NaN or infinity
@@ -156,8 +160,7 @@ class Manifest:
             language = _field(side, "language", _is_str, "a string", "", owner)
         elif "language" in side:
             raise ConfigurationError(f"{owner}'language' is set on the dataset, not its sides")
-        for key in sorted(side.keys() - _SIDE_KEYS - {"language"}):
-            raise ConfigurationError(f"{owner}unknown side key {key!r}")
+        _refuse_unknown_keys(side, _SIDE_KEYS, owner, "side ")
         fmt = _format_from(side["format"], owner)
         path = _field(side, "path", _is_path, _PATH, owner=owner)
         columns = _field(side, "columns", lambda v: v is None or isinstance(v, dict) and all(
@@ -193,6 +196,7 @@ class Manifest:
             return self._dataset_cache[ds_id]
         self._dataset_cache[ds_id] = None  # until it has loaded
         owner = f"dataset {ds_id!r}"
+        _refuse_unknown_keys(entry, ("id", "language", "sides"), f"{owner}: ")
         sides = _objects(entry, "sides", 2, f"{owner}: ")
         language = _field(entry, "language", _is_str, "a string", "", f"{owner}: ")
         a, b = (self._load_side(s, owner, diagnostics, language) for s in sides)
@@ -211,8 +215,7 @@ class Manifest:
             if any(spec.name == name for spec in specs):
                 raise ConfigurationError(f"duplicate model name {name!r}")
             owner = f"model {name!r}: "
-            for key in sorted(entry.keys() - {"name", "kind", "params", "features_path"}):
-                raise ConfigurationError(f"{owner}unknown key {key!r}")
+            _refuse_unknown_keys(entry, ("name", "kind", "params", "features_path"), owner)
             kind = _field(entry, "kind", _is_str, "a string", owner=owner)
             params = _field(entry, "params", lambda v: isinstance(v, dict), "an object", {}, owner)
             path = _field(entry, "features_path", lambda v: v is None or _is_path(v), _PATH,
@@ -277,6 +280,7 @@ class Manifest:
     def build_job(self, entry: dict, diagnostics=None) -> LexiconBuildJob:
         job = f"lexicon job {entry.get('output')!r}"
         owner = f"{job}: "
+        _refuse_unknown_keys(entry, _JOB_KEYS, owner)
         mode, output, model = (_field(entry, k, _is_str, "a string", owner=owner)
                                for k in ("mode", "output", "model"))
         specs = {s.name: s for s in self.load_models()}
@@ -340,12 +344,14 @@ def load_manifest(path, overrides: dict | None = None) -> Manifest:
             node[tail] = value
         else:
             raw[key] = value
+    _refuse_unknown_keys(raw, _KEYS, "manifest: ")
     if "seed" not in raw:
         raise ConfigurationError("manifest must declare a seed (no implicit randomness)")
     seed = _field(raw, "seed", _is_int, "an integer")
     k_folds = _field(raw, "k_folds", lambda v: _is_int(v) and v >= 2, "an integer >= 2", 10)
     n_star = _field(raw, "n_star", lambda v: _is_int(v) and v >= 1, "a positive integer", 20)
     ablation = _field(raw, "ablation", lambda v: isinstance(v, dict), "a JSON object", {})
+    _refuse_unknown_keys(ablation, ("direction",), "ablation: ")
     _field(ablation, "direction", _is_str, "a string", "dim2cat", "ablation: ")
     base_dir = path.resolve().parent
     output_dir = base_dir / _field(raw, "output_dir", _is_path, _PATH, "out")  # kept if absolute

@@ -3,7 +3,6 @@
 from .boosting import (
     DEFAULT_BASE_CONFIG,
     BoostedEnsemble,
-    fit_boosted,
     read_feature_vectors,
 )
 from .ffnn import (
@@ -27,7 +26,6 @@ __all__ = [
     "gradient_check",
     "BoostedEnsemble",
     "DEFAULT_BASE_CONFIG",
-    "fit_boosted",
     "read_feature_vectors",
     "MAGIC",
     "save_model",

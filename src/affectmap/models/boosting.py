@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import replace
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .ffnn import TRAIN_DTYPE, FfnnConfig, FfnnModel
 
 __all__ = [
     "BoostedEnsemble",
-    "fit_boosted",
     "read_feature_vectors",
     "DEFAULT_BASE_CONFIG",
 ]
@@ -125,25 +123,3 @@ class BoostedEnsemble(MappingModel):
             chosen = order[rows, median_or_above.argmax(axis=1)]
             out[:, var] = preds[rows, chosen]
         return out
-
-
-def fit_boosted(
-    train_features: Mapping[str, Sequence[float]],
-    train_targets,
-    stages: int,
-    seed: int,
-    base_config: FfnnConfig | None = None,
-) -> BoostedEnsemble:
-    """Boost against the words shared by the feature map and the Lexicon."""
-    shared = [w for w in train_targets.words if w in train_features]
-    if not shared:
-        raise ContractError("features and targets share no words")
-    lengths = {len(train_features[w]) for w in shared}
-    if len(lengths) != 1:
-        raise ContractError(f"feature vectors have mixed lengths: {sorted(lengths)}")
-    F = np.array([train_features[w] for w in shared], dtype=np.float64)
-    T = np.array([train_targets.vector(w) for w in shared])
-    ensemble = BoostedEnsemble(stages=stages, base_config=base_config, seed=seed)
-    ensemble.target_format = train_targets.format
-    ensemble.variables = train_targets.format.variables
-    return ensemble.fit_arrays(F, T)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, ContractError, DivergenceError, ValidationError
-from ..lexicon import AlignedLexicon
 from .base import MappingModel, _count
 
 __all__ = ["FfnnConfig", "FfnnModel", "init_ffnn", "ffnn_loss", "gradient_check"]
@@ -127,9 +126,6 @@ class FfnnModel(MappingModel):
     def predict(self, X) -> np.ndarray:
         X = self._query(X)
         return ffnn_forward(self, X, _Workspace(self, X)).astype(np.float64, copy=False)
-
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
 
 def _init_layers(sizes, rng, dtype=np.float64):
@@ -361,23 +357,14 @@ def _check_net(hidden_sizes, in_dim, out_dim, seed):
     return FfnnModel(None, weights=weights, biases=biases)
 
 
-def gradient_check(cfg, sample, *, seed: int = 0, step: float = 1e-5) -> float:
+def gradient_check(hidden_sizes, sample, *, seed: int = 0, step: float = 1e-5) -> float:
     """Compare analytic gradients with central finite differences.
 
-    ``cfg`` is an FfnnConfig (its dropout must be disabled) or a bare
-    hidden-size tuple, possibly empty. ``sample`` is (X, gold) or an
-    AlignedLexicon. Returns the maximum relative error
+    ``hidden_sizes`` is a tuple of hidden widths, possibly empty, and
+    ``sample`` is (X, gold). Returns the maximum relative error
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     """
-    if isinstance(cfg, FfnnConfig):
-        if cfg.dropout_hidden != 0.0:
-            raise ContractError("gradient check requires dropout disabled")
-        hidden_sizes = cfg.hidden_sizes
-        seed = cfg.seed
-    else:
-        hidden_sizes = tuple(int(h) for h in cfg)
-    if isinstance(sample, AlignedLexicon):
-        sample = sample.source_matrix, sample.target_matrix
+    hidden_sizes = tuple(int(h) for h in hidden_sizes)
     X, gold = MappingModel._training(*sample)
     model = _check_net(hidden_sizes, X.shape[1], gold.shape[1], seed)
     ws = _Workspace(model, X, gold)

@@ -51,7 +51,7 @@ def canonical_word(word: str, lowercase: bool = False) -> str:
     return w.lower() if lowercase else w
 
 
-def _canonical_words(words: list[str], lowercase: bool) -> list[str]:
+def _canonical_words(words: list[str], lowercase: bool = False) -> list[str]:
     """canonical_word of each word, none holding a line end. NFC never
     composes across one, so the joined words are normalized at once."""
     joined = "\n".join(words)
@@ -345,15 +345,13 @@ def read_lexicon_rows(source: str | Path | bytes | IO[bytes], fmt,
     return reader.rows, reader.matrix(fmt.size)
 
 
-def read_feature_vectors(
-    source: str | Path | bytes | IO[bytes], *, lowercase: bool = False
-) -> dict[str, np.ndarray]:
+def read_feature_vectors(source: str | Path | bytes | IO[bytes]) -> dict[str, np.ndarray]:
     """A word -> feature-vector map from TSV rows (word, v1, ..., vD) with
     no header and one width. A cell must be an ASCII decimal: one only
     float() reads, such as "1_0", is refused. A repeated word's vectors
     are averaged, with a warning. The vectors are rows of one matrix.
     """
-    reader = _FeatureReader(lowercase)
+    reader = _FeatureReader()
     reader.read(source, "features")
     if not reader.rows:
         raise ParseError("no feature vectors found", line=1)
@@ -364,14 +362,13 @@ def read_feature_vectors(
 class _FeatureReader(_BlockReader):
     """A feature file: a word, then every value, per row; one width."""
 
-    def __init__(self, lowercase: bool):
+    def __init__(self):
         super().__init__()
-        self.lowercase = lowercase
         self.width = None
 
     def _split(self, texts):
         parts = [text.partition("\t") for text in texts]
-        words = _canonical_words([word for word, _, _ in parts], self.lowercase)
+        words = _canonical_words([word for word, _, _ in parts])
         rests = [rest for _, _, rest in parts]
         # no value or blank values: numpy's parser would skip what float() refuses
         if all(words) and all(rest and not rest.isspace() for rest in rests):
@@ -390,7 +387,7 @@ class _FeatureReader(_BlockReader):
         """One row's word and values, checked in order: word-only row, empty
         word, non-numeric cell, non-finite cell, width."""
         word, tab, rest = text.partition("\t")
-        word = canonical_word(word, self.lowercase)
+        word = canonical_word(word)
         if not tab:
             raise ParseError("expected a word and at least one value", line=lineno)
         if not word:

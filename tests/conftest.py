@@ -137,7 +137,7 @@ def reference_parse(data, fmt, column_map, *, language="", source_id="", lowerca
     return Lexicon(fmt, words, values, language=language, source_id=source_id)
 
 
-def reference_feature_parse(source, *, lowercase=False):
+def reference_feature_parse(source):
     """read_feature_vectors as it read before it streamed its source: the
     whole text decoded, split into lines, and every cell read by float().
     The tests hold the streaming reader to its words, value bits, warnings
@@ -151,7 +151,7 @@ def reference_feature_parse(source, *, lowercase=False):
         cells = line.split("\t")
         if len(cells) < 2:
             raise ParseError("expected a word and at least one value", line=lineno)
-        word = canonical_word(cells[0], lowercase=lowercase)
+        word = canonical_word(cells[0])
         if not word:
             raise ParseError("empty word", line=lineno)
         try:

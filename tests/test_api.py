@@ -24,14 +24,16 @@ from affectmap.models import (
 import affectmap
 
 # functional wrappers that duplicated the kept paths, the file writers
-# that the CLI's one output writer replaced, and the network passes, which
-# now take a private workspace; see README "Python API"
+# that the CLI's one output writer replaced, the network passes, which
+# now take a private workspace, and second paths that no command took;
+# see README "Python API"
 REMOVED = (
     "fit_linear", "predict_linear", "fit_knn", "predict_knn", "train_ffnn",
     "train_ffnn_arrays", "predict_boosted", "cross_validate", "build_lexicon",
     "write_lexicon", "write_report_json", "write_report_table", "write_reliability_records",
     "write_lexicon_bytes", "write_build_manifest", "_write_run_meta", "_pick_direction", "_emit",
-    "CvResult", "_cross_validate_cells", "ffnn_forward", "ffnn_backward",
+    "CvResult", "_cross_validate_cells", "ffnn_forward", "ffnn_backward", "fit_boosted",
+    "rescale", "_as_dataset_map",
 )
 
 

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from affectmap.errors import ConfigurationError, ContractError, ParseError
-from affectmap.lexicon import BE5, Lexicon
 from affectmap.models import (
     DEFAULT_BASE_CONFIG,
     BoostedEnsemble,
     FfnnConfig,
     FfnnModel,
-    fit_boosted,
     read_feature_vectors,
 )
 from affectmap.stats import pearson
@@ -145,39 +143,11 @@ class TestFit:
 
 
 class TestFitBoosted:
-    def _lexicon(self, words):
-        rng = np.random.default_rng(0)
-        vals = rng.uniform(1, 5, size=(len(words), 5))
-        return Lexicon(BE5, words, vals)
-
-    def test_intersection_used(self):
-        words = [f"w{i}" for i in range(30)]
-        lex = self._lexicon(words)
-        rng = np.random.default_rng(1)
-        feats = {w: rng.normal(size=4) for w in words[:20]}
-        feats["extra"] = rng.normal(size=4)
-        e = fit_boosted(feats, lex, stages=1, seed=0, base_config=FAST_BASE)
-        assert e.n_features == 4
-        assert e.variables == BE5.variables
-
-    def test_empty_intersection(self):
-        lex = self._lexicon(["alpha", "beta", "gamma"])
-        feats = {"delta": [0.0, 1.0]}
-        with pytest.raises(ContractError):
-            fit_boosted(feats, lex, stages=1, seed=0, base_config=FAST_BASE)
-
-    def test_mixed_vector_lengths(self):
-        lex = self._lexicon(["alpha", "beta", "gamma"])
-        feats = {"alpha": [0.0, 1.0], "beta": [0.0, 1.0, 2.0]}
-        with pytest.raises(ContractError):
-            fit_boosted(feats, lex, stages=1, seed=0, base_config=FAST_BASE)
-
     def test_predict_shape(self):
-        words = [f"w{i}" for i in range(25)]
-        lex = self._lexicon(words)
+        T = np.random.default_rng(0).uniform(1, 5, size=(25, 5))
         rng = np.random.default_rng(2)
-        feats = {w: rng.normal(size=3) for w in words}
-        e = fit_boosted(feats, lex, stages=1, seed=0, base_config=FAST_BASE)
+        F = rng.normal(size=(25, 3))
+        e = BoostedEnsemble(stages=1, base_config=FAST_BASE, seed=0).fit_arrays(F, T)
         out = e.predict(rng.normal(size=(2, 3)))
         assert out.shape == (2, 5)
 
@@ -220,10 +190,8 @@ class TestReadFeatureVectors:
         with pytest.raises(ParseError):
             read_feature_vectors(io.BytesIO(b""))
 
-    def test_lowercase_optin(self):
-        data = b"Cat\t1.0\n"
-        assert "Cat" in read_feature_vectors(io.BytesIO(data))
-        assert "cat" in read_feature_vectors(io.BytesIO(data), lowercase=True)
+    def test_case_kept(self):
+        assert list(read_feature_vectors(io.BytesIO(b"Cat\t1.0\n"))) == ["Cat"]
 
     def test_crlf(self):
         data = b"cat\t1.0\r\ndog\t2.0\r\n"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,21 @@ from affectmap.cli import _write_outputs, main
 from affectmap.models import load_model
 
 DATA_DIR = Path(__file__).parent / "data"
+# a kNN and an lr lexicon job, ablation and the reliability records on the
+# CLI fixture, and the files of theirs that no BLAS kernel moves: the report
+# JSONs go through BLAS reductions, so they are left out
+TABLES_MANIFEST = DATA_DIR / "cli_fixture" / "tables_manifest.json"
+TABLE_GOLDENS = {
+    "build-lexicon": ("knn_syn_be5.tsv", "knn_syn_be5.tsv.manifest.json", "lr_syn_vad.tsv",
+                      "lr_syn_vad.tsv.manifest.json"),
+    "ablation": ("ablation_table.tsv",),
+    "shr-normalize": ("reliability_normalized.tsv",),
+}
+
+
+def _assert_table_goldens(out: Path) -> None:
+    for name in (name for names in TABLE_GOLDENS.values() for name in names):
+        assert (out / name).read_bytes() == (DATA_DIR / "golden" / name).read_bytes(), name
 
 
 def _render_tsv(header, rows):
@@ -444,6 +460,30 @@ class TestRunMonolingual:
 
 
 class TestRunOtherTasks:
+    def test_golden_files(self, tmp_path):
+        out = tmp_path / "out"
+        for task in TABLE_GOLDENS:
+            assert main(["run", task, "--manifest", str(TABLES_MANIFEST), "--out", str(out)]) == 0
+        _assert_table_goldens(out)
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="the forced OpenBLAS kernels are x86-64 ones")
+    @pytest.mark.parametrize("core", ["SandyBridge", "Prescott"])
+    def test_golden_files_under_a_forced_blas_kernel(self, core, tmp_path):
+        """The same bytes from a process whose OpenBLAS runs the kernels of
+        an older x86-64 core, which every x86-64 host can run."""
+        out = tmp_path / "out"
+        argvs = [["run", task, "--manifest", str(TABLES_MANIFEST), "--out", str(out)]
+                 for task in TABLE_GOLDENS]
+        probe = ("import json, sys\nfrom affectmap.cli import main\n"
+                 "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_CORETYPE": core}
+        done = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        _assert_table_goldens(out)
+
     def test_shr_normalize(self, tmp_path):
         (tmp_path / "rel.tsv").write_bytes(
             _render_tsv(
@@ -771,6 +811,15 @@ class TestManifestShape:
          "model 'net': 'params.base': unknown key 'hiden_sizes'", ("monolingual",)),
         (_sides(format={**_INLINE_VAD, "scale": [1, 9]}),
          "dataset 'syn': unknown format key 'scale'", ("monolingual",)),
+        ({"k_fold": 5}, "manifest: unknown key 'k_fold'", ("monolingual",)),
+        ({"datasets": [{**_sides()["datasets"][0], "lang": "de"}]},
+         "dataset 'syn': unknown key 'lang'", ("monolingual",)),
+        (_job_source({"exclusion": [{"path": "w_be5.tsv", "format": "BE5"}]}),
+         "lexicon job 'new.tsv': unknown key 'exclusion'", ("build-lexicon",)),
+        ({"ablation": {"direction": "dim2cat", "directon": "cat2dim"}},
+         "ablation: unknown key 'directon'", ("ablation",)),
+        ({"crosslingual_model": "nope"}, "crosslingual_model 'nope' is not a defined model",
+         ("crosslingual",)),
     ], ids=["k_folds-string", "seed-float", "lexicon_jobs-int", "datasets-object",
             "models-string", "ffnn-hidden_sizes", "ffnn-iterations-string", "knn-k",
             "ffnn-unknown-param", "params-string", "sides-ints", "scale-string",
@@ -794,7 +843,9 @@ class TestManifestShape:
             "side-misspelt-lowercase", "side-language-int", "side-language-string",
             "job-source-unknown-key", "job-exclusion-unknown-key", "ffnn-params-unknown-key",
             "knn-params-unknown-key", "lr-params-unknown-key", "boosted-base-int",
-            "boosted-base-unknown-key", "format-unknown-key"])
+            "boosted-base-unknown-key", "format-unknown-key", "top-level-unknown-key",
+            "dataset-unknown-key", "job-misspelt-exclusions", "ablation-unknown-key",
+            "crosslingual_model-undefined"])
     def test_exit_2_naming_the_fault(self, overrides, named, tasks, workspace, capsys):
         root, _ = workspace
         manifest = write_manifest(root, **overrides)
@@ -805,6 +856,15 @@ class TestManifestShape:
             assert named in out + err, argv
             assert "Traceback" not in err
 
+
+    def test_crosslingual_model_is_not_resolved_when_models_fail(self, workspace, capsys):
+        # the models error is the one report: the name is resolved only against loaded models
+        root, _ = workspace
+        manifest = write_manifest(root, **_net("knn", kk=3), crosslingual_model="nope")
+        assert main(["validate", "--manifest", str(manifest), "--out", str(root / "o")]) == 2
+        out = capsys.readouterr().out
+        assert [line.split("\t")[1] for line in out.splitlines()
+                if line.startswith("error")] == ["models"]
 
     def test_lexicon_job_refuses_a_feature_model(self, workspace, capsys):
         # a job feeds the source lexicon's ratings, never a feature file

@@ -5,8 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import parse_outcome, reference_parse
 from affectmap.errors import (
@@ -27,7 +25,6 @@ from affectmap.lexicon import (
     concat,
     parse_lexicon,
     project,
-    rescale,
 )
 
 VAD_COLUMNS = {
@@ -355,26 +352,6 @@ class TestLexicon:
             Lexicon(VA, ["a"], np.array([[2.0, 2.0, 2.0]]))
 
 
-class TestRescale:
-    def test_endpoints_and_midpoint(self):
-        lex = Lexicon(VA, ["a", "b", "c"], np.array([[1.0, 9.0], [5.0, 5.0], [9.0, 1.0]]))
-        out = rescale(lex, 1.0, 5.0)
-        assert out.values.tolist() == [[1.0, 5.0], [3.0, 3.0], [5.0, 1.0]]
-        assert out.format.scale_low == 1.0 and out.format.scale_high == 5.0
-
-    @given(
-        v=st.floats(min_value=1.0, max_value=9.0),
-        lo=st.floats(min_value=-10, max_value=10),
-        width=st.floats(min_value=0.5, max_value=20),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip(self, v, lo, width):
-        lex = Lexicon(VA, ["a"], np.array([[v, v]]))
-        out = rescale(rescale(lex, lo, lo + width), 1.0, 9.0)
-        assert np.allclose(out.values, v, atol=1e-9)
-        assert np.all(out.values >= 1.0) and np.all(out.values <= 9.0)
-
-
 class TestAlign:
     def test_intersection_in_first_order(self):
         a = Lexicon(VAD, ["x", "y", "z"], np.tile([5.0, 5.0, 5.0], (3, 1)), language="en")
@@ -423,43 +400,34 @@ class TestAlignedLexicon:
         assert sw.words == al.words
         assert sw.row_languages == al.row_languages
 
-    def test_take(self):
-        al = self._make()
-        sub = al.take([1])
-        assert sub.words == ("b",)
-        assert sub.source_matrix.tolist() == [[5.0, 6.0, 7.0]]
-
     def test_same_format_names_rejected(self):
         with pytest.raises(ValidationError):
             AlignedLexicon(["a"], VAD, VAD, [[2.0] * 3], [[2.0] * 3])
 
 
 class TestProject:
-    def test_lexicon_projection_to_builtin(self):
-        lex = Lexicon(VAD, ["a"], [[2.0, 3.0, 4.0]])
-        out = project(lex, ["valence", "arousal"])
-        assert out.format is VA
-        assert out.values.tolist() == [[2.0, 3.0]]
+    AL = AlignedLexicon(["a"], VAD, BE5, [[2.0, 3.0, 4.0]], [[1.0, 2.0, 3.0, 4.0, 5.0]])
 
-    def test_aligned_side_inference(self):
-        al = AlignedLexicon(
-            ["a"], VAD, BE5, [[2.0, 3.0, 4.0]], [[1.0, 2.0, 3.0, 4.0, 5.0]]
-        )
-        out = project(al, ["valence", "arousal"])
-        assert out.source_format is VA
-        assert out.target_format is BE5
-        out2 = project(al, ["joy"])
-        assert out2.target_format.variables == ("joy",)
+    def test_lexicon_projection_to_builtin(self):
+        out = project(self.AL, ["valence", "arousal"], "source")
+        assert out.source_format is VA and out.target_format is BE5
+        assert out.source_matrix.tolist() == [[2.0, 3.0]]
+
+    def test_explicit_sides(self):
+        out = project(self.AL, ["joy"], "target")
+        assert out.source_format is VAD
+        assert out.target_format.variables == ("joy",)
+        assert out.target_matrix.tolist() == [[1.0]]
+        with pytest.raises(ConfigurationError, match="unknown side 'auto'"):
+            project(self.AL, ["joy"], "auto")
 
     def test_unknown_variable(self):
-        lex = Lexicon(VAD, ["a"], [[2.0, 3.0, 4.0]])
         with pytest.raises(ConfigurationError):
-            project(lex, ["joy"])
+            project(self.AL, ["joy"], "source")
 
     def test_order_follows_keep(self):
-        lex = Lexicon(VAD, ["a"], [[2.0, 3.0, 4.0]])
-        out = project(lex, ["dominance", "valence"])
-        assert out.values.tolist() == [[4.0, 2.0]]
+        out = project(self.AL, ["dominance", "valence"], "source")
+        assert out.source_matrix.tolist() == [[4.0, 2.0]]
 
 
 class TestConcat:

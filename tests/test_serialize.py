@@ -15,7 +15,7 @@ from conftest import (
 )
 from affectmap.cli import main
 from affectmap.errors import AffectMapError, ContractError, ParseError
-from affectmap.lexicon import BE5, Lexicon
+from affectmap.lexicon import BE5
 from affectmap.models import (
     MAGIC,
     BoostedEnsemble,
@@ -23,7 +23,6 @@ from affectmap.models import (
     FfnnModel,
     KnnModel,
     LinearModel,
-    fit_boosted,
     load_model,
     save_model,
 )
@@ -64,20 +63,13 @@ class TestRoundTrip:
         assert np.array_equal(back.predict(QUERIES), m.predict(QUERIES))
 
     def test_boosted(self, tmp_path):
-        rng = np.random.default_rng(4)
-        words = [f"w{i}" for i in range(40)]
-        feats = {w: rng.normal(size=4) for w in words}
         # learnable targets so boosting grows past the first stage
-        mix = rng.normal(size=(4, 5)) * 0.3
-        vals = np.clip(3.0 + np.array([feats[w] for w in words]) @ mix, 1.0, 5.0)
-        lex = Lexicon(BE5, words, vals)
         base = FfnnConfig(hidden_sizes=(16,), dropout_hidden=0.0, iterations=400)
-        m = fit_boosted(feats, lex, stages=3, seed=0, base_config=base)
+        m = BoostedEnsemble(stages=3, base_config=base, seed=0).fit(make_aligned(n=40, seed=4))
         assert any(len(nets) > 1 for nets in m.stages)
         back, _ = round_trip(m, tmp_path, "boosted")
-        X = rng.normal(size=(12, 4))
-        assert np.array_equal(back.predict(X), m.predict(X))
-        assert back.variables == m.variables
+        assert np.array_equal(back.predict(QUERIES), m.predict(QUERIES))
+        assert back.variables == m.variables == BE5.variables
         for wa, wb in zip(m.stage_weights, back.stage_weights):
             assert np.array_equal(wa, wb)
 
@@ -148,13 +140,11 @@ class TestFileFormat:
 
     def test_boosted_stage_counts_match_variables(self):
         rng = np.random.default_rng(4)
-        words = [f"w{i}" for i in range(20)]
-        feats = {w: rng.normal(size=3) for w in words}
-        lex = Lexicon(BE5, words, rng.uniform(1.0, 5.0, size=(20, 5)))
         base = FfnnConfig(hidden_sizes=(4,), iterations=1)
         with pytest.warns(UserWarning):
-            m = fit_boosted(feats, lex, stages=1, seed=0, base_config=base)
-        m.variables = m.variables[:4]
+            m = BoostedEnsemble(stages=1, base_config=base, seed=0).fit_arrays(
+                rng.normal(size=(20, 3)), rng.uniform(1.0, 5.0, size=(20, 5)))
+        m.variables = BE5.variables[:4]
         m.target_format = None
         buf = io.BytesIO()
         save_model(m, buf)
