@@ -33,7 +33,7 @@ from .experiments import (
     run_monolingual,
 )
 from .lexgen import build_lexicons
-from .manifest import load_manifest
+from .manifest import DEFAULT_DIRECTION, load_manifest
 from .models import gradient_check, load_model, save_model
 from .stats import render_reliability_records
 
@@ -128,7 +128,7 @@ def _monolingual(manifest, jobs: int):
 
 def _crosslingual(manifest, jobs: int):
     datasets = manifest.load_datasets()
-    spec = manifest.crosslingual_spec(manifest.load_models())
+    spec = manifest.crosslingual_spec()
     reports = run_crosslingual(datasets, spec, manifest.seed, jobs=jobs)
     meta = {"task": "crosslingual", "seed": manifest.seed, "model": spec.name}
     yield "crosslingual_report.json", render_report_json(reports, meta=meta)
@@ -209,7 +209,7 @@ def cmd_validate(args) -> int:
             )
     specs = attempt("models", lambda d: manifest.load_models())
     if specs is not None and "crosslingual_model" in manifest.raw:
-        attempt("crosslingual_model", lambda d: manifest.crosslingual_spec(specs))
+        attempt("crosslingual_model", lambda d: manifest.crosslingual_spec())
     if "ablation" in manifest.raw:
         # only the datasets that loaded: a failed one is already reported
         attempt("ablation", lambda d: manifest.ablation_direction(loaded))
@@ -260,17 +260,12 @@ def cmd_model_save(args) -> int:
     manifest = _load(args, overrides)
     if not dataset_id or not model_name:
         raise ConfigurationError("model save needs --set dataset=ID and --set model=NAME")
-    datasets = manifest.load_datasets()
-    if not direction and dataset_id in datasets:  # dim2cat, else the first label
-        labels = [label for label, _ in directions_for(datasets[dataset_id])]
-        direction = "dim2cat" if "dim2cat" in labels else labels[0]
+    datasets = manifest.load_datasets([dataset_id])  # none but the one it trains on
+    if not direction and datasets:  # dim2cat, else the first label
+        labels = [label for label, _ in directions_for(*datasets.values())]
+        direction = DEFAULT_DIRECTION if DEFAULT_DIRECTION in labels else labels[0]
     data = _orient(datasets, dataset_id, direction)
-    specs = {s.name: s for s in manifest.load_models()}
-    if model_name not in specs:
-        raise ConfigurationError(f"unknown model {model_name!r}")
-    spec = specs[model_name]
-    if spec.features is not None:
-        raise ConfigurationError("model save does not support feature-input specs")
+    spec = manifest.model(model_name)
     seed = derive_seed(manifest.seed, dataset_id, direction, spec.name, "save")
     save_model(spec.build(seed).fit(data), args.path)
     print(f"saved {spec.kind} model for {dataset_id} {direction} to {args.path}")

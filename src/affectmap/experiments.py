@@ -364,11 +364,11 @@ def directions_for(data: AlignedLexicon) -> list[tuple[str, AlignedLexicon]]:
 
 def _orient(datasets: Mapping[str, AlignedLexicon], ds_id: str, direction: str) -> AlignedLexicon:
     """Dataset ds_id in the given direction; a ConfigurationError names a
-    missing dataset or direction."""
-    if ds_id not in datasets:
+    missing dataset or direction, whatever JSON value names it."""
+    if not isinstance(ds_id, str) or ds_id not in datasets:
         raise ConfigurationError(f"unknown dataset {ds_id!r}")
     options = dict(directions_for(datasets[ds_id]))
-    if direction not in options:
+    if not isinstance(direction, str) or direction not in options:
         raise ConfigurationError(
             f"dataset {ds_id!r} has no direction {direction!r}; available: {sorted(options)}"
         )

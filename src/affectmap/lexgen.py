@@ -54,8 +54,8 @@ class LexiconBuildJob:
         if not src.same_layout(trn):
             raise ConfigurationError(
                 f"source lexicon format {src.name!r} {src.variables} does not "
-                f"match training source format {trn.name!r} {trn.variables}; "
-                "project or rescale first"
+                f"match training source format {trn.name!r} {trn.variables}; give the source "
+                'side the training source format (for a cross-lingual job, "format": "VA")'
             )
 
 

@@ -61,10 +61,13 @@ from .lexicon import (
     align,
     parse_lexicon,
 )
+from .models.ffnn import check_layers
 from .stats import ReliabilityRecord, normalize_shr, read_reliability_records
 from .tsv import read_feature_vectors
 
-__all__ = ["Manifest", "load_manifest"]
+__all__ = ["DEFAULT_DIRECTION", "Manifest", "load_manifest"]
+
+DEFAULT_DIRECTION = "dim2cat"  # of ablation, a lexicon job and model save
 
 
 def _format_from(value, owner: str) -> EmotionFormat:
@@ -102,8 +105,8 @@ _PATH = "a string without NUL bytes"
 _KEYS = {"seed", "output_dir", "k_folds", "n_star", "datasets", "reliability", "models",
          "crosslingual_model", "ablation", "lexicon_jobs"}
 _SIDE_KEYS = {"path", "format", "columns", "scale", "lowercase", "clamp", "language"}
-_JOB_KEYS = {"mode", "output", "model", "training_id", "training_ids", "training_direction",
-             "source", "exclusions"}
+_JOB_KEYS = {"mode", "output", "model", "training_direction", "source", "exclusions"}
+_TRAINING_KEY = {"monolingual": "training_id", "crosslingual": "training_ids"}  # by job mode
 
 
 def _is_json(v) -> bool:  # JSON has no NaN or infinity
@@ -203,8 +206,18 @@ class Manifest:
         self._dataset_cache[ds_id] = align(a, b)
         return self._dataset_cache[ds_id]
 
-    def load_datasets(self) -> dict[str, AlignedLexicon]:
-        return {e["id"]: self.load_dataset(e) for e in self.dataset_entries()}
+    def load_datasets(self, ids=None, diagnostics=None) -> dict[str, AlignedLexicon]:
+        """The datasets ids names (all when None): another's failure is not theirs."""
+        return {e["id"]: self.load_dataset(e, diagnostics) for e in self.dataset_entries()
+                if ids is None or e["id"] in ids}
+
+    def _widest_format(self) -> int:
+        """The most variables a dataset side's format declares; 1 if a dataset is malformed."""
+        try:
+            return max((len(_format_from(s.get("format"), "").variables) for e in
+                        self.dataset_entries() for s in _objects(e, "sides", 2)), default=1)
+        except ConfigurationError:
+            return 1
 
     def load_models(self) -> list[ModelSpec]:
         if self._models is not None:
@@ -222,7 +235,14 @@ class Manifest:
                           owner=owner)
             features = read_feature_vectors(self.base_dir / path) if path else None
             spec = ModelSpec(name=name, kind=kind, params=dict(params), features=features)
-            spec.build(0)  # bad params fail here, before any run starts
+            model = spec.build(0)  # bad params fail here, before any run starts
+            if spec.kind in ("ffnn", "boosted"):  # its layers at their real widths
+                width, boosted = self._widest_format(), spec.kind == "boosted"
+                sizes = [len(next(iter(features.values()))) if features else width,
+                         *(model.base_config if boosted else model.config).hidden_sizes,
+                         1 if boosted else width]  # a boosted base net has one output
+                check_layers(sizes, f"{owner}cannot allocate a network of layer sizes {sizes}",
+                             ConfigurationError)
             # a param the model ignores, such as a seed, is still recorded in build manifests
             _field(entry, "params", _is_json, "free of NaN and infinity", {}, owner)
             specs.append(spec)
@@ -237,20 +257,23 @@ class Manifest:
         records = read_reliability_records(self.base_dir / rel)
         return [normalize_shr(r, self.n_star) for r in records]
 
-    def crosslingual_spec(self, specs: list[ModelSpec]) -> ModelSpec:
-        name = self.raw.get("crosslingual_model")
-        if name is None:
-            if not specs:
-                raise ConfigurationError("manifest defines no models")
-            return specs[0]
-        for spec in specs:
-            if spec.name == name:
-                return spec
-        raise ConfigurationError(f"crosslingual_model {name!r} is not a defined model")
+    def model(self, name, what: str = "model", ratings: bool = True) -> ModelSpec:
+        """The model called name (None: the first), which what names in errors.
+        Trained from ratings, it may not read features_path."""
+        spec = next((s for s in self.load_models() if name in (None, s.name)), None)
+        if spec is None:
+            raise ConfigurationError(f"{what} {name!r} is not a defined model")
+        if ratings and spec.features is not None:
+            raise ConfigurationError(f"{what} {name!r} reads features_path: only run monolingual "
+                                     "and crosslingual train a feature-input model")
+        return spec
+
+    def crosslingual_spec(self) -> ModelSpec:  # which may read features_path
+        return self.model(self.raw.get("crosslingual_model"), "crosslingual_model", False)
 
     def ablation_direction(self, datasets: dict[str, AlignedLexicon]) -> str:
         """The ablation direction, once each of ``datasets`` is known to offer it."""
-        direction = self.raw.get("ablation", {}).get("direction", "dim2cat")
+        direction = self.raw.get("ablation", {}).get("direction", DEFAULT_DIRECTION)
         try:
             for ds_id in datasets:
                 _orient(datasets, ds_id, direction)
@@ -280,16 +303,8 @@ class Manifest:
     def build_job(self, entry: dict, diagnostics=None) -> LexiconBuildJob:
         job = f"lexicon job {entry.get('output')!r}"
         owner = f"{job}: "
-        _refuse_unknown_keys(entry, _JOB_KEYS, owner)
         mode, output, model = (_field(entry, k, _is_str, "a string", owner=owner)
                                for k in ("mode", "output", "model"))
-        specs = {s.name: s for s in self.load_models()}
-        if model not in specs:
-            raise ConfigurationError(f"{owner}model {model!r} is not a defined model")
-        if specs[model].features is not None:  # a job predicts from the source's ratings
-            raise ConfigurationError(f"{owner}model {model!r} reads features_path, "
-                                     "which lexicon jobs do not support")
-        direction = _field(entry, "training_direction", _is_str, "a string", "dim2cat", owner)
         if mode == "monolingual":
             ids = [_field(entry, "training_id", _is_str, "a dataset id", owner=owner)]
         elif mode == "crosslingual":
@@ -297,9 +312,11 @@ class Manifest:
                          "a non-empty list of dataset ids", owner=owner)
         else:
             raise ConfigurationError(f"{owner}unknown mode {mode!r}")
-        # only the datasets the job trains on: another's failure is not its own
-        entries = {e["id"]: e for e in self.dataset_entries() if e["id"] in ids}
-        datasets = {i: self.load_dataset(e, diagnostics) for i, e in entries.items()}
+        _refuse_unknown_keys(entry, {*_JOB_KEYS, _TRAINING_KEY[mode]}, owner)  # not the other's
+        spec = self.model(model, f"{owner}model")  # a job predicts from the source's ratings
+        direction = _field(entry, "training_direction", _is_str, "a string", DEFAULT_DIRECTION,
+                           owner)
+        datasets = self.load_datasets(ids, diagnostics)
         training = (_orient(datasets, ids[0], direction) if mode == "monolingual"
                     else _crosslingual_training(datasets, ids, direction))
 
@@ -312,7 +329,7 @@ class Manifest:
             mode=mode,
             source_lexicon=source,
             training=training,
-            model_spec=specs[model],
+            model_spec=spec,
             output_name=output,
             exclusion_sets=exclusions,
         )
@@ -349,10 +366,11 @@ def load_manifest(path, overrides: dict | None = None) -> Manifest:
         raise ConfigurationError("manifest must declare a seed (no implicit randomness)")
     seed = _field(raw, "seed", _is_int, "an integer")
     k_folds = _field(raw, "k_folds", lambda v: _is_int(v) and v >= 2, "an integer >= 2", 10)
-    n_star = _field(raw, "n_star", lambda v: _is_int(v) and v >= 1, "a positive integer", 20)
+    n_star = _field(raw, "n_star", lambda v: _is_int(v) and 1 <= v <= sys.float_info.max,
+                    "a positive integer in the float range", 20)
     ablation = _field(raw, "ablation", lambda v: isinstance(v, dict), "a JSON object", {})
     _refuse_unknown_keys(ablation, ("direction",), "ablation: ")
-    _field(ablation, "direction", _is_str, "a string", "dim2cat", "ablation: ")
+    _field(ablation, "direction", _is_str, "a string", DEFAULT_DIRECTION, "ablation: ")
     base_dir = path.resolve().parent
     output_dir = base_dir / _field(raw, "output_dir", _is_path, _PATH, "out")  # kept if absolute
     return Manifest(

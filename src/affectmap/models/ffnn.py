@@ -51,12 +51,8 @@ class FfnnConfig:
         object.__setattr__(self, "iterations", _count("iterations", self.iterations))
         if not self.hidden_sizes:
             raise ValidationError("hidden_sizes must not be empty")
-        # numpy allocates no array of more bytes than intp holds; each width
-        # is at most its product with the next, the last one at most itself
-        limit = np.iinfo(np.intp).max // TRAIN_DTYPE.itemsize
-        if max(a * b for a, b in zip(sizes, (*sizes[1:], 1))) > limit:
-            raise ValidationError(
-                f"hidden_sizes {list(sizes)} make a layer of more than {limit} cells")
+        # each width is at most its product with the next, the last one at most itself
+        check_layers((*sizes, 1), f"hidden_sizes {list(sizes)}")
         if not 0.0 <= self.dropout_hidden < 1.0:
             raise ValidationError(f"dropout must lie in [0, 1), got {self.dropout_hidden!r}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -72,6 +68,14 @@ class FfnnConfig:
                 raise ValidationError(
                     f"{name} must be positive and finite in {TRAIN_DTYPE}, got {value!r}"
                 )
+
+
+def check_layers(sizes, what: str, error=ValidationError) -> None:
+    """numpy allocates no array of more bytes than intp holds, so no two
+    adjacent layer widths may multiply past it; what leads the error."""
+    limit = np.iinfo(np.intp).max // TRAIN_DTYPE.itemsize
+    if max(a * b for a, b in zip(sizes, sizes[1:])) > limit:
+        raise error(f"{what}: a layer of more than {limit} cells")
 
 
 class FfnnModel(MappingModel):

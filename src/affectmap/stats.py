@@ -119,7 +119,7 @@ def normalize_shr(rec: ReliabilityRecord, n_star: int = 20) -> ReliabilityRecord
     if n_star < 1:
         raise ContractError(f"n_star must be positive, got {n_star!r}")
     n = rec.n_participants
-    k = n_star / (2.0 * n) if rec.sba_already_applied else n_star / n
+    k = n_star / (2 * n) if rec.sba_already_applied else n_star / n  # no float(n): n may be huge
     return replace(rec, normalized_r=sba_adjust(rec.reported_r, k))
 
 

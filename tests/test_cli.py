@@ -103,7 +103,7 @@ def write_every_task_manifest(root):
         ["word", "valence", "arousal", "dominance"],
         [[f"q{i}", *(repr(float(v)) for v in rng.uniform(1, 9, 3))] for i in range(15)],
     ))
-    job = {"mode": "monolingual", "training_id": "en", "training_direction": "dim2cat",
+    job = {"mode": "monolingual", "training_direction": "dim2cat",
            "source": {"path": "query.tsv", "format": "VAD"}}
     side = lambda p, fmt: {"path": f"{p}_{fmt.lower()}.tsv", "format": fmt}  # noqa: E731
     boost = {"stages": 2, "base": {"hidden_sizes": [4], "iterations": 3}}
@@ -121,8 +121,8 @@ def write_every_task_manifest(root):
         ],
         crosslingual_model="wei",
         lexicon_jobs=[
-            {**job, "output": "lr.tsv", "model": "lr"},
-            {**job, "output": "boost.tsv", "model": "boost"},
+            {**job, "output": "lr.tsv", "model": "lr", "training_id": "en"},
+            {**job, "output": "boost.tsv", "model": "boost", "training_id": "en"},
             {**job, "output": "knn.tsv", "model": "knn", "mode": "crosslingual",
              "training_ids": ["en", "de"], "source": {**job["source"], "format": "VA"}},
         ],
@@ -1153,3 +1153,119 @@ def test_run_leaves_scipy_unloaded(tmp_path):
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == f"{[0] * len(runs)} False"
+
+
+class TestWhatACommandTrainsOn:
+    """The manifest alone resolves the model and the datasets a command
+    trains on: one lookup by name with one message, only the named datasets
+    loaded, a lexicon job's training key by its mode, and each network's
+    layers checked at their real widths at validate."""
+
+    def test_save_loads_only_the_dataset_it_trains_on(self, workspace, tmp_path, capsys):
+        root, manifest = workspace
+        broken = {"id": "other", "language": "de", "sides": [
+            {"path": "missing.tsv", "format": "VAD"}, {"path": "w_be5.tsv", "format": "BE5"}]}
+        both = write_manifest(root, name="both.json", datasets=[*_sides()["datasets"], broken])
+        save = ["--set", "dataset=syn", "--set", "model=lr"]
+        assert main(["model", "save", str(tmp_path / "alone.afm"), "--manifest", str(manifest),
+                     *save]) == 0
+        assert main(["model", "save", str(tmp_path / "both.afm"), "--manifest", str(both),
+                     *save]) == 0
+        assert (tmp_path / "both.afm").read_bytes() == (tmp_path / "alone.afm").read_bytes()
+        # the dataset it trains on still stops it
+        capsys.readouterr()
+        assert main(["model", "save", str(tmp_path / "other.afm"), "--manifest", str(both),
+                     "--set", "dataset=other", "--set", "model=lr"]) == 1
+        assert "missing.tsv" in capsys.readouterr().err
+        assert not (tmp_path / "other.afm").exists()
+
+    @pytest.mark.parametrize("argv, overrides, named", [
+        (["model", "save", "m.afm", "--set", "dataset=syn", "--set", "model=nope"], {},
+         "affectmap: error: model 'nope' is not a defined model"),
+        (["validate"], _job_source({"model": "nope"}),
+         "lexicon job 'new.tsv': model 'nope' is not a defined model"),
+        (["run", "build-lexicon"], _job_source({"model": "nope"}),
+         "lexicon job 'new.tsv': model 'nope' is not a defined model"),
+    ], ids=["model-save", "validate-job", "build-lexicon-job"])
+    def test_one_unknown_model_message(self, argv, overrides, named, workspace, capsys):
+        root, _ = workspace
+        manifest = write_manifest(root, **overrides)
+        argv = [root / a if a.endswith(".afm") else a for a in argv]
+        assert main([*map(str, argv), "--manifest", str(manifest), "--out", str(root / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert named in out + err
+
+    # a crosslingual job trains without dominance, so its source side is VA
+    @pytest.mark.parametrize("own, fmt, key", [
+        ({"mode": "crosslingual", "training_ids": ["syn"]}, "VA", "training_id"),
+        ({"mode": "monolingual", "training_id": "syn"}, "VAD", "training_ids"),
+    ], ids=["crosslingual-training_id", "monolingual-training_ids"])
+    def test_job_refuses_the_other_modes_training_key(self, own, fmt, key, workspace, capsys):
+        root, _ = workspace
+        job = {**own, "output": "new.tsv", "model": "lr",
+               "source": {"path": "w_vad.tsv", "format": fmt}}
+        argv = ["--manifest", str(root / "manifest.json"), "--out", str(root / "o")]
+        write_manifest(root, lexicon_jobs=[job])
+        assert main(["validate", *argv]) == 0
+        other = "syn" if key == "training_id" else ["syn"]
+        write_manifest(root, lexicon_jobs=[{**job, key: other}])
+        for command in (["validate"], ["run", "build-lexicon"]):
+            assert main([*command, *argv]) == 2
+            out, err = capsys.readouterr()
+            assert f"lexicon job 'new.tsv': unknown key '{key}'" in out + err, command
+        assert not (root / "o" / "new.tsv").exists()
+
+    def test_format_mismatch_says_what_a_manifest_can_do(self, workspace, capsys):
+        root, _ = workspace
+        job = {"mode": "crosslingual", "output": "new.tsv", "model": "lr", "training_ids": ["syn"],
+               "source": {"path": "w_vad.tsv", "format": "VAD"}}
+        manifest = write_manifest(root, lexicon_jobs=[job])
+        assert main(["validate", "--manifest", str(manifest), "--out", str(root / "o")]) == 2
+        out = capsys.readouterr().out
+        assert ("source lexicon format 'VAD' ('valence', 'arousal', 'dominance') does not match "
+                "training source format 'VA' ('valence', 'arousal'); give the source side the "
+                'training source format (for a cross-lingual job, "format": "VA")') in out
+        assert "rescale" not in out
+
+    @pytest.mark.parametrize("model, sizes", [
+        ({"kind": "ffnn", "params": {"hidden_sizes": [2**61 - 1], "iterations": 1}},
+         [5, 2**61 - 1, 5]),
+        ({"kind": "boosted", "params": {"base": {"hidden_sizes": [2**61 - 1]}}},
+         [5, 2**61 - 1, 1]),
+        # fed the 2 feature columns: only the 5 outputs take it past numpy's limit
+        ({"kind": "ffnn", "params": {"hidden_sizes": [(2**61 - 1) // 3]},
+          "features_path": "emb.tsv"}, [2, (2**61 - 1) // 3, 5]),
+    ], ids=["ffnn", "boosted-base", "ffnn-features"])
+    def test_full_layer_sizes_checked_at_validate(self, model, sizes, workspace, capsys):
+        root, _ = workspace
+        (root / "emb.tsv").write_bytes(b"w000\t0.5\t1.0\nw001\t1.5\t2.0\n")
+        manifest = write_manifest(root, models=[{"name": "net", **model}])
+        argv = ["--manifest", str(manifest), "--out", str(root / "o")]
+        for command in (["validate"], ["run", "monolingual"]):
+            assert main([*command, *argv]) == 2
+            out, err = capsys.readouterr()
+            assert f"model 'net': cannot allocate a network of layer sizes {sizes}: " in out + err
+            assert "Traceback" not in err
+
+
+class TestHugeIntegers:
+    """Integers past the float range, which ended in an OverflowError
+    traceback, fail typed instead."""
+
+    def test_n_star_past_the_float_range(self, workspace, capsys):
+        root, manifest = workspace
+        argv = ["--manifest", str(manifest), "--out", str(root / "o"), "--set", f"n_star={10**400}"]
+        for command in (["validate"], ["run", "shr-normalize"]):
+            assert main([*command, *argv]) == 2
+            err = capsys.readouterr().err
+            assert "'n_star' must be a positive integer in the float range" in err
+
+    def test_participant_count_past_the_float_range(self, workspace, capsys):
+        root, _ = workspace
+        (root / "rel.tsv").write_text("dataset\tvariable\treported_r\tn_participants\tsba_applied\n"
+                                      f"syn\tjoy\t0.8\t{10**400}\ttrue\n", encoding="utf-8")
+        manifest = write_manifest(root, reliability="rel.tsv")
+        assert main(["validate", "--manifest", str(manifest), "--out", str(root / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert "error\treliability\tlength factor must be positive" in out
+        assert "Traceback" not in err

@@ -1,4 +1,4 @@
-"""Hostile inputs: mutated model files and TSV rows.
+"""Hostile inputs: mutated model files, TSV rows and manifests.
 
 Whatever the mutation, loading fails with an AffectMapError subclass or
 succeeds, and the CLI answers with an exit code (0 when the mutant is
@@ -6,8 +6,10 @@ still a valid input, 1 for I/O, 2 for bad input, 64 for usage), never
 with a traceback.
 """
 
+import copy
 import io
 import json
+import shutil
 import tempfile
 import warnings
 from pathlib import Path
@@ -451,3 +453,120 @@ def test_lexicon_job_outputs_stay_planned(outputs):
             planned |= {"run_meta.json", *(n for o in outputs for n in (
                 Path(o).name, Path(o).name + ".manifest.json"))}
         assert files() - before == {f"work/out/{name}" for name in planned}
+
+
+# ---- manifests -----------------------------------------------------------
+
+FIXTURE = Path(__file__).parent / "data" / "cli_fixture"
+TABLES = json.loads((FIXTURE / "tables_manifest.json").read_text(encoding="utf-8"))
+_TOP_KEYS = ["seed", "output_dir", "k_folds", "n_star", "datasets", "reliability", "models",
+             "crosslingual_model", "ablation", "lexicon_jobs"]
+# the keys manifest objects hold, so that an extra key is often a known key
+# in the wrong object
+_MANIFEST_KEYS = [
+    *_TOP_KEYS, "id", "language", "sides", "path", "format", "columns", "scale", "lowercase",
+    "clamp", "name", "kind", "params", "features_path", "k", "mode", "output", "model",
+    "training_id", "training_ids", "training_direction", "source", "exclusions", "direction",
+    "variables", "scale_low", "scale_high", "word"]
+# Strings come from a pool and a narrow alphabet that cannot spell a network
+# kind: model save trains a network at its default 10,000 iterations, which
+# on the fixture took 5 s (ffnn) and 47 s (boosted) on a 2-core Xeon. Neither
+# holds a "." or "/", nor names a fixture file, so an output_dir stays a new
+# directory inside the example's own.
+_strings = st.one_of(
+    st.sampled_from(["", "syn", "other", "lr", "knn", "VAD", "VA", "BE5", "dim2cat", "cat2dim",
+                     "monolingual", "crosslingual", "en", "missing", "new", "valence", "joy"]),
+    st.text(alphabet="ab \t\x00é-", max_size=6))
+_huge = st.sampled_from([2**61 - 1, 2**63, 10**400, -(10**400), 1e308, -1e308, 5e-324])
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.floats(), _huge, _strings),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(
+        st.one_of(st.sampled_from(_MANIFEST_KEYS), _strings), inner, max_size=3)),
+    max_leaves=6)
+_GONE = object()
+
+
+def _paths(node, path=()):
+    """The path of every node of a JSON document, the root's first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, (*path, key))
+
+
+def _edit(draw, value, how):
+    """value after one edit: a type swap, deleted (_GONE), an extra key or
+    entry, one more level of nesting, or a huge number."""
+    if how == "swap":
+        return draw(_json)
+    if how == "delete":
+        return _GONE
+    if how == "extra" and isinstance(value, dict):
+        return {**value, draw(st.sampled_from(_MANIFEST_KEYS)): draw(_json)}
+    if how == "extra" and isinstance(value, list):
+        return [*value, draw(_json)]
+    if how == "huge":
+        return draw(_huge)
+    return draw(st.sampled_from([[value], {draw(st.sampled_from(_MANIFEST_KEYS)): value}]))
+
+
+_HOW = st.sampled_from(["swap", "delete", "extra", "nest", "huge"])
+
+
+@st.composite
+def mutated_manifest(draw) -> tuple[dict, list[str], list[str]]:
+    """The tables manifest after up to three edits, up to two more given as
+    --set flags (a top-level or a dotted key), and model save's own flags."""
+    doc = copy.deepcopy(TABLES)
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        value = _edit(draw, node[path[-1]] if path else doc, draw(_HOW))
+        if not path:
+            doc = {} if value is _GONE else value
+        elif value is _GONE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    flags = []
+    for _ in range(draw(st.integers(0, 2))):
+        head = draw(st.sampled_from([*_TOP_KEYS, "bogus"]))
+        node = doc.get(head) if isinstance(doc, dict) else None
+        key = head
+        if isinstance(node, dict) and node and draw(st.booleans()):
+            tail = draw(st.sampled_from(sorted(node)))
+            key, node = f"{head}.{tail}", node[tail]
+        value = _edit(draw, node, draw(_HOW.filter(lambda how: how != "delete")))
+        flags += ["--set", f"{key}={json.dumps(value)}"]
+    save = []  # mostly names the fixture defines; no direction is model save's default
+    for key, names in (("dataset", ["syn"]), ("model", ["lr", "knn"]), ("direction", [None])):
+        value = draw(st.sampled_from(names) if draw(st.integers(0, 3)) else _json)
+        save += [] if value is None else ["--set", f"{key}={json.dumps(value)}"]
+    return doc, flags, save
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as e:  # argparse's usage error
+        return e.code
+
+
+@FUZZ
+@given(mutated_manifest())
+def test_mutated_manifest_exit_codes(mutant):
+    """validate ends in 0, 2 or 64 and model save in 0, 1 or 2, whatever the
+    manifest or the --set flags hold; any other exception fails the test."""
+    doc, flags, save = mutant
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in ("syn_vad.tsv", "syn_be5.tsv", "reliability.tsv"):
+            shutil.copy(FIXTURE / name, root)
+        (root / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["--manifest", str(root / "manifest.json"), *flags]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a k past the training rows
+            assert _exit_code(["validate", *argv]) in (0, 2, 64)
+            assert _exit_code(["model", "save", str(root / "m.afm"), *argv, *save]) in (0, 1, 2)
