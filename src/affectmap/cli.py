@@ -32,7 +32,8 @@ from .experiments import (
     run_crosslingual,
     run_monolingual,
 )
-from .lexgen import build_lexicons
+from .lexgen import build_lexicons, render_lexicon
+from .lexicon import Lexicon, parse_lexicon
 from .manifest import DEFAULT_DIRECTION, load_manifest
 from .models import gradient_check, load_model, save_model
 from .stats import render_reliability_records
@@ -52,21 +53,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_set(values) -> dict:
+def _parse_set(values, text=()) -> dict:
+    """Each --set key=value: the value decoded as JSON, else the bare string.
+    A key in text takes the raw text after "=" as it is."""
     overrides = {}
     for item in values or []:
         if "=" not in item:
             raise ConfigurationError(f"--set expects key=value, got {item!r}")
         key, _, raw = item.partition("=")
         try:
-            overrides[key] = json.loads(raw)
+            overrides[key] = raw if key in text else json.loads(raw)
         except json.JSONDecodeError:
             overrides[key] = raw
     return overrides
 
 
-def _manifest_overrides(args) -> dict:
-    overrides = _parse_set(getattr(args, "set", None))
+def _manifest_overrides(args, text=()) -> dict:
+    overrides = _parse_set(getattr(args, "set", None), text)
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     if getattr(args, "out", None) is not None:
@@ -253,10 +256,11 @@ def cmd_gradient_check(args) -> int:
 
 
 def cmd_model_save(args) -> int:
-    overrides = _manifest_overrides(args)
-    # these --set keys choose what to save; they patch no manifest key
-    dataset_id, model_name, direction = (overrides.pop(k, None)
-                                         for k in ("dataset", "model", "direction"))
+    # these --set keys choose what to save, by the raw text of a manifest string (a
+    # dataset id may be all digits); they patch no manifest key
+    own = ("dataset", "model", "direction")
+    overrides = _manifest_overrides(args, own)
+    dataset_id, model_name, direction = (overrides.pop(k, None) for k in own)
     manifest = _load(args, overrides)
     if not dataset_id or not model_name:
         raise ConfigurationError("model save needs --set dataset=ID and --set model=NAME")
@@ -283,8 +287,6 @@ def cmd_model_load(args) -> int:
 
 
 def cmd_model_predict(args) -> int:
-    from .lexicon import parse_lexicon
-
     model = load_model(args.path)
     src, tgt = model.source_format, model.target_format
     if src is None or tgt is None:
@@ -293,11 +295,9 @@ def cmd_model_predict(args) -> int:
         )
     columns = {"word": "word", **{v: v for v in src.variables}}
     lex = parse_lexicon(Path(args.input), src, columns)
-    pred = model.predict(lex.values)
-    lines = ["\t".join(("word", *tgt.variables))]
-    for i, word in enumerate(lex.words):
-        lines.append("\t".join((word, *(f"{v:.6f}" for v in pred[i]))))
-    Path(args.output).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    pred = np.clip(model.predict(lex.values), tgt.scale_low, tgt.scale_high)  # as a job clamps
+    out = Path(args.output)
+    _write_outputs(out.parent, [(out.name, render_lexicon(Lexicon(tgt, lex.words, pred)))])
     print(f"wrote {len(lex.words)} predictions to {args.output}")
     return EXIT_OK
 

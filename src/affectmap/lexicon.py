@@ -244,43 +244,6 @@ def parse_lexicon(data: str | Path | bytes | IO[bytes], fmt: EmotionFormat,
                    _index=rows)
 
 
-class ParseCache:
-    """The last lexicon parsed clean, so that a later side binding the same
-    source takes its values from it instead of parsing the file again.
-
-    A side reuses the parse when the path, word column, ``lowercase``,
-    ``clamp``, declared ``scale`` and format bounds are the same, its value
-    columns are among the parse's, and that parse raised nothing and
-    reported no diagnostic. The scale map, the range check and duplicate
-    averaging all work per column, so the projected values have the bits
-    a parse of their own would give. Every other side is parsed by
-    ``parse`` (``parse_lexicon``'s signature), and kept when it is clean.
-    """
-
-    def __init__(self):
-        self._last = None  # (key, value column -> index, lexicon) of the last clean parse
-
-    def load(self, parse, data, fmt, column_map, *, language="", source_id="",
-             lowercase=False, clamp=False, scale=None, diagnostics=None) -> Lexicon:
-        key = (data, column_map.get("word"), lowercase, clamp, scale,
-               fmt.scale_low, fmt.scale_high)
-        if self._last is not None and self._last[0] == key:
-            _, positions, lex = self._last
-            idx = [positions.get(column_map.get(v)) for v in fmt.variables]
-            if None not in idx:
-                values = lex.values if idx == list(range(lex.format.size)) else lex.values[:, idx]
-                return Lexicon(fmt, lex.words, values, language=language, source_id=source_id,
-                               _index=lex._index)
-        self._last = None  # let the last parse go before this one allocates
-        sink = [] if diagnostics is None else diagnostics
-        reported = len(sink)
-        lex = parse(data, fmt, column_map, language=language, source_id=source_id,
-                    lowercase=lowercase, clamp=clamp, scale=scale, diagnostics=sink)
-        if len(sink) == reported:
-            self._last = (key, {column_map[v]: j for j, v in enumerate(fmt.variables)}, lex)
-        return lex
-
-
 def align(
     a: Lexicon, b: Lexicon, *, allow_language_mismatch: bool = False
 ) -> AlignedLexicon:

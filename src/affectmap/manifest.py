@@ -45,8 +45,9 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cached_property
 from pathlib import Path
 
 from .errors import ConfigurationError, ParseError, ValidationError
@@ -57,7 +58,6 @@ from .lexicon import (
     AlignedLexicon,
     EmotionFormat,
     Lexicon,
-    ParseCache,
     align,
     parse_lexicon,
 )
@@ -149,13 +149,13 @@ class Manifest:
     source_path: Path | None = None
     _dataset_cache: dict = field(default_factory=dict, repr=False)
     _models: list | None = field(default=None, repr=False)  # feature files are read once
-    _sources: ParseCache = field(default_factory=ParseCache, repr=False)  # of lexicon jobs
+    _parses: dict = field(default_factory=dict, repr=False)  # side key -> clean parse to share
 
     # ---- input loading -------------------------------------------------
 
-    def _load_side(self, side, owner: str, diagnostics, language=None, cached=False) -> Lexicon:
-        """One lexicon; owner names its dataset or lexicon job in errors. A
-        job's side may set its language; a dataset's sides take the dataset's."""
+    def _side(self, side, owner: str, language=None) -> tuple:
+        """A side's reuse key (path first), format, column map and parse options. owner
+        names the side's dataset or job in errors; a job's side may set its language."""
         if not isinstance(side, dict) or "path" not in side or "format" not in side:
             raise ConfigurationError(f"{owner}: a side needs path and format, got {side!r}")
         owner += ": "
@@ -172,14 +172,50 @@ class Manifest:
             columns = {"word": "word", **{v: v for v in fmt.variables}}
         scale = _field(side, "scale", lambda v: v is None or _list_of(_is_number, 2)(v),
                        "a pair of finite numbers", owner=owner)
+        scale = None if scale is None else (float(scale[0]), float(scale[1]))
         flags = {key: _field(side, key, lambda v: isinstance(v, bool), "true or false", False,
                              owner) for key in ("lowercase", "clamp")}
-        parse = partial(self._sources.load, parse_lexicon) if cached else parse_lexicon
-        return parse(
-            self.base_dir / path, fmt, columns, language=language,
-            source_id=path, scale=None if scale is None else (float(scale[0]), float(scale[1])),
-            diagnostics=diagnostics, **flags,
-        )
+        data = self.base_dir / path
+        key = (data, columns.get("word"), *flags.values(), scale, fmt.scale_low, fmt.scale_high)
+        return key, fmt, columns, dict(language=language, source_id=path, scale=scale, **flags)
+
+    @cached_property
+    def _reads(self) -> dict:
+        """Side key -> reads still to come, counted on first use: one per dataset side, lexicon
+        job source and exclusion. A malformed side gets no key."""
+        def dicts(v):
+            return [x for x in v if isinstance(x, dict)] if isinstance(v, list) else []
+
+        jobs = dicts(self.raw.get("lexicon_jobs"))
+        reads = {}
+        for side in [*(s for e in dicts(self.raw.get("datasets")) for s in dicts(e.get("sides"))),
+                     *(j.get("source") for j in jobs),
+                     *(x for j in jobs for x in dicts(j.get("exclusions")))]:
+            with suppress(ConfigurationError):  # it fails on its own read
+                key = self._side(side, "")[0]
+                reads[key] = reads.get(key, 0) + 1
+        return reads
+
+    def _load_side(self, side, owner: str, diagnostics, language=None) -> Lexicon:
+        """One lexicon. While its key has reads to come, the command's first clean parse
+        of the key (no error, no diagnostic) is kept, and a side whose value columns it
+        holds takes them by projection, with a fresh parse's bits; any other side is
+        parsed. After the key's last read the parse is let go."""
+        key, fmt, columns, options = self._side(side, owner, language)
+        left = self._reads[key] = self._reads.get(key, 0) - 1
+        # the held parse's position of each value column, and the parse; none held, none match
+        positions, lex = (self._parses.get if left > 0 else self._parses.pop)(key, ({}, None))
+        idx = [positions.get(columns.get(v)) for v in fmt.variables]
+        if None not in idx:
+            values = lex.values if idx == list(range(lex.format.size)) else lex.values[:, idx]
+            return Lexicon(fmt, lex.words, values, language=options["language"],
+                           source_id=options["source_id"], _index=lex._index)
+        sink = [] if diagnostics is None else diagnostics
+        reported = len(sink)
+        lex = parse_lexicon(key[0], fmt, columns, diagnostics=sink, **options)
+        if left > 0 and len(sink) == reported and key not in self._parses:
+            self._parses[key] = ({columns[v]: j for j, v in enumerate(fmt.variables)}, lex)
+        return lex
 
     def dataset_entries(self) -> list[dict]:
         """The dataset entries, each id a string and no id repeated."""
@@ -320,7 +356,7 @@ class Manifest:
         training = (_orient(datasets, ids[0], direction) if mode == "monolingual"
                     else _crosslingual_training(datasets, ids, direction))
 
-        source = self._load_side(entry.get("source"), f"{job} source", diagnostics, cached=True)
+        source = self._load_side(entry.get("source"), f"{job} source", diagnostics)
         exclusions = [
             self._load_side(x, f"{job} exclusion", diagnostics)
             for x in _objects(entry, "exclusions", owner=owner)

@@ -14,6 +14,7 @@ import pytest
 from conftest import malformed_model_files, misshaped_model_files
 from affectmap import __version__, experiments, lexgen
 from affectmap.cli import _write_outputs, main
+from affectmap.lexicon import BE5, Lexicon
 from affectmap.models import load_model
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -1023,11 +1024,38 @@ class TestModelCommands:
         )
         out_path = tmp_path / "pred.tsv"
         assert main(["model", "predict", str(model_path), str(query_path), str(out_path)]) == 0
-        lines = out_path.read_text().strip().split("\n")
-        assert lines[0] == "word\tjoy\tanger\tsadness\tfear\tdisgust"
-        got = np.array([[float(c) for c in l.split("\t")[1:]] for l in lines[1:]])
-        expected = load_model(model_path).predict(queries)
-        assert np.allclose(got, expected, atol=5e-7)
+        expected = np.clip(load_model(model_path).predict(queries), 1.0, 5.0)
+        words = [f"q{i}" for i in range(len(queries))]
+        assert out_path.read_bytes() == lexgen.render_lexicon(Lexicon(BE5, words, expected))
+
+    @pytest.mark.parametrize("model, direction, query, golden", [
+        ("knn", None, "syn_vad.tsv", "knn_syn_be5.tsv"),
+        ("lr", "cat2dim", "syn_be5.tsv", "lr_syn_vad.tsv"),
+    ])
+    def test_predict_writes_what_a_lexicon_job_writes(self, model, direction, query, golden,
+                                                      tmp_path):
+        """A saved model applied to a lexicon job's source prints that job's
+        golden lexicon byte for byte: one clamp and one renderer."""
+        path = tmp_path / f"{model}.afm"
+        chosen = [] if direction is None else ["--set", f"direction={direction}"]
+        assert main(["model", "save", str(path), "--manifest", str(TABLES_MANIFEST),
+                     "--set", "dataset=syn", "--set", f"model={model}", *chosen]) == 0
+        out = tmp_path / "pred.tsv"
+        assert main(["model", "predict", str(path), str(DATA_DIR / "cli_fixture" / query),
+                     str(out)]) == 0
+        assert out.read_bytes() == (DATA_DIR / "golden" / golden).read_bytes()
+
+    def test_save_takes_its_own_keys_as_raw_text(self, tmp_path, capsys):
+        """A dataset id of digits alone is named as typed, not as JSON."""
+        for name in ("syn_vad.tsv", "syn_be5.tsv"):
+            (tmp_path / name).write_bytes((DATA_DIR / "cli_fixture" / name).read_bytes())
+        doc = json.loads(TABLES_MANIFEST.read_text())
+        doc["datasets"][0]["id"] = "2018"
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        assert main(["model", "save", str(tmp_path / "m.afm"), "--manifest", str(manifest),
+                     "--set", "dataset=2018", "--set", "model=lr"]) == 0
+        assert "saved lr model for 2018 dim2cat" in capsys.readouterr().out
 
     def test_save_unknown_dataset(self, workspace, tmp_path):
         _, manifest = workspace

@@ -543,7 +543,8 @@ def mutated_manifest(draw) -> tuple[dict, list[str], list[str]]:
     save = []  # mostly names the fixture defines; no direction is model save's default
     for key, names in (("dataset", ["syn"]), ("model", ["lr", "knn"]), ("direction", [None])):
         value = draw(st.sampled_from(names) if draw(st.integers(0, 3)) else _json)
-        save += [] if value is None else ["--set", f"{key}={json.dumps(value)}"]
+        text = value if isinstance(value, str) else json.dumps(value)  # a string as typed
+        save += [] if value is None else ["--set", f"{key}={text}"]
     return doc, flags, save
 
 

@@ -72,7 +72,6 @@ def test_reader_names_stay_where_they_were():
     assert lexicon.Diagnostic is affectmap.Diagnostic is tsv.Diagnostic
     assert lexicon.canonical_word is affectmap.canonical_word is tsv.canonical_word
     assert lexicon.parse_lexicon is affectmap.parse_lexicon
-    assert lexicon.ParseCache
     assert (boosting.read_feature_vectors is models.read_feature_vectors
             is affectmap.read_feature_vectors is tsv.read_feature_vectors)
     assert stats.read_reliability_records is affectmap.read_reliability_records
