@@ -9,7 +9,6 @@ schema. Exit codes: 0 ok, 1 I/O failure, 2 validation/contract failure,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -23,6 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import AffectMapError, ConfigurationError, DivergenceError
 from .experiments import (
+    _inputs,
     _orient,
     derive_seed,
     directions_for,
@@ -32,8 +32,8 @@ from .experiments import (
     run_crosslingual,
     run_monolingual,
 )
-from .lexgen import build_lexicons, render_lexicon
-from .lexicon import Lexicon, parse_lexicon
+from .lexgen import build_lexicons, predicted_lexicon, render_lexicon
+from .lexicon import parse_lexicon
 from .manifest import DEFAULT_DIRECTION, load_manifest
 from .models import gradient_check, load_model, save_model
 from .stats import render_reliability_records
@@ -187,39 +187,41 @@ def cmd_validate(args) -> int:
     errors = 0
 
     def attempt(label, fn):
+        """fn()'s result, None if it failed; its error and the diagnostics it added are noted."""
         nonlocal errors
-        diags = []
+        reported = len(manifest.diagnostics)
         try:
-            result = fn(diags)
+            result = fn()
         except (AffectMapError, OSError) as e:
             errors += 1
             note(f"error\t{label}\t{e}")
             result = None
-        for d in diags:
+        for d in manifest.diagnostics[reported:]:
             where = f"line {d.line}" if d.line else ""
             note(f"warning\t{label}\t{d.kind}\t{where}\t{d.word or ''}\t{d.message}")
         return result
 
     loaded = {}
-    for entry in attempt("datasets", lambda d: manifest.dataset_entries()) or []:
+    for entry in attempt("datasets", manifest.dataset_entries) or []:
         label = f"dataset {entry.get('id', '?')}"
-        aligned = attempt(label, lambda d, e=entry: manifest.load_dataset(e, d))
+        aligned = attempt(label, lambda e=entry: manifest.load_dataset(e))
         if aligned is not None:
             loaded[entry["id"]] = aligned
             note(
                 f"ok\t{label}\t{len(aligned)} aligned words\t"
                 f"{aligned.source_format.name}<->{aligned.target_format.name}"
             )
-    specs = attempt("models", lambda d: manifest.load_models())
+    # each check below sees only the datasets that loaded: a failed one is already reported
+    specs = attempt("models", manifest.load_models)
+    attempt("models", lambda: [_inputs(s, d, {}) for s in specs or [] for d in loaded.values()])
     if specs is not None and "crosslingual_model" in manifest.raw:
-        attempt("crosslingual_model", lambda d: manifest.crosslingual_spec())
+        attempt("crosslingual_model", manifest.crosslingual_spec)
     if "ablation" in manifest.raw:
-        # only the datasets that loaded: a failed one is already reported
-        attempt("ablation", lambda d: manifest.ablation_direction(loaded))
-    attempt("reliability", lambda d: manifest.load_reliability())
-    for entry in attempt("lexicon jobs", lambda d: manifest.lexicon_job_entries()) or []:
+        attempt("ablation", lambda: manifest.ablation_direction(loaded))
+    attempt("reliability", manifest.load_reliability)
+    for entry in attempt("lexicon jobs", manifest.lexicon_job_entries) or []:
         label = f"lexicon job {entry.get('output', '?')}"
-        job = attempt(label, lambda d, e=entry: manifest.build_job(e, d))
+        job = attempt(label, lambda e=entry: manifest.build_job(e))
         if job is not None:
             note(f"ok\t{label}\t{len(job.source_lexicon)} source words")
     report = "\n".join(lines) + "\n"
@@ -230,9 +232,8 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     manifest = _load(args)
-    digest = hashlib.sha256(manifest.source_path.read_bytes()).hexdigest()
     meta = {"version": __version__, "task": args.task, "seed": manifest.seed,
-            "k_folds": manifest.k_folds, "manifest_digest": digest}
+            "k_folds": manifest.k_folds, "manifest_digest": manifest.digest}
     # from here until the run's files are all in place, output_dir holds no run_meta.json
     (manifest.output_dir / "run_meta.json").unlink(missing_ok=True)
     files = chain(TASKS[args.task](manifest, args.jobs), [("run_meta.json", _json_bytes(meta))])
@@ -241,7 +242,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_gradient_check(args) -> int:
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(args.seed)
     worst = 0.0
     for trial in range(3):
         X = rng.uniform(1.0, 9.0, size=(10, 4))
@@ -295,9 +296,9 @@ def cmd_model_predict(args) -> int:
         )
     columns = {"word": "word", **{v: v for v in src.variables}}
     lex = parse_lexicon(Path(args.input), src, columns)
-    pred = np.clip(model.predict(lex.values), tgt.scale_low, tgt.scale_high)  # as a job clamps
     out = Path(args.output)
-    _write_outputs(out.parent, [(out.name, render_lexicon(Lexicon(tgt, lex.words, pred)))])
+    rendered = render_lexicon(predicted_lexicon(tgt, lex.words, model.predict(lex.values)))
+    _write_outputs(out.parent, [(out.name, rendered)])
     print(f"wrote {len(lex.words)} predictions to {args.output}")
     return EXIT_OK
 
@@ -329,7 +330,7 @@ def build_parser() -> _Parser:
     p_run.set_defaults(fn=cmd_run)
 
     p_grad = sub.add_parser("gradient-check", help="verify analytic gradients")
-    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.add_argument("--seed", type=int, default=0, help="a non-negative integer")
     p_grad.set_defaults(fn=cmd_gradient_check)
 
     p_model = sub.add_parser("model", help="save, inspect, or apply trained models")
@@ -358,6 +359,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
+    if args.fn is cmd_gradient_check and args.seed < 0:  # numpy's generators take none
+        parser.error(f"--seed must be at least 0, got {args.seed}")
     try:
         return args.fn(args)
     except DivergenceError as e:

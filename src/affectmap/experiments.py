@@ -159,14 +159,13 @@ def _refuse_unknown_keys(raw: dict, known, owner: str = "", what: str = "") -> N
         raise ConfigurationError(f"{owner}unknown {what}key {key!r}")
 
 
-def _feature_matrix(features: Mapping, words) -> np.ndarray:
-    missing = [w for w in words if w not in features]
+def _feature_matrix(spec: ModelSpec, words) -> np.ndarray:
+    """The feature vectors of words, one row each; a word without one fails naming spec."""
+    missing = [w for w in words if w not in spec.features]
     if missing:
-        raise ConfigurationError(
-            f"{len(missing)} dataset words have no feature vector "
-            f"(first few: {missing[:3]})"
-        )
-    return np.array([features[w] for w in words], dtype=np.float64)
+        raise ConfigurationError(f"model {spec.name!r}: {len(missing)} dataset words have no "
+                                 f"feature vector (first few: {missing[:3]})")
+    return np.array([spec.features[w] for w in words], dtype=np.float64)
 
 
 def _inputs(spec: ModelSpec, data: AlignedLexicon, memo: dict) -> np.ndarray:
@@ -177,7 +176,7 @@ def _inputs(spec: ModelSpec, data: AlignedLexicon, memo: dict) -> np.ndarray:
         return data.source_matrix
     key = (spec.name, data.words)
     if key not in memo:
-        memo[key] = _feature_matrix(spec.features, data.words)
+        memo[key] = _feature_matrix(spec, data.words)
     return memo[key]
 
 
@@ -482,6 +481,18 @@ class AblationReport:
         return _nan_to_none(asdict(self))
 
 
+def _ablation_sources(datasets: Mapping[str, AlignedLexicon], direction: str):
+    """Each of datasets in direction, and the source variables they all share,
+    which ablation leaves out one at a time: at least two."""
+    oriented = {ds_id: _orient(datasets, ds_id, direction) for ds_id in datasets}
+    found = list(dict.fromkeys(o.source_format.variables for o in oriented.values())) or [()]
+    if len(found) > 1:
+        raise ConfigurationError(f"datasets disagree on source variables: {found[1]} vs {found[0]}")
+    if oriented and len(found[0]) < 2:
+        raise ConfigurationError(f"too few source variables to leave one out: {found[0]}")
+    return oriented, found[0]
+
+
 def run_ablation(
     datasets, direction: str, seed: int, *, k_folds: int = 10, jobs: int = 1
 ) -> AblationReport:
@@ -496,15 +507,9 @@ def run_ablation(
     if not data_map:
         raise ContractError("no datasets given")
     spec = ModelSpec("lr", "lr")
-    oriented_map = {ds_id: _orient(data_map, ds_id, direction) for ds_id in data_map}
-    source_vars = next(iter(oriented_map.values())).source_format.variables
+    oriented_map, source_vars = _ablation_sources(data_map, direction)
     cells = []
     for ds_id, oriented in oriented_map.items():
-        if oriented.source_format.variables != source_vars:
-            raise ConfigurationError(
-                "datasets disagree on source variables: "
-                f"{oriented.source_format.variables} vs {source_vars}"
-            )
         rows = _fold_rows(oriented, k_folds, seed)
         variants = [(direction, oriented)] + [
             (f"{direction}/without-{var}",

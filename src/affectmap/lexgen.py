@@ -3,7 +3,7 @@
 A build job trains a model on bi-representational data, predicts the
 target-format ratings of every word in a mono-format source lexicon that
 is not already covered by an exclusion lexicon, clamps the predictions
-to the target scale (the only place clamping ever happens), and renders
+to the target scale (predictions are clamped only here), and renders
 a sorted, byte-deterministic TSV plus a JSON build manifest.
 """
 
@@ -17,11 +17,12 @@ import numpy as np
 
 from .errors import ConfigurationError, EmptyOutputError
 from .experiments import ModelSpec, WorkUnit, derive_seed, run_units
-from .lexicon import AlignedLexicon, Lexicon
+from .lexicon import AlignedLexicon, EmotionFormat, Lexicon
 
 __all__ = [
     "LexiconBuildJob",
     "build_lexicons",
+    "predicted_lexicon",
     "render_lexicon",
     "format_rating",
 ]
@@ -43,6 +44,7 @@ class LexiconBuildJob:
     model_spec: ModelSpec
     output_name: str
     exclusion_sets: list[Lexicon] = field(default_factory=list)
+    keep_rows: list[int] = field(init=False)  # source rows no exclusion covers: one or more
 
     def __post_init__(self):
         if self.mode not in ("monolingual", "crosslingual"):
@@ -57,6 +59,11 @@ class LexiconBuildJob:
                 f"match training source format {trn.name!r} {trn.variables}; give the source "
                 'side the training source format (for a cross-lingual job, "format": "VA")'
             )
+        excluded = set().union(*(ex.words for ex in self.exclusion_sets))
+        self.keep_rows = [i for i, w in enumerate(self.source_lexicon.words) if w not in excluded]
+        if not self.keep_rows:
+            raise EmptyOutputError(f"lexicon job {self.output_name!r}: every source word is "
+                                   "covered by an exclusion set; nothing to build")
 
 
 def format_rating(v: float) -> str:
@@ -129,35 +136,25 @@ def build_lexicons(build_jobs, seed: int, *, jobs: int = 1) -> list[tuple[Lexico
     output, and the rendered TSV bytes themselves, so the lexicon is
     rendered once per build.
     """
-    units = []
-    for job in build_jobs:
-        excluded = set().union(*(ex.words for ex in job.exclusion_sets))
-        keep_idx = [i for i, w in enumerate(job.source_lexicon.words) if w not in excluded]
-        if not keep_idx:
-            raise EmptyOutputError(
-                "every source word is covered by an exclusion set; nothing to build"
-            )
-        model_seed = derive_seed(seed, "lexgen", job.mode, job.model_spec.name, job.output_name)
-        units.append(WorkUnit(job.model_spec, model_seed, job.training.source_matrix,
-                              job.training.target_matrix, job.source_lexicon.values,
-                              test_rows=keep_idx))
-    return [
-        _describe_build(job, seed, unit, pred)
-        for job, unit, pred in zip(build_jobs, units, run_units(units, jobs))
-    ]
+    units = [WorkUnit(job.model_spec,
+                      derive_seed(seed, "lexgen", job.mode, job.model_spec.name, job.output_name),
+                      job.training.source_matrix, job.training.target_matrix,
+                      job.source_lexicon.values, test_rows=job.keep_rows) for job in build_jobs]
+    return [_describe_build(job, seed, unit, pred)
+            for job, unit, pred in zip(build_jobs, units, run_units(units, jobs))]
+
+
+def predicted_lexicon(fmt: EmotionFormat, words, pred: np.ndarray, **meta) -> Lexicon:
+    """The lexicon of words rated pred in fmt, pred clamped in place to fmt's scale."""
+    np.clip(pred, fmt.scale_low, fmt.scale_high, out=pred)
+    return Lexicon(fmt, words, pred, **meta)
 
 
 def _describe_build(job: LexiconBuildJob, seed: int, unit: WorkUnit, pred: np.ndarray):
-    new_words = [job.source_lexicon.words[i] for i in unit.test_rows]
+    new_words = [job.source_lexicon.words[i] for i in job.keep_rows]
     fmt, t = job.training.target_format, job.training
-    np.clip(pred, fmt.scale_low, fmt.scale_high, out=pred)
-    out = Lexicon(
-        fmt,
-        new_words,
-        pred,
-        language=job.source_lexicon.language,
-        source_id=job.output_name,
-    )
+    out = predicted_lexicon(fmt, new_words, pred, language=job.source_lexicon.language,
+                            source_id=job.output_name)
     source_words = set(job.source_lexicon.words)
     excluded_counts = [
         {"source_id": ex.source_id or f"exclusion_{i}",

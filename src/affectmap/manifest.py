@@ -43,6 +43,7 @@ Column maps default to the variable names themselves plus "word".
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from contextlib import suppress
@@ -51,7 +52,8 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import ConfigurationError, ParseError, ValidationError
-from .experiments import ModelSpec, _crosslingual_training, _orient, _refuse_unknown_keys
+from .experiments import (ModelSpec, _ablation_sources, _crosslingual_training, _orient,
+                          _refuse_unknown_keys)
 from .lexgen import LexiconBuildJob
 from .lexicon import (
     BUILTIN_FORMATS,
@@ -138,7 +140,8 @@ def _objects(raw: dict, key: str, n=None, owner: str = "") -> list[dict]:
 @dataclass
 class Manifest:
     """Parsed and path-resolved manifest. Loading inputs is lazy so that
-    `validate` can report every problem instead of stopping at the first."""
+    `validate` can report every problem instead of stopping at the first.
+    Every parse appends its diagnostics to ``diagnostics``."""
 
     seed: int
     base_dir: Path
@@ -146,7 +149,8 @@ class Manifest:
     k_folds: int
     n_star: int
     raw: dict
-    source_path: Path | None = None
+    digest: str = ""  # sha256 of the bytes load_manifest parsed
+    diagnostics: list = field(default_factory=list)
     _dataset_cache: dict = field(default_factory=dict, repr=False)
     _models: list | None = field(default=None, repr=False)  # feature files are read once
     _parses: dict = field(default_factory=dict, repr=False)  # side key -> clean parse to share
@@ -196,7 +200,7 @@ class Manifest:
                 reads[key] = reads.get(key, 0) + 1
         return reads
 
-    def _load_side(self, side, owner: str, diagnostics, language=None) -> Lexicon:
+    def _load_side(self, side, owner: str, language=None) -> Lexicon:
         """One lexicon. While its key has reads to come, the command's first clean parse
         of the key (no error, no diagnostic) is kept, and a side whose value columns it
         holds takes them by projection, with a fresh parse's bits; any other side is
@@ -210,10 +214,9 @@ class Manifest:
             values = lex.values if idx == list(range(lex.format.size)) else lex.values[:, idx]
             return Lexicon(fmt, lex.words, values, language=options["language"],
                            source_id=options["source_id"], _index=lex._index)
-        sink = [] if diagnostics is None else diagnostics
-        reported = len(sink)
-        lex = parse_lexicon(key[0], fmt, columns, diagnostics=sink, **options)
-        if left > 0 and len(sink) == reported and key not in self._parses:
+        reported = len(self.diagnostics)
+        lex = parse_lexicon(key[0], fmt, columns, diagnostics=self.diagnostics, **options)
+        if left > 0 and len(self.diagnostics) == reported and key not in self._parses:
             self._parses[key] = ({columns[v]: j for j, v in enumerate(fmt.variables)}, lex)
         return lex
 
@@ -226,7 +229,7 @@ class Manifest:
                 raise ConfigurationError(f"duplicate dataset id {ds_id!r}")
         return entries
 
-    def load_dataset(self, entry: dict, diagnostics=None) -> AlignedLexicon:
+    def load_dataset(self, entry: dict) -> AlignedLexicon:
         """The aligned dataset, loaded once; a failed load is named, not repeated, later."""
         ds_id = entry["id"]
         if ds_id in self._dataset_cache:
@@ -238,13 +241,13 @@ class Manifest:
         _refuse_unknown_keys(entry, ("id", "language", "sides"), f"{owner}: ")
         sides = _objects(entry, "sides", 2, f"{owner}: ")
         language = _field(entry, "language", _is_str, "a string", "", f"{owner}: ")
-        a, b = (self._load_side(s, owner, diagnostics, language) for s in sides)
+        a, b = (self._load_side(s, owner, language) for s in sides)
         self._dataset_cache[ds_id] = align(a, b)
         return self._dataset_cache[ds_id]
 
-    def load_datasets(self, ids=None, diagnostics=None) -> dict[str, AlignedLexicon]:
+    def load_datasets(self, ids=None) -> dict[str, AlignedLexicon]:
         """The datasets ids names (all when None): another's failure is not theirs."""
-        return {e["id"]: self.load_dataset(e, diagnostics) for e in self.dataset_entries()
+        return {e["id"]: self.load_dataset(e) for e in self.dataset_entries()
                 if ids is None or e["id"] in ids}
 
     def _widest_format(self) -> int:
@@ -308,11 +311,10 @@ class Manifest:
         return self.model(self.raw.get("crosslingual_model"), "crosslingual_model", False)
 
     def ablation_direction(self, datasets: dict[str, AlignedLexicon]) -> str:
-        """The ablation direction, once each of ``datasets`` is known to offer it."""
+        """The ablation direction, once ``datasets`` pass run_ablation's checks of it."""
         direction = self.raw.get("ablation", {}).get("direction", DEFAULT_DIRECTION)
         try:
-            for ds_id in datasets:
-                _orient(datasets, ds_id, direction)
+            _ablation_sources(datasets, direction)
         except ConfigurationError as e:
             raise ConfigurationError(f"ablation: 'direction': {e}") from None
         return direction
@@ -336,7 +338,7 @@ class Manifest:
                 planned[file] = what
         return entries
 
-    def build_job(self, entry: dict, diagnostics=None) -> LexiconBuildJob:
+    def build_job(self, entry: dict) -> LexiconBuildJob:
         job = f"lexicon job {entry.get('output')!r}"
         owner = f"{job}: "
         mode, output, model = (_field(entry, k, _is_str, "a string", owner=owner)
@@ -352,23 +354,15 @@ class Manifest:
         spec = self.model(model, f"{owner}model")  # a job predicts from the source's ratings
         direction = _field(entry, "training_direction", _is_str, "a string", DEFAULT_DIRECTION,
                            owner)
-        datasets = self.load_datasets(ids, diagnostics)
+        datasets = self.load_datasets(ids)
         training = (_orient(datasets, ids[0], direction) if mode == "monolingual"
                     else _crosslingual_training(datasets, ids, direction))
 
-        source = self._load_side(entry.get("source"), f"{job} source", diagnostics)
-        exclusions = [
-            self._load_side(x, f"{job} exclusion", diagnostics)
-            for x in _objects(entry, "exclusions", owner=owner)
-        ]
-        return LexiconBuildJob(
-            mode=mode,
-            source_lexicon=source,
-            training=training,
-            model_spec=spec,
-            output_name=output,
-            exclusion_sets=exclusions,
-        )
+        source = self._load_side(entry.get("source"), f"{job} source")
+        exclusions = [self._load_side(x, f"{job} exclusion")
+                      for x in _objects(entry, "exclusions", owner=owner)]
+        return LexiconBuildJob(mode=mode, source_lexicon=source, training=training,
+                               model_spec=spec, output_name=output, exclusion_sets=exclusions)
 
 
 def load_manifest(path, overrides: dict | None = None) -> Manifest:
@@ -416,5 +410,5 @@ def load_manifest(path, overrides: dict | None = None) -> Manifest:
         k_folds=k_folds,
         n_star=n_star,
         raw=raw,
-        source_path=path.resolve(),
+        digest=hashlib.sha256(raw_bytes).hexdigest(),
     )

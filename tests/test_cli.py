@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -12,19 +13,21 @@ import numpy as np
 import pytest
 
 from conftest import malformed_model_files, misshaped_model_files
-from affectmap import __version__, experiments, lexgen
+from affectmap import __version__, cli, experiments, lexgen
 from affectmap.cli import _write_outputs, main
 from affectmap.lexicon import BE5, Lexicon
 from affectmap.models import load_model
 
 DATA_DIR = Path(__file__).parent / "data"
-# a kNN and an lr lexicon job, ablation and the reliability records on the
-# CLI fixture, and the files of theirs that no BLAS kernel moves: the report
-# JSONs go through BLAS reductions, so they are left out
+# a kNN and an lr lexicon job, a cross-lingual kNN job, ablation and the
+# reliability records on the CLI fixture, and the files of theirs that no
+# BLAS kernel moves: the report JSONs go through BLAS reductions, so they
+# are left out
 TABLES_MANIFEST = DATA_DIR / "cli_fixture" / "tables_manifest.json"
 TABLE_GOLDENS = {
     "build-lexicon": ("knn_syn_be5.tsv", "knn_syn_be5.tsv.manifest.json", "lr_syn_vad.tsv",
-                      "lr_syn_vad.tsv.manifest.json"),
+                      "lr_syn_vad.tsv.manifest.json", "knn_crosslingual_be5.tsv",
+                      "knn_crosslingual_be5.tsv.manifest.json"),
     "ablation": ("ablation_table.tsv",),
     "shr-normalize": ("reliability_normalized.tsv",),
 }
@@ -335,6 +338,25 @@ class TestRunMonolingual:
         assert meta["k_folds"] == 4
         digest = hashlib.sha256(manifest.read_bytes()).hexdigest()
         assert meta["manifest_digest"] == digest
+
+    def test_run_meta_digests_the_bytes_that_ran(self, workspace, tmp_path, monkeypatch):
+        """A manifest rewritten once loaded does not change the digest."""
+        _, manifest = workspace
+        ran = manifest.read_bytes()
+        load = cli.load_manifest
+
+        def load_then_rewrite(path, overrides=None):
+            loaded = load(path, overrides)
+            Path(path).write_bytes(ran.replace(b'"seed": 7', b'"seed": 8'))
+            return loaded
+
+        monkeypatch.setattr(cli, "load_manifest", load_then_rewrite)
+        out = tmp_path / "o"
+        assert main(["run", "monolingual", "--manifest", str(manifest), "--out", str(out)]) == 0
+        meta = json.loads((out / "run_meta.json").read_bytes())
+        assert manifest.read_bytes() != ran
+        assert meta["manifest_digest"] == hashlib.sha256(ran).hexdigest()
+        assert meta["seed"] == 7
 
     def test_two_runs_byte_identical(self, workspace, tmp_path):
         _, manifest = workspace
@@ -882,9 +904,44 @@ class TestManifestShape:
 
     def test_job_sides_may_set_their_language(self, workspace):
         root, _ = workspace
+        (root / "known.tsv").write_bytes(_render_tsv(["word", *BE5.variables], [["w000", *"22222"]]))
         manifest = write_manifest(root, **_job_source({"exclusions": [
-            {"path": "w_be5.tsv", "format": "BE5", "language": "de"}]}, language="en"))
+            {"path": "known.tsv", "format": "BE5", "language": "de"}]}, language="en"))
         assert main(["validate", "--manifest", str(manifest), "--out", str(root / "o")]) == 0
+
+
+class TestValidateRunsTheRunChecks:
+    """Manifests that validate passed and every run refused: validate refuses
+    each, naming the ablation, job or model, with the run's own check and
+    message."""
+
+    @pytest.mark.parametrize("overrides, label, named, task", [
+        ({**_sides(format={**_INLINE_VAD, "variables": ["valence"]}),
+          "ablation": {"direction": "dim2cat"}}, "ablation",
+         "ablation: 'direction': too few source variables to leave one out: ('valence',)",
+         "ablation"),
+        ({"datasets": [*_sides()["datasets"], {"id": "va", "language": "en", "sides": [
+            {"path": "w_vad.tsv", "format": "VA"}, {"path": "w_be5.tsv", "format": "BE5"}]}],
+          "ablation": {"direction": "dim2cat"}}, "ablation",
+         "ablation: 'direction': datasets disagree on source variables: "
+         "('valence', 'arousal') vs ('valence', 'arousal', 'dominance')", "ablation"),
+        (_job_source({"exclusions": [{"path": "w_be5.tsv", "format": "BE5"}]}),
+         "lexicon job new.tsv", "lexicon job 'new.tsv': every source word is covered by an "
+         "exclusion set; nothing to build", "build-lexicon"),
+        ({"models": [{"name": "wei", "kind": "lr", "features_path": "emb.tsv"}]}, "models",
+         "model 'wei': 38 dataset words have no feature vector (first few: "
+         "['w002', 'w003', 'w004'])", "monolingual"),
+    ], ids=["ablation-one-source-variable", "ablation-source-variables-differ",
+            "job-source-all-excluded", "features-missing-words"])
+    def test_validate_refuses_what_the_run_refuses(self, overrides, label, named, task,
+                                                   workspace, capsys):
+        root, _ = workspace
+        (root / "emb.tsv").write_bytes(b"w000\t0.5\nw001\t1.5\n")
+        argv = ["--manifest", str(write_manifest(root, **overrides)), "--out", str(root / "o")]
+        assert main(["validate", *argv]) == 2
+        assert f"error\t{label}\t{named}\n" in capsys.readouterr().out
+        assert main(["run", task, *argv]) == 2
+        assert capsys.readouterr().err == f"affectmap: error: {named}\n"
 
 
 def _files(root):
@@ -989,6 +1046,12 @@ class TestGradientCheckCommand:
     def test_passes(self, capsys):
         assert main(["gradient-check"]) == 0
         assert "max relative gradient error" in capsys.readouterr().out
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradient-check", "--seed", "-1"])
+        assert exc.value.code == 64
+        assert "--seed must be at least 0, got -1" in capsys.readouterr().err
 
 
 class TestModelCommands:
@@ -1181,6 +1244,46 @@ def test_run_leaves_scipy_unloaded(tmp_path):
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == f"{[0] * len(runs)} False"
+
+
+def test_console_commands(tmp_path):
+    """The commands as a shell runs them: the installed affectmap console
+    script when it is on PATH, else python -m affectmap.cli. Saved lr and kNN
+    models applied to a lexicon job's source write that job's golden lexicon,
+    an undefined model is refused with no file written, run monolingual
+    leaves exactly its three files in --out, and the other tasks write every
+    table golden byte for byte."""
+    script = shutil.which("affectmap")
+    command = [script] if script else [sys.executable, "-m", "affectmap.cli"]
+    print("ran:", " ".join(command))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def run(*args, code=0):
+        done = subprocess.run([*command, *map(str, args)], env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == code, (command, args, done.stderr)
+        return done.stdout
+
+    fixture, golden = DATA_DIR / "cli_fixture", DATA_DIR / "golden"
+    tables = ["--manifest", TABLES_MANIFEST, "--set", "dataset=syn"]
+    run("model", "save", tmp_path / "lr.afm", *tables, "--set", "model=lr",
+        "--set", "direction=cat2dim")
+    assert "kind: LinearModel" in run("model", "load", tmp_path / "lr.afm").splitlines()
+    run("model", "save", tmp_path / "knn.afm", *tables, "--set", "model=knn")
+    for model, query, lexicon in (("lr", "syn_be5.tsv", "lr_syn_vad.tsv"),
+                                  ("knn", "syn_vad.tsv", "knn_syn_be5.tsv")):
+        run("model", "predict", tmp_path / f"{model}.afm", fixture / query, tmp_path / lexicon)
+        assert (tmp_path / lexicon).read_bytes() == (golden / lexicon).read_bytes(), command
+    run("model", "save", tmp_path / "no.afm", *tables, "--set", "model=nope", code=2)
+    assert not (tmp_path / "no.afm").exists()
+    run("run", "monolingual", "--manifest", fixture / "manifest.json", "--out", tmp_path / "o")
+    assert sorted(os.listdir(tmp_path / "o")) == [
+        "monolingual_report.json", "monolingual_table.tsv", "run_meta.json"]
+    for task in TABLE_GOLDENS:
+        run("run", task, "--manifest", TABLES_MANIFEST, "--out", tmp_path / "t")
+    _assert_table_goldens(tmp_path / "t")
 
 
 class TestWhatACommandTrainsOn:
