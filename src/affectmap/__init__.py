@@ -68,6 +68,7 @@ from .experiments import (
     derive_seed,
     directions_for,
     make_folds,
+    render_json,
     render_report_json,
     render_report_table,
     run_ablation,

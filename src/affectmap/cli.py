@@ -9,6 +9,7 @@ schema. Exit codes: 0 ok, 1 I/O failure, 2 validation/contract failure,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -26,6 +27,7 @@ from .experiments import (
     _orient,
     derive_seed,
     directions_for,
+    render_json,
     render_report_json,
     render_report_table,
     run_ablation,
@@ -84,10 +86,6 @@ def _load(args, overrides=None):
                          _manifest_overrides(args) if overrides is None else overrides)
 
 
-def _json_bytes(doc) -> bytes:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False).encode("utf-8") + b"\n"
-
-
 def _write_outputs(out: Path, files) -> None:
     """Write each (name, bytes) pair of files to out/name.
 
@@ -143,7 +141,7 @@ def _ablation(manifest, jobs: int):
     direction = manifest.ablation_direction(datasets)
     report = run_ablation(datasets, direction, manifest.seed, k_folds=manifest.k_folds, jobs=jobs)
     doc = report.to_dict()  # a NaN drop (a constant target variable) is None here
-    yield "ablation_report.json", _json_bytes(doc)
+    yield "ablation_report.json", render_json(doc)
     rows = ["variable\tdrop", *(f"{v}\t{'n/a' if d is None else format(d, '.3f')}"
                                  for v, d in doc["drops"].items())]
     yield "ablation_table.tsv", ("\n".join(rows) + "\n").encode("utf-8")
@@ -162,12 +160,12 @@ def _build_lexicon(manifest, jobs: int):
         raise ConfigurationError("manifest declares no lexicon_jobs")
     # a job holds its whole source lexicon: load only as many as run at once
     for start in range(0, len(entries), jobs):
-        batch = entries[start : start + jobs]
-        built = build_lexicons([manifest.build_job(e) for e in batch], manifest.seed, jobs=jobs)
-        for entry, (_, build_manifest, rendered) in zip(batch, built):
-            name = Path(entry["output"]).name  # the plan has checked it is a bare file name
+        built = build_lexicons([manifest.build_job(e) for e in entries[start : start + jobs]],
+                               manifest.seed, jobs=jobs)
+        for _, build_manifest, rendered in built:
+            name = build_manifest["output_name"]  # its job's, as the manifest records it
             yield name, rendered
-            yield name + ".manifest.json", _json_bytes(build_manifest)
+            yield name + ".manifest.json", render_json(build_manifest)
 
 
 # each task yields the (file name, bytes) pairs it puts in output_dir
@@ -236,7 +234,7 @@ def cmd_run(args) -> int:
             "k_folds": manifest.k_folds, "manifest_digest": manifest.digest}
     # from here until the run's files are all in place, output_dir holds no run_meta.json
     (manifest.output_dir / "run_meta.json").unlink(missing_ok=True)
-    files = chain(TASKS[args.task](manifest, args.jobs), [("run_meta.json", _json_bytes(meta))])
+    files = chain(TASKS[args.task](manifest, args.jobs), [("run_meta.json", render_json(meta))])
     _write_outputs(manifest.output_dir, files)
     return EXIT_OK
 
@@ -272,7 +270,9 @@ def cmd_model_save(args) -> int:
     data = _orient(datasets, dataset_id, direction)
     spec = manifest.model(model_name)
     seed = derive_seed(manifest.seed, dataset_id, direction, spec.name, "save")
-    save_model(spec.build(seed).fit(data), args.path)
+    saved, path = io.BytesIO(), Path(args.path)
+    save_model(spec.build(seed).fit(data), saved)
+    _write_outputs(path.parent, [(path.name, saved.getvalue())])
     print(f"saved {spec.kind} model for {dataset_id} {direction} to {args.path}")
     return EXIT_OK
 

@@ -48,6 +48,7 @@ __all__ = [
     "run_ablation",
     "run_crosslingual",
     "compare_to_shr",
+    "render_json",
     "render_report_json",
     "render_report_table",
 ]
@@ -389,8 +390,6 @@ def _content_key(data: AlignedLexicon) -> str:
 def _attach_significance(reports: list[EvalReport]) -> None:
     """Mark the best spec per (dataset, direction) and test it against the
     runner-up on their per-fold format-average series."""
-    if not reports:
-        return
     ranked = sorted(
         reports,
         key=lambda r: (-(r.format_average_r if not np.isnan(r.format_average_r) else -np.inf)),
@@ -569,15 +568,7 @@ def run_crosslingual(datasets, spec: ModelSpec, seed: int, *, jobs: int = 1) -> 
         )
     cells, labels, memo = [], [], {}
     for ds_id, data in data_map.items():
-        others = {
-            other_id: other
-            for other_id, other in data_map.items()
-            if other.language != data.language
-        }
-        if not others:
-            raise ConfigurationError(
-                f"no out-of-language training data for {ds_id!r} ({data.language!r})"
-            )
+        others = {i: other for i, other in data_map.items() if other.language != data.language}
         for direction, oriented in directions_for(data):
             eval_data = _without_dominance(oriented)
             train = _crosslingual_training(others, others, direction)
@@ -625,10 +616,14 @@ def compare_to_shr(
     return replace(report, shr_flags=flags)
 
 
+def render_json(doc) -> bytes:
+    """doc as every JSON output holds it: sorted keys, indent 2, no NaN, one final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False).encode("utf-8") + b"\n"
+
+
 def render_report_json(reports: Sequence[EvalReport], *, meta: dict | None = None) -> bytes:
     """One structured document per run; byte-reproducible for fixed inputs."""
-    doc = {"meta": meta or {}, "reports": [r.to_dict() for r in reports]}
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False).encode("utf-8")
+    return render_json({"meta": meta or {}, "reports": [r.to_dict() for r in reports]})
 
 
 def _table_cell(report: EvalReport) -> str:

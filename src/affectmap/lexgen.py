@@ -42,7 +42,7 @@ class LexiconBuildJob:
     source_lexicon: Lexicon
     training: AlignedLexicon
     model_spec: ModelSpec
-    output_name: str
+    output_name: str  # the file name it writes, which seeds its model
     exclusion_sets: list[Lexicon] = field(default_factory=list)
     keep_rows: list[int] = field(init=False)  # source rows no exclusion covers: one or more
 

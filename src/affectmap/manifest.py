@@ -174,8 +174,8 @@ class Manifest:
             type(c) is str for c in v.values()), "an object of strings", owner=owner)
         if columns is None:
             columns = {"word": "word", **{v: v for v in fmt.variables}}
-        scale = _field(side, "scale", lambda v: v is None or _list_of(_is_number, 2)(v),
-                       "a pair of finite numbers", owner=owner)
+        scale = _field(side, "scale", lambda v: v is None or _list_of(_is_number, 2)(v)
+                       and v[0] < v[1], "a pair of finite numbers, low < high", owner=owner)
         scale = None if scale is None else (float(scale[0]), float(scale[1]))
         flags = {key: _field(side, key, lambda v: isinstance(v, bool), "true or false", False,
                              owner) for key in ("lowercase", "clamp")}
@@ -361,8 +361,8 @@ class Manifest:
         source = self._load_side(entry.get("source"), f"{job} source")
         exclusions = [self._load_side(x, f"{job} exclusion")
                       for x in _objects(entry, "exclusions", owner=owner)]
-        return LexiconBuildJob(mode=mode, source_lexicon=source, training=training,
-                               model_spec=spec, output_name=output, exclusion_sets=exclusions)
+        return LexiconBuildJob(mode=mode, source_lexicon=source, training=training, model_spec=spec,
+                               output_name=Path(output).name, exclusion_sets=exclusions)
 
 
 def load_manifest(path, overrides: dict | None = None) -> Manifest:

@@ -317,6 +317,7 @@ def misshaped_model_files():
     header["target_format"]["variables"] = header["target_format"]["variables"][:4]
     return {
         "linear-W-transposed": _reshaped(LinearModel().fit(al), "W", [3, 5]),
+        "linear-W-1d": _reshaped(LinearModel().fit(al), "W", [15]),
         "knn-target-transposed": _reshaped(KnnModel(k=3).fit(al), "target", [5, 6]),
         "knn-format-size": _frame(raw, header, payload),
         "ffnn-W1-transposed": _reshaped(ffnn, "W1", [4, 5]),
@@ -341,6 +342,12 @@ def malformed_model_files():
         net.fit_arrays(np.ones((4, 3)), np.ones((4, 5)))
     )
     net_header["meta"]["dtype"] = "float16"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # one training step: a weak first stage
+        boosted = BoostedEnsemble(stages=1, base_config=FfnnConfig(hidden_sizes=(2,), iterations=1))
+        boost_raw, boost_header, boost_payload = _split_model(
+            boosted.fit_arrays(np.ones((4, 3)), np.arange(8.0).reshape(4, 2)))
+    boost_header["meta"]["stage_counts"] = [0, 1]
     return {
         "no-arrays": frame({k: v for k, v in header.items() if k != "arrays"}),
         "list-header": frame([header]),
@@ -348,4 +355,5 @@ def malformed_model_files():
         "knn-empty-meta": frame({**header, "meta": {}}),
         "trailing-bytes": raw + bytes(8),
         "ffnn-dtype-float16": _frame(net_raw, net_header, net_payload),
+        "boosted-stage_counts-zero": _frame(boost_raw, boost_header, boost_payload),
     }

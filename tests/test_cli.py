@@ -16,25 +16,34 @@ from conftest import malformed_model_files, misshaped_model_files
 from affectmap import __version__, cli, experiments, lexgen
 from affectmap.cli import _write_outputs, main
 from affectmap.lexicon import BE5, Lexicon
-from affectmap.models import load_model
+from affectmap.models import KnnModel, load_model, save_model
 
 DATA_DIR = Path(__file__).parent / "data"
 # a kNN and an lr lexicon job, a cross-lingual kNN job, ablation and the
-# reliability records on the CLI fixture, and the files of theirs that no
-# BLAS kernel moves: the report JSONs go through BLAS reductions, so they
-# are left out
+# reliability records on the CLI fixture, cross-lingual transfer between
+# syn and a second language, and the files of theirs that no BLAS kernel
+# moves: the report JSONs go through BLAS reductions, so they are left out
 TABLES_MANIFEST = DATA_DIR / "cli_fixture" / "tables_manifest.json"
+CROSSLINGUAL_MANIFEST = DATA_DIR / "cli_fixture" / "crosslingual_manifest.json"
 TABLE_GOLDENS = {
-    "build-lexicon": ("knn_syn_be5.tsv", "knn_syn_be5.tsv.manifest.json", "lr_syn_vad.tsv",
-                      "lr_syn_vad.tsv.manifest.json", "knn_crosslingual_be5.tsv",
-                      "knn_crosslingual_be5.tsv.manifest.json"),
-    "ablation": ("ablation_table.tsv",),
-    "shr-normalize": ("reliability_normalized.tsv",),
+    "build-lexicon": (TABLES_MANIFEST, (
+        "knn_syn_be5.tsv", "knn_syn_be5.tsv.manifest.json", "lr_syn_vad.tsv",
+        "lr_syn_vad.tsv.manifest.json", "knn_crosslingual_be5.tsv",
+        "knn_crosslingual_be5.tsv.manifest.json")),
+    "ablation": (TABLES_MANIFEST, ("ablation_table.tsv",)),
+    "shr-normalize": (TABLES_MANIFEST, ("reliability_normalized.tsv",)),
+    "crosslingual": (CROSSLINGUAL_MANIFEST, ("crosslingual_table.tsv",)),
 }
 
 
+def _table_runs(out) -> list[list[str]]:
+    """The argv of each run whose files TABLE_GOLDENS pins, all into out."""
+    return [["run", task, "--manifest", str(manifest), "--out", str(out)]
+            for task, (manifest, _) in TABLE_GOLDENS.items()]
+
+
 def _assert_table_goldens(out: Path) -> None:
-    for name in (name for names in TABLE_GOLDENS.values() for name in names):
+    for name in (name for _, names in TABLE_GOLDENS.values() for name in names):
         assert (out / name).read_bytes() == (DATA_DIR / "golden" / name).read_bytes(), name
 
 
@@ -178,6 +187,19 @@ class TestUsage:
         _, manifest = workspace
         code = main(["validate", "--manifest", str(manifest), "--set", "noequals"])
         assert code == 2
+
+    def test_set_into_a_non_object(self, workspace, capsys):
+        _, manifest = workspace
+        assert main(["validate", "--manifest", str(manifest), "--set", "datasets.x=1"]) == 2
+        assert capsys.readouterr().err == (
+            "affectmap: error: cannot override 'datasets.x': 'datasets' is not an object\n")
+
+    def test_set_value_that_is_not_json_is_a_bare_string(self, workspace, tmp_path):
+        _, manifest = workspace
+        out = tmp_path / "o"
+        assert main(["run", "ablation", "--manifest", str(manifest), "--out", str(out),
+                     "--set", "ablation.direction=cat2dim"]) == 0
+        assert json.loads((out / "ablation_report.json").read_bytes())["direction"] == "cat2dim"
 
 
 class TestValidate:
@@ -485,8 +507,8 @@ class TestRunMonolingual:
 class TestRunOtherTasks:
     def test_golden_files(self, tmp_path):
         out = tmp_path / "out"
-        for task in TABLE_GOLDENS:
-            assert main(["run", task, "--manifest", str(TABLES_MANIFEST), "--out", str(out)]) == 0
+        for argv in _table_runs(out):
+            assert main(argv) == 0, argv
         _assert_table_goldens(out)
 
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
@@ -496,8 +518,7 @@ class TestRunOtherTasks:
         """The same bytes from a process whose OpenBLAS runs the kernels of
         an older x86-64 core, which every x86-64 host can run."""
         out = tmp_path / "out"
-        argvs = [["run", task, "--manifest", str(TABLES_MANIFEST), "--out", str(out)]
-                 for task in TABLE_GOLDENS]
+        argvs = _table_runs(out)
         probe = ("import json, sys\nfrom affectmap.cli import main\n"
                  "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n")
         src = Path(__file__).resolve().parent.parent / "src"
@@ -677,8 +698,14 @@ def _bad_normalized_r(root):
     return write_manifest(root, reliability="rel.tsv"), "shr-normalize"
 
 
+def _empty_reliability(root):
+    (root / "rel.tsv").write_bytes(b"")
+    return write_manifest(root, reliability="rel.tsv"), "shr-normalize"
+
+
 class TestMalformedInputs:
-    @pytest.mark.parametrize("setup", [_nan_lexicon, _nan_features, _bad_normalized_r])
+    @pytest.mark.parametrize("setup", [_nan_lexicon, _nan_features, _bad_normalized_r,
+                                       _empty_reliability])
     def test_exit_2_naming_the_line(self, setup, workspace, capsys):
         root, _ = workspace
         manifest, task = setup(root)
@@ -843,6 +870,12 @@ class TestManifestShape:
          "ablation: unknown key 'directon'", ("ablation",)),
         ({"crosslingual_model": "nope"}, "crosslingual_model 'nope' is not a defined model",
          ("crosslingual",)),
+        (_job_source({"mode": "bogus"}), "lexicon job 'new.tsv': unknown mode 'bogus'",
+         ("build-lexicon",)),
+        (_sides(scale=[9, 1]), "dataset 'syn': 'scale' must be a pair of finite numbers, "
+         "low < high, got [9, 1]", ("monolingual",)),
+        (_job_source(scale=[5, 5]), "lexicon job 'new.tsv' source: 'scale' must be a pair of "
+         "finite numbers, low < high, got [5, 5]", ("build-lexicon",)),
     ], ids=["k_folds-string", "seed-float", "lexicon_jobs-int", "datasets-object",
             "models-string", "ffnn-hidden_sizes", "ffnn-iterations-string", "knn-k",
             "ffnn-unknown-param", "params-string", "sides-ints", "scale-string",
@@ -868,7 +901,8 @@ class TestManifestShape:
             "knn-params-unknown-key", "lr-params-unknown-key", "boosted-base-int",
             "boosted-base-unknown-key", "format-unknown-key", "top-level-unknown-key",
             "dataset-unknown-key", "job-misspelt-exclusions", "ablation-unknown-key",
-            "crosslingual_model-undefined"])
+            "crosslingual_model-undefined", "job-mode-unknown", "scale-decreasing",
+            "job-source-scale-empty"])
     def test_exit_2_naming_the_fault(self, overrides, named, tasks, workspace, capsys):
         root, _ = workspace
         manifest = write_manifest(root, **overrides)
@@ -1022,6 +1056,70 @@ class TestWriteOutputs:
         assert (tmp_path / "a.tsv").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
+class TestOneOwnerPerFile:
+    """Each file a command writes has one owner for its name, comes from one
+    JSON renderer when it is JSON, and goes through _write_outputs."""
+
+    @pytest.mark.parametrize("outputs", [("net.tsv", "./net.tsv"), ("net.tsv", "net.tsv/")])
+    def test_a_job_is_named_by_its_file_name(self, outputs, tmp_path):
+        """One seeded job spelt two ways writes the same bytes: its name,
+        its model seed and its build manifest's output_name agree."""
+        for name in ("syn_vad.tsv", "syn_be5.tsv"):
+            (tmp_path / name).write_bytes((DATA_DIR / "cli_fixture" / name).read_bytes())
+        written = []
+        for n, output in enumerate(outputs):
+            manifest = write_manifest(
+                tmp_path, **_net(hidden_sizes=[8], iterations=20), **_sides(
+                    {"path": "syn_vad.tsv", "format": "VAD"},
+                    {"path": "syn_be5.tsv", "format": "BE5"}),
+                lexicon_jobs=[{"mode": "monolingual", "output": output, "model": "net",
+                               "training_id": "syn", "source": {"path": "syn_vad.tsv",
+                                                                "format": "VAD"}}])
+            out = tmp_path / f"o{n}"
+            assert main(["run", "build-lexicon", "--manifest", str(manifest),
+                         "--out", str(out)]) == 0
+            written.append({name: (out / name).read_bytes()
+                            for name in ("net.tsv", "net.tsv.manifest.json")})
+        assert written[0] == written[1]
+        assert json.loads(written[0]["net.tsv.manifest.json"])["output_name"] == "net.tsv"
+
+    def test_failed_model_save_keeps_the_old_file(self, workspace, tmp_path, monkeypatch, capsys):
+        _, manifest = workspace
+        path = tmp_path / "m.afm"
+        save = ["model", "save", str(path), "--manifest", str(manifest), "--set", "dataset=syn"]
+        assert main([*save, "--set", "model=lr"]) == 0
+        before = _files(tmp_path)
+
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main([*save, "--set", "model=knn"]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert _files(tmp_path) == before  # the old model intact, and no temp file
+
+    def test_save_creates_missing_directories(self, workspace, tmp_path):
+        _, manifest = workspace
+        path = tmp_path / "new" / "dir" / "m.afm"
+        assert main(["model", "save", str(path), "--manifest", str(manifest),
+                     "--set", "dataset=syn", "--set", "model=lr"]) == 0
+        assert type(load_model(path)).__name__ == "LinearModel"
+
+    @pytest.mark.filterwarnings("ignore:first boosting stage")
+    def test_every_json_output_ends_in_one_newline(self, tmp_path):
+        manifest = write_every_task_manifest(tmp_path)
+        out = tmp_path / "o"
+        for task in ("monolingual", "crosslingual", "ablation", "build-lexicon"):
+            assert main(["run", task, "--manifest", str(manifest), "--out", str(out)]) == 0, task
+        written = sorted(p.name for p in out.glob("*.json"))
+        assert written == sorted(["monolingual_report.json", "crosslingual_report.json",
+                                  "ablation_report.json", "run_meta.json",
+                                  *(f"{job}.tsv.manifest.json" for job in ("lr", "boost", "knn"))])
+        for name in written:
+            data = (out / name).read_bytes()
+            assert data.endswith(b"}\n") and data == experiments.render_json(json.loads(data)), name
+
+
 def test_feature_file_read_once_per_process(tmp_path, monkeypatch):
     """validate and run build-lexicon read a model's feature file once,
     however many lexicon jobs name a model."""
@@ -1169,6 +1267,15 @@ class TestModelCommands:
         code = main(["model", "save", str(tmp_path / "m.afm"), "--manifest", str(manifest)])
         assert code == 2
 
+    def test_predict_needs_a_model_saved_with_formats(self, tmp_path, capsys):
+        path, out = tmp_path / "bare.afm", tmp_path / "pred.tsv"
+        save_model(KnnModel(k=1).fit_arrays(np.ones((2, 3)), np.ones((2, 5))), path)
+        assert main(["model", "predict", str(path), str(DATA_DIR / "cli_fixture" / "syn_vad.tsv"),
+                     str(out)]) == 2
+        assert capsys.readouterr().err == ("affectmap: error: model file carries no format "
+                                           "bindings; predict via the API instead\n")
+        assert not out.exists()
+
     def test_load_rejects_non_model(self, tmp_path):
         path = tmp_path / "junk.afm"
         path.write_bytes(b"definitely not a model")
@@ -1281,8 +1388,8 @@ def test_console_commands(tmp_path):
     run("run", "monolingual", "--manifest", fixture / "manifest.json", "--out", tmp_path / "o")
     assert sorted(os.listdir(tmp_path / "o")) == [
         "monolingual_report.json", "monolingual_table.tsv", "run_meta.json"]
-    for task in TABLE_GOLDENS:
-        run("run", task, "--manifest", TABLES_MANIFEST, "--out", tmp_path / "t")
+    for argv in _table_runs(tmp_path / "t"):
+        run(*argv)
     _assert_table_goldens(tmp_path / "t")
 
 

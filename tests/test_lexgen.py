@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import reference_render_lexicon
 from affectmap import lexgen
-from affectmap.cli import _json_bytes
 from affectmap.errors import ConfigurationError, EmptyOutputError
-from affectmap.experiments import ModelSpec
+from affectmap.experiments import ModelSpec, render_json
 from affectmap.lexgen import (
     LexiconBuildJob,
     build_lexicons,
@@ -352,6 +351,6 @@ class TestBuildLexicon:
 
     def test_manifest_is_json_ready(self):
         _, manifest, _ = build_lexicons([make_job()], seed=0)[0]
-        written = _json_bytes(manifest)
+        written = render_json(manifest)
         assert json.loads(written) == json.loads(json.dumps(manifest))
-        assert written == _json_bytes(build_lexicons([make_job()], seed=0)[0][1])
+        assert written == render_json(build_lexicons([make_job()], seed=0)[0][1])
